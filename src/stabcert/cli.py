@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,14 @@ from .lyapunov import (
     verify_contraction,
 )
 from .optimizers import HeavyBall, NagSmoothQuadratic, NagStandard, SectorBounds, Sgd, lure_of, theta_of
-from .sdp import FEASIBLE, SolverOptions, certify_rate, s_lemma_cross_check, solve_feasibility
+from .sdp import (
+    FEASIBLE,
+    RATE_OPTIONS,
+    SolverOptions,
+    certify_rate,
+    s_lemma_cross_check,
+    solve_feasibility,
+)
 from .simulate import ExperimentConfig, envelope_rate, stability_vs_n, stability_vs_t
 
 EXIT_OK = 0
@@ -64,7 +72,8 @@ def _build_parser() -> _Parser:
     cert.add_argument("--mu", type=float, default=0.0, help="momentum (heavyball)")
     cert.add_argument("--rate", action="store_true", help="bisect for the best certified rho")
     cert.add_argument("--seed", type=int, default=0)
-    cert.add_argument("--restarts", type=int, default=16)
+    cert.add_argument("--restarts", type=int,
+                      help="solver restarts (default 16, or 6 per probe with --rate)")
     cert.add_argument("--out", help="write the certificate JSON here")
 
     lyap = sub.add_parser("lyapunov", help="direct certificate region for the tuned method")
@@ -125,9 +134,12 @@ def _cmd_certify(args) -> int:
     else:
         spec = NagSmoothQuadratic(bounds=bounds)
     system = lure_of(spec, bounds)
-    opts = SolverOptions(seed=args.seed, restarts=args.restarts)
+    overrides = {"seed": args.seed}
+    if args.restarts is not None:
+        overrides["restarts"] = args.restarts
+    opts = replace(RATE_OPTIONS if args.rate else SolverOptions(), **overrides)
     if args.rate:
-        rate = certify_rate(system, bounds, args.optimizer)
+        rate = certify_rate(system, bounds, args.optimizer, options=opts)
         print(f"optimizer      {args.optimizer}")
         print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
         print(f"status         {rate.status}")

@@ -22,7 +22,6 @@ __all__ = [
     "is_psd",
     "loewner_leq",
     "eig2_general",
-    "extreme_eig_sym",
 ]
 
 # Relative off-diagonal mass at which the Jacobi sweep stops.
@@ -130,71 +129,6 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return is_psd(b - a, tol=tol)
-
-
-def extreme_eig_sym(m: np.ndarray, which: str) -> tuple[float, np.ndarray]:
-    """Largest or smallest eigenpair of a small symmetric matrix.
-
-    Closed forms for dimensions 1-3 (the solver's hot loop); anything
-    larger, or a near-defective 3x3 where the cross-product eigenvector
-    degenerates, falls back to sym_eigen.  which is "max" or "min".
-
-    Returns:
-        (eigenvalue, unit eigenvector).
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if which not in ("max", "min"):
-        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    if n == 1:
-        return float(m[0, 0]), np.array([1.0])
-    if n == 2:
-        a, b, c = m[0, 0], m[0, 1], m[1, 1]
-        half_gap = 0.5 * (a - c)
-        root = np.sqrt(half_gap * half_gap + b * b)
-        val = 0.5 * (a + c) + (root if which == "max" else -root)
-        v1 = np.array([b, val - a])
-        v2 = np.array([val - c, b])
-        vec = v1 if v1 @ v1 >= v2 @ v2 else v2
-        norm = np.sqrt(vec @ vec)
-        if norm < 1e-150:
-            return float(val), np.array([1.0, 0.0])
-        return float(val), vec / norm
-    if n == 3:
-        q = (m[0, 0] + m[1, 1] + m[2, 2]) / 3.0
-        d = m - q * np.eye(3)
-        p2 = float((d * d).sum())
-        p = np.sqrt(p2 / 6.0)
-        if p < 1e-14 * max(1.0, abs(q)):
-            basis = np.array([1.0, 0.0, 0.0])
-            return float(q), basis
-        b = d / p
-        det_b = float(np.linalg.det(b))
-        r = min(1.0, max(-1.0, det_b / 2.0))
-        phi = np.arccos(r) / 3.0
-        if which == "max":
-            val = q + 2.0 * p * np.cos(phi)
-        else:
-            val = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-        shifted = m - val * np.eye(3)
-        best = None
-        best_norm = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                cand = np.cross(shifted[i], shifted[j])
-                norm = float(cand @ cand)
-                if norm > best_norm:
-                    best_norm = norm
-                    best = cand
-        scale = float((shifted * shifted).sum())
-        if best is None or best_norm <= 1e-24 * max(scale * scale, 1e-30):
-            spec = sym_eigen(m)
-            k = -1 if which == "max" else 0
-            return float(spec.values[k]), spec.vectors[:, k]
-        return float(val), best / np.sqrt(best_norm)
-    spec = sym_eigen(m)
-    k = -1 if which == "max" else 0
-    return float(spec.values[k]), spec.vectors[:, k]
 
 
 class Eig2(NamedTuple):

@@ -123,7 +123,8 @@ def _sweep_max_eig(theta: float, eps: float, rho: float, alphas: np.ndarray) -> 
     return mean + np.sqrt(gap * gap + m[:, 0, 1] ** 2)
 
 
-@dataclass(frozen=True)
+# Slotted: a region keeps one of these for every (eps, rho) pair it sweeps.
+@dataclass(frozen=True, slots=True)
 class LyapunovCertificate:
     """Result of sweeping one (eps, rho) pair over the alpha interval.
 
@@ -227,9 +228,10 @@ def find_feasible_region(
         raise ValueError("eps and rho grids must be non-empty")
     certs = []
     feas = []
-    for eps in eps_grid:
-        for rho in rho_grid:
-            cert = verify_contraction(theta, float(eps), float(rho), grid_points)
+    rhos = rho_grid.tolist()  # one float per grid value, shared by its certificates
+    for eps in eps_grid.tolist():
+        for rho in rhos:
+            cert = verify_contraction(theta, eps, rho, grid_points)
             certs.append(cert)
             if cert.valid:
                 feas.append(cert)

@@ -1,18 +1,25 @@
 """Projected-subgradient feasibility solver for the certificate LMI.
 
-The decision variable is (P, lambda, tau1, tau2, tau3) and the goal is
-a strictly negative definite LMI with P positive definite, lambda above
+The decision vector v = (vech P, lambda, tau1, tau2, tau3) asks for a
+strictly negative definite LMI with P positive definite, lambda above
 a floor, and nonnegative multipliers for the three sector inequalities
 (strong monotonicity, co-coercivity and the sector product form; see
-iqc).  The solver minimizes the pointwise max of the two eigenvalue
-violations with Polyak-style subgradient steps (eigenvector outer
-products give exact subgradients of extreme eigenvalues of an affine
-matrix map), projecting the box variables after every step.  The LMI
-is homogeneous in the whole tuple, so the tuple is rescaled whenever the
-largest of trace(P)/s and the multipliers leaves [0.1, 10].  Restarts
-are deterministic in the seed; any returned Feasible certificate is
-re-verified eigenvalue-by-eigenvalue and by a randomized sector
-sampling check before being accepted.
+iqc).  The LMI is linear in v, LMI(v) = sum_k v_k L_k, and the basis
+L_k is built once per problem.  The solver minimizes the pointwise max
+of the two eigenvalue violations with Polyak-style subgradient steps
+(eigenvector outer products give exact subgradients, q^T L_k q, of
+extreme eigenvalues of an affine matrix map), projecting the box
+variables after every step.  The LMI is homogeneous in the whole tuple,
+so the tuple is rescaled whenever the largest of trace(P)/s and the
+multipliers leaves [0.1, 10].
+
+All seeded restarts step in lockstep as the rows of one array: each
+iteration makes one LAPACK eigh call on the stack of LMIs and one on
+the stack of P blocks.  Row products use einsum, never a BLAS product,
+so a restart's path is bitwise the same whether it runs alone or beside
+others.  LAPACK searches and Jacobi trusts: any Feasible candidate is
+re-verified by the package's own Jacobi eigensolver and by a randomized
+sector sampling check before it is accepted.
 
 Statuses: Feasible (verified certificate in hand), Infeasible (every
 restart stalled at a clearly positive violation; an operational claim,
@@ -22,8 +29,6 @@ or the residual landed too close to zero to call).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,7 @@ from .iqc import (
     sector_multipliers,
     sector_product_multiplier,
 )
-from .linalg import extreme_eig_sym, sym_eigen
+from .linalg import sym_eigen
 from .optimizers import LureSystem, SectorBounds
 
 __all__ = [
@@ -43,11 +48,11 @@ __all__ = [
     "FeasibilityResult",
     "RateResult",
     "CertificateCheck",
+    "RATE_OPTIONS",
     "solve_feasibility",
     "verify_certificate",
     "s_lemma_cross_check",
     "certify_rate",
-    "thread_count",
 ]
 
 FEASIBLE = "Feasible"
@@ -68,6 +73,9 @@ class SolverOptions:
     infeasible_margin: stalled residual above this reports Infeasible,
         anything closer to zero reports Inconclusive.
     check_samples: sample count for the randomized certificate check.
+
+    Raises:
+        ValueError: naming the first field out of range.
     """
 
     feas_margin: float = 1e-8
@@ -82,6 +90,22 @@ class SolverOptions:
     infeasible_margin: float = 1e-4
     check_samples: int = 10_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters", "patience", "check_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"SolverOptions.{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("feas_margin", "p_tol", "lambda_min", "target_gap", "stall_tol",
+                     "infeasible_margin"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(
+                    f"SolverOptions.{name} must be non-negative, got {getattr(self, name)}")
+        if not self.step_cap > 0.0:
+            raise ValueError(f"SolverOptions.step_cap must be positive, got {self.step_cap}")
+
+
+# certify_rate's defaults, also the base of `stabcert certify --rate`.
+RATE_OPTIONS = SolverOptions(restarts=6, max_iters=20_000, patience=1200)
 
 
 @dataclass(frozen=True)
@@ -130,150 +154,158 @@ class CertificateCheck:
         return self.ok
 
 
-def thread_count() -> int:
-    """Worker count from STABCERT_THREADS, clamped to at least 1."""
-    raw = os.environ.get("STABCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _vech_indices(s: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(s) for j in range(i, s)]
-
-
 class _Problem:
-    """Precomputed pieces of the affine LMI map for one system/sector.
+    """The affine LMI map of one system/sector, built once.
 
-    lmi() builds the same matrix as iqc.assemble_lmi from these blocks
-    without rebuilding J and the multipliers on every solver iteration;
-    assemble_lmi stays the reference that verification uses.
+    A decision vector v is (vech P, lam, tau1, tau2, tau3), with vech in
+    row-major upper-triangle order.  Row k of `basis` is vec(L_k), so
+    LMI(v) = (v @ basis) reshaped to (d, d).  Row k of `p_basis` is the
+    k-th symmetric unit matrix E_k of P, and P itself is the gather
+    v[p_index].
     """
 
     def __init__(self, system: LureSystem, bounds: SectorBounds, rho: float, with_lam: bool):
         self.bounds = bounds
         self.rho = rho
         self.with_lam = with_lam
-        self.s = system.state_dim
-        self.f = np.hstack([system.a, system.b])
-        pi1, pi2 = sector_multipliers(bounds)
-        pi3 = sector_product_multiplier(bounds)
+        self.s = s = system.state_dim
+        f = np.hstack([system.a, system.b])
+        self.d = d = f.shape[1]
+        self.vech = np.triu_indices(s)
+        self.n_p = n_p = self.vech[0].size
+        # 1 where v holds a diagonal entry of P, so v . trace_mask = trace(P).
+        self.trace_mask = np.zeros(n_p + 4)
+        self.trace_mask[np.flatnonzero(self.vech[0] == self.vech[1])] = 1.0
+        units = np.zeros((n_p, s, s))
+        units[np.arange(n_p), self.vech[0], self.vech[1]] = 1.0
+        units[np.arange(n_p), self.vech[1], self.vech[0]] = 1.0
+        p_terms = f.T @ units @ f
+        p_terms[:, :s, :s] -= (1.0 - rho) * units
+        lam_term = np.zeros((d, d))
+        if with_lam:
+            lam_term[:s, :s] = np.eye(s)
         j = sector_lift(system)
-        self.q1 = j.T @ pi1 @ j
-        self.q2 = j.T @ pi2 @ j
-        self.q3 = j.T @ pi3 @ j
-        self.eye_s = np.eye(self.s)
-        self.pairs = _vech_indices(self.s)
+        pis = (*sector_multipliers(bounds), sector_product_multiplier(bounds))
+        terms = [*p_terms, lam_term, *(j.T @ pi @ j for pi in pis)]
+        self.basis = np.array(terms).reshape(len(terms), d * d)
+        self.p_basis = units.reshape(n_p, s * s)
+        self.p_index = np.zeros((s, s), dtype=int)
+        self.p_index[self.vech] = self.p_index[self.vech[::-1]] = np.arange(n_p)
 
     def lmi(self, p: np.ndarray, lam: float, tau1: float, tau2: float,
             tau3: float) -> np.ndarray:
-        s = self.s
-        out = self.f.T @ p @ self.f
-        out[:s, :s] -= (1.0 - self.rho) * p - lam * self.eye_s
-        out += tau1 * self.q1 + tau2 * self.q2 + tau3 * self.q3
-        return out
+        v = np.concatenate([p[self.vech], [lam, tau1, tau2, tau3]])
+        return (v @ self.basis).reshape(self.d, self.d)
 
 
-def _phi_and_grad(prob: _Problem, p, lam, tau1, tau2, tau3, opts: SolverOptions):
-    """Violation value and a subgradient in (vech P, lam, tau1, tau2, tau3).
-
-    Uses the closed-form extreme eigenpairs (linalg.extreme_eig_sym) to
-    keep iterations cheap; accepted certificates are re-verified with
-    the full Jacobi path afterwards.
-    """
-    top_val, q = extreme_eig_sym(prob.lmi(p, lam, tau1, tau2, tau3), "max")
-    g_lmi = top_val + opts.feas_margin
-    bot_val, w = extreme_eig_sym(p, "min")
-    g_p = opts.p_tol - bot_val
-    n_vech = len(prob.pairs)
-    grad = np.zeros(n_vech + 4)
-    if g_lmi >= g_p:
-        phi = g_lmi
-        x = q[: prob.s]
-        u = prob.f @ q
-        scale = 1.0 - prob.rho
-        for k, (i, j) in enumerate(prob.pairs):
-            if i == j:
-                grad[k] = u[i] * u[i] - scale * x[i] * x[i]
-            else:
-                grad[k] = 2.0 * (u[i] * u[j] - scale * x[i] * x[j])
-        grad[n_vech] = float(x @ x) if prob.with_lam else 0.0
-        grad[n_vech + 1] = float(q @ prob.q1 @ q)
-        grad[n_vech + 2] = float(q @ prob.q2 @ q)
-        grad[n_vech + 3] = float(q @ prob.q3 @ q)
-    else:
-        phi = g_p
-        for k, (i, j) in enumerate(prob.pairs):
-            grad[k] = -w[i] * w[i] if i == j else -2.0 * w[i] * w[j]
-    return float(phi), grad
-
-
-def _unpack(prob: _Problem, v: np.ndarray):
-    p = np.zeros((prob.s, prob.s))
-    for k, (i, j) in enumerate(prob.pairs):
-        p[i, j] = p[j, i] = v[k]
-    n = len(prob.pairs)
-    return p, float(v[n]), float(v[n + 1]), float(v[n + 2]), float(v[n + 3])
-
-
-def _project(prob: _Problem, v: np.ndarray, opts: SolverOptions) -> np.ndarray:
-    n = len(prob.pairs)
-    v = v.copy()
-    v[n] = max(v[n], opts.lambda_min) if prob.with_lam else 0.0
-    v[n + 1 :] = np.maximum(v[n + 1 :], 0.0)
-    # The LMI is homogeneous in the decision tuple; rescale when its
-    # size drifts so the absolute margins keep their meaning.  The size
-    # is the largest of trace(P)/s and the multipliers: watching P alone
-    # lets the multipliers run off towards overflow.
-    tr = sum(v[k] for k, (i, j) in enumerate(prob.pairs) if i == j)
-    size = max(tr / prob.s, *v[n + 1 :])
-    if size > 10.0 or (0.0 < size < 0.1):
-        v /= size
-        if prob.with_lam:
-            v[n] = max(v[n], opts.lambda_min)
-    return v
-
-
-def _run_restart(prob: _Problem, restart: int, opts: SolverOptions):
+def _start(prob: _Problem, restart: int, opts: SolverOptions) -> np.ndarray:
+    """The seeded starting vector of one restart (before projection)."""
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, restart)))
     s = prob.s
     raw = rng.normal(size=(s, s))
     p0 = raw @ raw.T / s + 0.5 * np.eye(s)
-    v = np.zeros(len(prob.pairs) + 4)
-    for k, (i, j) in enumerate(prob.pairs):
-        v[k] = p0[i, j]
-    n = len(prob.pairs)
-    v[n] = opts.lambda_min + 0.1 * abs(rng.normal()) if prob.with_lam else 0.0
-    v[n + 1] = 0.1 + abs(rng.normal())
-    v[n + 2] = 0.1 + abs(rng.normal())
-    v[n + 3] = 0.1 + abs(rng.normal())
-    v = _project(prob, v, opts)
+    lam = opts.lambda_min + 0.1 * abs(rng.normal()) if prob.with_lam else 0.0
+    taus = [0.1 + abs(rng.normal()) for _ in range(3)]
+    return np.concatenate([p0[prob.vech], [lam, *taus]])
 
-    best = np.inf
-    best_v = v
-    best_iter = 0
-    k = 0
+
+def _phi_and_grad(prob: _Problem, v: np.ndarray, opts: SolverOptions):
+    """Violation and a subgradient for every row of v, shape (rows, nv)."""
+    rows, n, d, s = len(v), prob.n_p, prob.d, prob.s
+    lmi_vals, lmi_vecs = np.linalg.eigh(np.einsum("rk,kn->rn", v, prob.basis).reshape(rows, d, d))
+    p_vals, p_vecs = np.linalg.eigh(v[:, prob.p_index])
+    g_lmi = lmi_vals[:, -1] + opts.feas_margin
+    g_p = opts.p_tol - p_vals[:, 0]
+    on_p = g_lmi < g_p
+    # q^T L_k q on the LMI branch; -w^T E_k w on P's entries otherwise.
+    q = lmi_vecs[:, :, -1]
+    grad = np.einsum("ra,rb,kab->rk", q, q, prob.basis.reshape(-1, d, d))
+    if on_p.any():
+        w = p_vecs[:, :, 0]
+        grad_p = -np.einsum("ra,rb,kab->rk", w, w, prob.p_basis.reshape(n, s, s))
+        grad[on_p] = 0.0
+        grad[on_p, :n] = grad_p[on_p]
+    return np.maximum(g_lmi, g_p), grad
+
+
+def _project(prob: _Problem, v: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Clip the rows of v onto the box constraints and rescale drifted rows, in place.
+
+    floor holds the lower bounds of (lam, tau1, tau2, tau3); without the
+    lambda term lam starts at 0 and its subgradient is 0, so it stays 0.
+    """
+    n = prob.n_p
+    np.maximum(v[:, n:], floor, out=v[:, n:])
+    # The LMI is homogeneous in the decision tuple; rescale when its
+    # size drifts so the absolute margins keep their meaning.  The size
+    # is the largest of trace(P)/s and the multipliers: watching P alone
+    # lets the multipliers run off towards overflow.
+    trace = np.einsum("rk,k->r", v, prob.trace_mask)
+    size = np.maximum(trace / prob.s, v[:, n + 1 :].max(axis=1))
+    out = (size > 10.0) | (size < 0.1)
+    if out.any():
+        out &= size > 0.0
+        v[out] /= size[out, None]
+        v[out, n:] = np.maximum(v[out, n:], floor)
+    return v
+
+
+def _lockstep(prob: _Problem, restarts, opts: SolverOptions) -> dict:
+    """Run seeded restarts side by side, the lowest feasible one winning.
+
+    Each row follows exactly the path its restart would follow alone.
+    A row ends when it turns feasible, when it stalls (no improvement by
+    stall_tol for patience steps, or a vanishing subgradient) or at
+    max_iters.  Once some restart is feasible, higher-numbered ones are
+    dropped, and the loop ends when every lower-numbered one has ended.
+
+    Returns:
+        {restart: (v, violation, iterations, stalled)} for the restarts
+        up to and including the winner (all of them without one), as a
+        one-at-a-time search stopping at the first feasible restart
+        would have run them.
+    """
+    rows = np.asarray(restarts)
+    floor = np.array([opts.lambda_min if prob.with_lam else 0.0, 0.0, 0.0, 0.0])
+    v = _project(prob, np.array([_start(prob, r, opts) for r in rows]), floor)
+    best = np.full(len(rows), np.inf)
+    best_v = v.copy()
+    best_iter = np.zeros(len(rows), dtype=int)
+    ended: dict = {}
+    winner = np.inf
     for k in range(1, opts.max_iters + 1):
-        phi, grad = _phi_and_grad(prob, *_unpack(prob, v), opts)
-        if phi < best - opts.stall_tol:
-            best = phi
-            best_v = v.copy()
-            best_iter = k
-        if phi < 0.0:
-            return v, phi, k, False
-        if k - best_iter > opts.patience:
-            return best_v, best, k, True
-        gnorm2 = float(grad @ grad)
-        if gnorm2 <= 1e-300:
-            return best_v, best, k, True
-        step = min((phi + opts.target_gap) / gnorm2, opts.step_cap)
-        v = _project(prob, v - step * grad, opts)
-    return best_v, best, k, False
+        phi, grad = _phi_and_grad(prob, v, opts)
+        improved = phi < best - opts.stall_tol
+        np.copyto(best, phi, where=improved)
+        np.copyto(best_v, v, where=improved[:, None])
+        np.copyto(best_iter, k, where=improved)
+        gnorm2 = np.einsum("rk,rk->r", grad, grad)
+        feasible = phi < 0.0
+        done = feasible | (best_iter < k - opts.patience) | (gnorm2 <= 1e-300)
+        if done.any():
+            for i in np.flatnonzero(done):
+                r = int(rows[i])
+                if feasible[i]:
+                    ended[r] = (v[i].copy(), float(phi[i]), k, False)
+                    winner = min(winner, r)
+                else:
+                    ended[r] = (best_v[i].copy(), float(best[i]), k, True)
+            live = ~done & (rows < winner)
+            if not live.any():
+                break
+            rows, v, best, best_v, best_iter, phi, grad, gnorm2 = (
+                a[live] for a in (rows, v, best, best_v, best_iter, phi, grad, gnorm2))
+        step = np.minimum((phi + opts.target_gap) / gnorm2, opts.step_cap)
+        v = _project(prob, v - step[:, None] * grad, floor)
+    else:
+        for i, r in enumerate(rows):
+            ended[int(r)] = (best_v[i].copy(), float(best[i]), opts.max_iters, False)
+    return {r: ended[r] for r in sorted(ended) if r <= winner}
 
 
 def _make_cert(prob, v, name, status, opts) -> IqcCertificate:
-    p, lam, tau1, tau2, tau3 = _unpack(prob, v)
+    p = v[prob.p_index]
+    lam, tau1, tau2, tau3 = (float(x) for x in v[prob.n_p :])
     lmi_top = float(sym_eigen(prob.lmi(p, lam, tau1, tau2, tau3)).values[-1])
     p_bot = float(sym_eigen(p).values[0])
     return IqcCertificate(
@@ -303,11 +335,10 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Search for a verified solution of the certificate LMI.
 
-    Runs seeded subgradient restarts (in parallel when STABCERT_THREADS
-    is set; the outcome does not depend on the thread count because the
-    lowest-numbered feasible restart always wins).  A candidate only
-    becomes a Feasible result after verify_certificate and the sector
-    sampling cross-check both pass.
+    Runs the seeded subgradient restarts in lockstep; the lowest-numbered
+    feasible restart wins, so the outcome is that of running them one at
+    a time.  A candidate only becomes a Feasible result after
+    verify_certificate and the sector sampling cross-check both pass.
 
     Args:
         system: feedback form of the optimizer.
@@ -322,25 +353,13 @@ def solve_feasibility(
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     prob = _Problem(system, bounds, rho, with_lam)
-
-    workers = thread_count()
-    results: dict[int, tuple] = {}
-    if workers == 1:
-        for r in range(opts.restarts):
-            results[r] = _run_restart(prob, r, opts)
-            if results[r][1] < 0.0:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {r: pool.submit(_run_restart, prob, r, opts) for r in range(opts.restarts)}
-            results = {r: f.result() for r, f in futs.items()}
+    results = _lockstep(prob, range(opts.restarts), opts)
 
     traces = [
         RestartTrace(restart=r, best_violation=res[1], iterations=res[2], stalled=res[3])
-        for r, res in sorted(results.items())
+        for r, res in results.items()
     ]
-    for r in sorted(results):
-        v, phi, _, _ = results[r]
+    for v, phi, _, _ in results.values():
         if phi < 0.0:
             cert = _make_cert(prob, v, optimizer_name, FEASIBLE, opts)
             report = verify_certificate(cert, system, bounds, opts)
@@ -460,7 +479,7 @@ def certify_rate(
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
-    opts = options or SolverOptions(restarts=6, max_iters=20_000, patience=1200)
+    opts = options or RATE_OPTIONS
     tested = []
 
     def probe(rho: float) -> FeasibilityResult:

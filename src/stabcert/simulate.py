@@ -388,7 +388,12 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     from the optimizer's own contraction over the effective curvature
     sector of the base data.  Fits use the checkpoints below the
     envelope half-life T_half (all of them when fewer than 3 qualify),
-    keeping the growth fit away from the saturation plateau.
+    keeping the growth fit away from the saturation plateau, and of
+    those only the ones with a positive mean gap; fit_region lists them.
+
+    Raises:
+        ValueError: on fewer than 3 checkpoints, or fewer than 3 left to
+            fit.
     """
     n = int(config.subset_sizes[0])
     cps = np.asarray(config.checkpoints, dtype=int)
@@ -405,10 +410,17 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     if not (0.0 < rho < 1.0):
         raise ValueError(f"optimizer does not contract over the data sector (rho={rho})")
     t_half = math.log(0.5) / math.log1p(-rho)
-    region = tuple(int(c) for c in cps if c <= t_half)
-    if len(region) < 3:
-        region = tuple(int(c) for c in cps)
-    mask = np.isin(cps, region)
+    window = cps <= t_half
+    if window.sum() < 3:
+        window[:] = True
+    # A mean gap of exactly 0 (no trial has drawn the replaced index
+    # yet) has no logarithm; such checkpoints stay out of both fits.
+    mask = window & (mean_curve > 0.0)
+    if mask.sum() < 3:
+        raise ValueError(
+            f"only {int(mask.sum())} fit-window checkpoints have a positive mean gap; "
+            "the growth fits need 3")
+    region = tuple(int(c) for c in cps[mask])
     loglog = fit_loglog_slope(cps[mask].astype(float), mean_curve[mask])
     coeff, sat_r2 = saturating_fit(cps[mask].astype(float), mean_curve[mask], rho)
     return VsTResult(

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from stabcert import cli
 from stabcert.cli import EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
 from stabcert.iqc import certificate_from_json
+from stabcert.sdp import RATE_OPTIONS, RateResult
 
 TINY_SIM = [
     "--n-base", "60", "--dim", "5", "--horizon", "60", "--trials", "2",
@@ -81,6 +84,48 @@ def test_certify_rate_mode(capsys):
     line = next(l for l in text.splitlines() if l.startswith("rho_star"))
     # sgd at eta = 1/beta contracts V by (1 - gamma/beta)^2 at the slow edge
     assert float(line.split()[1]) == pytest.approx(1 - (1 - 0.1) ** 2, abs=5e-3)
+
+
+def test_certify_rate_honours_seed(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    rc = main([
+        "certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0", "--rate",
+        "--seed", "5", "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    assert "Certified" in capsys.readouterr().out
+    assert json.loads(out.read_text())["solver_seed"] == 5
+
+
+def test_certify_rate_options(monkeypatch, capsys):
+    # --rate starts from certify_rate's own defaults; --seed always and
+    # --restarts only when given override them.
+    seen = []
+
+    def spy(system, bounds, name, options=None):
+        seen.append(options)
+        return RateResult("Infeasible-at-range", 0.0, None, [])
+
+    monkeypatch.setattr(cli, "certify_rate", spy)
+    base = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0", "--rate"]
+    assert main(base + ["--seed", "9"]) == EXIT_NEGATIVE
+    assert main(base + ["--restarts", "3"]) == EXIT_NEGATIVE
+    assert seen[0] == dataclasses.replace(RATE_OPTIONS, seed=9)
+    assert seen[1] == dataclasses.replace(RATE_OPTIONS, restarts=3)
+    assert (RATE_OPTIONS.restarts, RATE_OPTIONS.max_iters, RATE_OPTIONS.patience) == (
+        6, 20_000, 1200)
+
+
+def test_certify_zero_restarts_exit_64(capsys):
+    for extra in ([], ["--rate"]):
+        rc = main([
+            "certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0",
+            "--restarts", "0", *extra,
+        ])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "restarts must be >= 1" in err
+        assert "Traceback" not in err
 
 
 def test_certify_invalid_sector_exit_64(capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from stabcert.linalg import (
     eig2_general,
     eigvals_sym,
-    extreme_eig_sym,
     is_psd,
     loewner_leq,
     sym_eigen,
@@ -104,29 +103,6 @@ def test_eig2_double_root_clamp():
         pair = eig2_general(tr, det)
         assert pair.values[0] == pair.values[1] == pytest.approx(root)
         assert pair.radius == pytest.approx(abs(root))
-
-
-def test_extreme_eig_fast_path_matches_jacobi():
-    rng = np.random.default_rng(11)
-    for _ in range(2000):
-        dim = int(rng.integers(1, 4))
-        m = _random_sym(rng, dim)
-        full = sym_eigen(m)
-        for which, k in (("max", -1), ("min", 0)):
-            val, vec = extreme_eig_sym(m, which)
-            assert abs(val - full.values[k]) <= 1e-10
-            assert np.linalg.norm(m @ vec - val * vec) <= 1e-8
-            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-
-
-def test_extreme_eig_degenerate_cases():
-    val, vec = extreme_eig_sym(2.5 * np.eye(3), "max")
-    assert val == pytest.approx(2.5)
-    assert np.linalg.norm(vec) == pytest.approx(1.0)
-    val, _ = extreme_eig_sym(np.diag([1.0, 1.0]), "min")
-    assert val == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        extreme_eig_sym(np.eye(2), "top")
 
 
 def test_eigvals_sym_sorted():

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from stabcert.iqc import IqcCertificate, assemble_lmi
+from stabcert.iqc import (
+    IqcCertificate,
+    assemble_lmi,
+    sector_lift,
+    sector_multipliers,
+    sector_product_multiplier,
+)
 from stabcert.optimizers import (
     HeavyBall,
     NagSmoothQuadratic,
@@ -16,11 +22,12 @@ from stabcert.sdp import (
     FEASIBLE,
     INFEASIBLE,
     SolverOptions,
+    _lockstep,
+    _phi_and_grad,
     _Problem,
     certify_rate,
     s_lemma_cross_check,
     solve_feasibility,
-    thread_count,
     verify_certificate,
 )
 
@@ -73,27 +80,102 @@ def test_solver_is_deterministic():
     assert a.certificate.tau2 == b.certificate.tau2
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("STABCERT_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("STABCERT_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("STABCERT_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("STABCERT_THREADS", "soup")
-    assert thread_count() == 1
-
-
-def test_threaded_run_matches_sequential(monkeypatch):
+@pytest.mark.parametrize(
+    "spec, rho",
+    [
+        (Sgd(3.0), 0.0),
+        (HeavyBall(eta=1.0, mu=0.1), 0.5),
+        (NagSmoothQuadratic(SectorBounds(0.1, 1.0)), 0.3),
+        (NagSmoothQuadratic(SectorBounds(0.1, 1.0)), 0.0),
+    ],
+    ids=["sgd", "heavyball", "nag-sq", "nag-sq-first-wins"],
+)
+def test_lockstep_equals_one_restart_at_a_time(spec, rho):
+    # Every row of the lockstep search must follow, bitwise, the path its
+    # restart follows alone.  The first three cases sit above what the
+    # LMI certifies, so all six restarts run to their own ends; in the
+    # last one a later restart turns feasible first and the lower ones
+    # still run on, as they would one at a time.
     sb = SectorBounds(0.1, 1.0)
-    system = lure_of(Sgd(1.0), sb)
-    monkeypatch.delenv("STABCERT_THREADS", raising=False)
-    seq = solve_feasibility(system, sb, "sgd", options=FAST)
-    monkeypatch.setenv("STABCERT_THREADS", "4")
-    par = solve_feasibility(system, sb, "sgd", options=FAST)
-    assert seq.status == par.status == FEASIBLE
-    np.testing.assert_array_equal(seq.certificate.p, par.certificate.p)
-    assert seq.certificate.lam == par.certificate.lam
+    prob = _Problem(lure_of(spec, sb), sb, rho, with_lam=rho == 0.0)
+    opts = SolverOptions(restarts=6, max_iters=3000, patience=300)
+    batch = _lockstep(prob, range(6), opts)
+    assert list(batch) == list(range(len(batch)))
+    winners = [r for r, res in batch.items() if res[1] < 0.0]
+    assert winners == [max(batch)] or (winners == [] and len(batch) == 6)
+    assert len({res[2] for res in batch.values()}) > 1
+    for r, (v, phi, iters, stalled) in batch.items():
+        v_alone, phi_alone, iters_alone, stalled_alone = _lockstep(prob, [r], opts)[r]
+        np.testing.assert_array_equal(v, v_alone)
+        assert (phi, iters, stalled) == (phi_alone, iters_alone, stalled_alone)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Sgd(0.7), HeavyBall(eta=0.5, mu=0.3), NagSmoothQuadratic(SectorBounds(0.1, 1.0))],
+    ids=["sgd", "heavyball", "nag-sq"],
+)
+def test_subgradient_matches_entrywise_formula(spec):
+    # Reference: the entrywise subgradient of the extreme eigenvalues,
+    # on the LMI built by assemble_lmi.  For the LMI branch, with
+    # x = q[:s] and u = F q, d/dP_ij is u_i u_j - (1 - rho) x_i x_j
+    # (twice that off the diagonal), d/dlam is |x|^2 and d/dtau_m is
+    # q^T J^T Pi_m J q; for the P branch, d/dP_ij is -w_i w_j (twice
+    # that off the diagonal).  The last two rows have a negative definite
+    # P and no multipliers, so P's bound binds there.
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    rho = 0.05
+    prob = _Problem(system, sb, rho, with_lam=True)
+    opts = SolverOptions()
+    s = system.state_dim
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0.1, 2.0, size=(6, prob.n_p + 4))
+    for row in v[4:]:
+        raw = rng.normal(size=(s, s))
+        row[: prob.n_p] = -(raw @ raw.T + 0.5 * np.eye(s))[prob.vech]
+        row[prob.n_p :] = 0.0
+    phi, grad = _phi_and_grad(prob, v, opts)
+    f = np.hstack([system.a, system.b])
+    j = sector_lift(system)
+    pis = (*sector_multipliers(sb), sector_product_multiplier(sb))
+    for row, g in zip(v, grad):
+        p = row[prob.p_index]
+        lam, tau1, tau2, tau3 = row[prob.n_p :]
+        vals, vecs = np.linalg.eigh(assemble_lmi(system, sb, p, lam, tau1, tau2, rho, tau3))
+        p_vals, p_vecs = np.linalg.eigh(p)
+        want = np.zeros_like(row)
+        if vals[-1] + opts.feas_margin >= opts.p_tol - p_vals[0]:
+            q = vecs[:, -1]
+            x, u = q[:s], f @ q
+            outer = np.outer(u, u) - (1.0 - rho) * np.outer(x, x)
+            want[-4] = x @ x
+            want[-3:] = [q @ j.T @ pi @ j @ q for pi in pis]
+        else:
+            w = p_vecs[:, 0]
+            outer = -np.outer(w, w)
+        for k, (a, b) in enumerate(zip(*prob.vech)):
+            want[k] = outer[a, b] * (1.0 if a == b else 2.0)
+        np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-12)
+    assert np.all(grad[4:, prob.n_p :] == 0.0) and np.any(grad[:4, prob.n_p :] != 0.0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("restarts", 0),
+        ("max_iters", 0),
+        ("patience", 0),
+        ("check_samples", 0),
+        ("feas_margin", -1e-9),
+        ("stall_tol", -1.0),
+        ("infeasible_margin", float("nan")),
+        ("step_cap", 0.0),
+    ],
+)
+def test_solver_options_validates_fields(name, value):
+    with pytest.raises(ValueError, match=f"SolverOptions.{name} "):
+        SolverOptions(**{name: value})
 
 
 def test_verify_certificate_rejects_corruption():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import simulate
 from stabcert.data import synthetic_dataset
 from stabcert.losses import LogisticTask, random_sector_quadratics
 from stabcert.lyapunov import contraction_rate
@@ -254,6 +255,40 @@ def test_vs_t_small_smoke():
     assert set(res.fit_region) <= {10, 50, 150}
     assert np.isfinite(res.loglog.slope)
     assert np.isfinite(res.sat_coeff)
+
+
+def test_vs_t_skips_zero_gap_checkpoints(monkeypatch):
+    # Until some trial draws the replaced index the coupled runs agree
+    # exactly, so a mean gap of 0 is a legitimate outcome; the fits must
+    # leave such checkpoints out instead of taking log(0).
+    base = synthetic_dataset(120, 6, seed=4)
+    config = ExperimentConfig(
+        optimizer=NagStandard(eta=0.01, mu=0.9),
+        horizon=200,
+        trials=2,
+        subset_sizes=(30,),
+        checkpoints=(10, 50, 100, 150),
+        probes=0,
+        master_seed=7,
+    )
+    real = simulate._trial_trace
+
+    def gaps_zeroed_until(step):
+        def trial(*args):
+            trace = real(*args)
+            trace.param_diff[:step] = 0.0
+            return trace
+
+        return trial
+
+    monkeypatch.setattr(simulate, "_trial_trace", gaps_zeroed_until(10))
+    res = stability_vs_t(base, config)
+    assert res.mean_curve[0] == 0.0
+    assert res.fit_region == (50, 100, 150)
+    assert np.isfinite(res.loglog.slope) and np.isfinite(res.sat_coeff)
+    monkeypatch.setattr(simulate, "_trial_trace", gaps_zeroed_until(50))
+    with pytest.raises(ValueError, match="positive mean gap"):
+        stability_vs_t(base, config)
 
 
 def test_frozen_experiment_numbers():
