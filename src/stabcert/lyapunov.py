@@ -7,13 +7,14 @@ per curvature direction, as x+ = A_alpha x with alpha = 1 - lam/beta in
     A_alpha^T P_eps A_alpha <= (1 - rho) P_eps   for every such alpha,
 
 with P_eps the completed-square form below.  This module builds those
-matrices, sweeps alpha grids with a Lipschitz slack so grid validity
-implies continuum validity, maps the feasible (eps, rho) region, and
-evaluates the closed-form stability bounds that such certificates imply.
+matrices, tests each pair exactly at the worst direction alpha_bar =
+1 - 1/kappa, maps the feasible (eps, rho) region, and evaluates the
+closed-form stability bounds that such certificates imply.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -86,7 +87,7 @@ def lyapunov_value(theta: float, eps: float, dw: float, dv: float) -> float:
 
 
 def assemble_m_alpha(p: np.ndarray, theta: float, rho: float, alpha: float) -> np.ndarray:
-    """Contraction slack matrix A_alpha^T P A_alpha - (1-rho) P.
+    """Contraction matrix M_alpha = A_alpha^T P A_alpha - (1-rho) P.
 
     Built from explicit matrix products, for any symmetric 2x2 P (the
     completed-square build_p_eps matrix being the usual choice).  The
@@ -100,37 +101,15 @@ def assemble_m_alpha(p: np.ndarray, theta: float, rho: float, alpha: float) -> n
     return a.T @ p @ a - (1.0 - rho) * p
 
 
-def _alpha_bar(theta: float) -> float:
-    return 1.0 - 1.0 / kappa_of_theta(theta)
-
-
-def _sweep_max_eig(theta: float, eps: float, rho: float, alphas: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of M_alpha for a whole alpha grid, batched.
-
-    Assembles the stack of A_alpha, forms A^T P A - (1-rho) P with
-    broadcast matrix products, then takes the symmetric 2x2 eigenvalue
-    closed form over the stack.
-    """
-    g = alphas.shape[0]
-    stack = np.zeros((g, 2, 2))
-    stack[:, 0, 0] = (1.0 + theta) * alphas
-    stack[:, 0, 1] = -theta
-    stack[:, 1, 0] = alphas
-    p = build_p_eps(theta, eps)
-    m = np.transpose(stack, (0, 2, 1)) @ p @ stack - (1.0 - rho) * p
-    mean = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
-    gap = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
-    return mean + np.sqrt(gap * gap + m[:, 0, 1] ** 2)
-
-
 # Slotted: a region keeps one of these for every (eps, rho) pair it sweeps.
 @dataclass(frozen=True, slots=True)
 class LyapunovCertificate:
-    """Result of sweeping one (eps, rho) pair over the alpha interval.
+    """Result of testing one (eps, rho) pair over the alpha interval.
 
-    worst_eig is the largest eigenvalue of M_alpha seen on the grid and
-    slack is the Lipschitz allowance covering points between grid nodes;
-    the continuum condition holds when worst_eig + slack <= 0.
+    worst_eig is the largest eigenvalue of M_alpha over the interval,
+    attained at worst_alpha = alpha_bar, and grid_points the number of
+    alpha values evaluated (always 1); the pair is valid iff
+    worst_eig <= 0.
     """
 
     theta: float
@@ -139,7 +118,6 @@ class LyapunovCertificate:
     grid_points: int
     worst_eig: float
     worst_alpha: float
-    slack: float
     valid: bool
 
 
@@ -147,41 +125,43 @@ def verify_contraction(
     theta: float,
     eps: float,
     rho: float,
-    grid_points: int = 256,
+    grid_points: int | None = None,
 ) -> LyapunovCertificate:
     """Check A_alpha^T P A_alpha <= (1-rho) P over alpha in [0, alpha_bar].
 
-    Evaluates the worst eigenvalue on a uniform grid.  Only the (1,1)
-    entry of M_alpha varies with alpha (derivative 2*eps*alpha), and a
-    rank-one entry perturbation moves eigenvalues by at most its size,
-    so worst grid eigenvalue plus eps*alpha_bar*h (h the grid spacing)
-    upper-bounds the whole interval.
+    With q = 1 - rho and s = 1 + theta, for P = P_eps exactly
+
+        M_alpha = [[alpha^2 eps - q, q s], [q s, theta^2 - q (s^2 + eps)]],
+
+    so only its (1,1) entry moves with alpha.  lambda_max is nondecreasing
+    in that entry, so the interval's worst case is alpha_bar = 1 - 1/kappa
+    and one symmetric 2x2 eigenvalue there settles the pair exactly.
+    grid_points is accepted for older callers and ignored.
 
     Raises:
-        ValueError: on eps <= 0, rho outside (0, 1), or grid_points < 2.
+        ValueError: on eps <= 0 or rho outside (0, 1).
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    if grid_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    bar = _alpha_bar(theta)
-    alphas = np.linspace(0.0, bar, grid_points)
-    eigs = _sweep_max_eig(theta, eps, rho, alphas)
-    at = int(np.argmax(eigs))
-    h = bar / (grid_points - 1) if bar > 0 else 0.0
-    slack = eps * bar * h
-    worst = float(eigs[at])
+    bar = 1.0 - 1.0 / kappa_of_theta(theta)
+    q = 1.0 - rho
+    s = 1.0 + theta
+    m00 = bar * bar * eps - q
+    m01 = q * s
+    m11 = theta * theta - q * (s * s + eps)
+    mean = 0.5 * (m00 + m11)
+    gap = 0.5 * (m00 - m11)
+    worst = mean + math.sqrt(gap * gap + m01 * m01)
     return LyapunovCertificate(
         theta=theta,
         eps=eps,
         rho=rho,
-        grid_points=grid_points,
+        grid_points=1,
         worst_eig=worst,
-        worst_alpha=float(alphas[at]),
-        slack=slack,
-        valid=bool(worst + slack <= 0.0),
+        worst_alpha=bar,
+        valid=bool(worst <= 0.0),
     )
 
 
@@ -199,17 +179,17 @@ class FeasibleRegion:
 
     @property
     def best(self) -> LyapunovCertificate | None:
-        """Feasible certificate with the largest rho (ties: most slack)."""
+        """Feasible certificate with the largest rho (ties: most negative worst_eig)."""
         if not self.feasible:
             return None
-        return max(self.feasible, key=lambda c: (c.rho, -(c.worst_eig + c.slack)))
+        return max(self.feasible, key=lambda c: (c.rho, -c.worst_eig))
 
 
 def find_feasible_region(
     theta: float,
     eps_grid: np.ndarray,
     rho_grid: np.ndarray,
-    grid_points: int = 256,
+    grid_points: int | None = None,
 ) -> FeasibleRegion:
     """Sweep every (eps, rho) candidate pair through verify_contraction.
 
@@ -217,7 +197,7 @@ def find_feasible_region(
         theta: momentum weight in [0, 1).
         eps_grid: positive eps candidates (error on any eps <= 0).
         rho_grid: rho candidates in (0, 1).
-        grid_points: alpha resolution passed to verify_contraction.
+        grid_points: accepted for older callers and ignored.
 
     Returns:
         FeasibleRegion listing all certificates and the valid subset.
@@ -231,7 +211,7 @@ def find_feasible_region(
     rhos = rho_grid.tolist()  # one float per grid value, shared by its certificates
     for eps in eps_grid.tolist():
         for rho in rhos:
-            cert = verify_contraction(theta, eps, rho, grid_points)
+            cert = verify_contraction(theta, eps, rho)
             certs.append(cert)
             if cert.valid:
                 feas.append(cert)
@@ -279,25 +259,25 @@ def contraction_rate(kappa: float) -> ContractionRate:
     )
 
 
-def momentum_rate(eta: float, mu: float, bounds: SectorBounds, grid: int = 600) -> float:
+def momentum_rate(eta: float, mu: float, bounds: SectorBounds) -> float:
     """Squared-norm decay rate for the (eta, mu) lookahead-momentum loop.
 
     On a quadratic direction with curvature lam the coupled difference
-    map has trace (1+mu)(1-eta*lam) and determinant mu*(1-eta*lam); the
-    rate is 1 - r^2 with r the worst spectral radius over the sector
-    (geometric grid plus endpoints).  Returns 0 if the loop does not
-    contract.
+    map has trace (1+mu) b and determinant mu b, with b = 1 - eta*lam.
+    Its spectral radius is nondecreasing in |b| (sqrt(mu b) for a complex
+    pair, and increasing in |b| on either side of 0 for a real pair), so
+    the worst curvature is an endpoint of the sector and the rate is
+    1 - r^2 with r the larger radius at lam = gamma and lam = beta.
+    Returns 0 if the loop does not contract.
     """
     if eta <= 0.0:
         raise ValueError(f"step size must be positive, got {eta}")
     if not (0.0 <= mu < 1.0):
         raise ValueError(f"momentum must lie in [0, 1), got {mu}")
-    lams = np.geomspace(bounds.gamma, bounds.beta, grid)
     worst = 0.0
-    for lam in lams:
+    for lam in (bounds.gamma, bounds.beta):
         base = 1.0 - eta * float(lam)
-        r = eig2_general((1.0 + mu) * base, mu * base).radius
-        worst = max(worst, r)
+        worst = max(worst, eig2_general((1.0 + mu) * base, mu * base).radius)
     if worst >= 1.0:
         return 0.0
     return float(1.0 - worst * worst)
@@ -359,7 +339,9 @@ def nag_stability_bound(
         param = (4 G kappa^{1/4} / (beta sqrt(n))) * sqrt(1 - (1-rho)^T)
         loss  = G * param
 
-    rho defaults to contraction_rate(kappa).rho.  Monotone increasing in
+    rho defaults to contraction_rate(kappa).rho, the rate at one fixed
+    curvature; no certificate backs it, since switching curvature from
+    step to step can decay more slowly.  Monotone increasing in
     T, decreasing in n, saturating at nag_stability_limit as T grows.
     """
     _check_bound_args(g, n, t)

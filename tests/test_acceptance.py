@@ -166,7 +166,13 @@ def test_criterion_4_direct_lyapunov_region():
     # Empty at kappa in {4, 25}: the quadratic-Lyapunov family cannot
     # certify uniform contraction there (see notes on the alpha-bar
     # counterexample), so this is the criterion's honest failure.
-    assert nonempty_ok, f"feasible region empty: {region_sizes}"
+    assert nonempty_ok, (
+        f"feasible region empty: {region_sizes}; witness: at alpha_bar = 1 - 1/kappa "
+        "the state (1+theta, 1) has V = eps and V+ = theta^2 + eps*(alpha_bar*(1+theta))^2, "
+        "with alpha_bar*(1+theta) = "
+        + ", ".join(f"{(1.0 - 1.0 / k) * (1.0 + theta_of(k)):.3g} at kappa={k:g}"
+                    for k in (4.0, 25.0))
+    )
 
 
 def test_criterion_5_sdp_certificates():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,17 @@ def test_bound_table(capsys):
     )
 
 
+def test_bound_names_rho_source(capsys):
+    base = ["bound", "-G", "2", "--gamma", "0.1", "--beta", "1.0", "-n", "100", "-T", "1000"]
+    assert main(base) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "rho source     contraction_rate (single curvature, not certified)" in text
+    assert main(base + ["--rho", "0.2"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "rho source     --rho (given)" in text
+    assert "rho=0.2" in text
+
+
 def test_bound_bad_rho_exit_64(capsys):
     rc = main([
         "bound", "-G", "2", "--gamma", "0.1", "--beta", "1.0",
@@ -339,3 +351,18 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("stabcert ")
+
+
+def test_feasibility_map_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "feasibility_map.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--kappas", "2,3", "--eps-points", "8",
+         "--rho-points", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kappa2, kappa3 = proc.stdout.split("kappa=")[1:]
+    assert kappa2.startswith("2 ") and kappa3.startswith("3 ")
+    assert "#" in kappa2
+    assert "#" not in kappa3

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert.linalg import eig2_general
 from stabcert.lyapunov import (
     assemble_m_alpha,
     bound_c_eps,
@@ -136,8 +137,6 @@ def test_verify_contraction_argument_errors():
         verify_contraction(0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         verify_contraction(0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        verify_contraction(0.5, 1.0, 0.1, grid_points=1)
 
 
 def test_region_nonempty_for_mild_conditioning():
@@ -161,8 +160,10 @@ def test_region_nonempty_for_mild_conditioning():
 
 def test_region_empty_once_conditioning_grows():
     # Frozen fact: for kappa >= 3 the worst alpha defeats every (eps, rho)
-    # pair, because the state (1 + theta, 1) gains energy whenever
-    # alpha*(1+theta) >= 1.
+    # pair: no pair meets det M_alpha_bar >= 0 (the band ends near
+    # kappa = 2.914).  From kappa = 4 on there is also a plainer witness:
+    # alpha_bar*(1+theta) >= 1 (it is only 0.845 at kappa = 3), so the
+    # state (1 + theta, 1) gains energy.
     for kappa in (3.0, 4.0, 25.0):
         th = theta_of(kappa)
         region = find_feasible_region(
@@ -191,6 +192,39 @@ def test_worst_alpha_sits_at_the_slow_edge():
     for kappa in (2.0, 4.0, 25.0):
         cert = verify_contraction(theta_of(kappa), 0.5, 0.01)
         assert cert.worst_alpha == pytest.approx(1.0 - 1.0 / kappa, rel=1e-12)
+
+
+def _max_eig_on_alpha_grid(theta, eps, rho, points):
+    # Reference: lambda_max of assemble_m_alpha over a uniform alpha grid.
+    # A_alpha is affine in alpha, so M_alpha is quadratic in it; the stack
+    # is interpolated exactly from assemble_m_alpha at alpha = 0, 1/2, 1
+    # instead of calling it once per grid point.
+    p = build_p_eps(theta, eps)
+    m0, mh, m1 = (assemble_m_alpha(p, theta, rho, a) for a in (0.0, 0.5, 1.0))
+    c2 = 2.0 * m1 - 4.0 * mh + 2.0 * m0
+    c1 = 4.0 * mh - m1 - 3.0 * m0
+    alphas = np.linspace(0.0, 1.0 - 1.0 / kappa_of_theta(theta), points)[:, None, None]
+    stack = alphas * alphas * c2 + alphas * c1 + m0
+    probe = float(alphas[points // 3, 0, 0])
+    np.testing.assert_allclose(
+        stack[points // 3], assemble_m_alpha(p, theta, rho, probe), rtol=0, atol=1e-12
+    )
+    return float(np.linalg.eigvalsh(stack)[:, -1].max())
+
+
+def test_verify_contraction_matches_dense_alpha_grid():
+    # The exact test at alpha_bar is the supremum of the dense grid sweep.
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        theta = rng.uniform(0.0, 0.95)
+        eps = rng.uniform(1e-4, 10.0)
+        rho = rng.uniform(1e-4, 0.9)
+        cert = verify_contraction(theta, eps, rho)
+        want = _max_eig_on_alpha_grid(theta, eps, rho, 4097)
+        assert cert.worst_eig == pytest.approx(want, abs=1e-12, rel=0)
+        assert cert.valid == (cert.worst_eig <= 0.0)
+        assert cert.grid_points == 1
+        assert cert.worst_alpha == 1.0 - 1.0 / kappa_of_theta(theta)
 
 
 def test_coupled_steps_obey_certificate():
@@ -261,6 +295,32 @@ def test_momentum_rate_frozen_value():
     sector = SectorBounds(1e-3, 17.23549271455961)
     rho = momentum_rate(0.01, 0.9, sector)
     assert rho == pytest.approx(2.0015227765168842e-4, rel=1e-9)
+
+
+def _momentum_rate_on_grid(eta, mu, bounds, grid=600):
+    # Reference: worst spectral radius over a geometric curvature grid.
+    worst = 0.0
+    for lam in np.geomspace(bounds.gamma, bounds.beta, grid):
+        base = 1.0 - eta * float(lam)
+        worst = max(worst, eig2_general((1.0 + mu) * base, mu * base).radius)
+    return 0.0 if worst >= 1.0 else float(1.0 - worst * worst)
+
+
+def test_momentum_rate_matches_curvature_grid():
+    # The radius is nondecreasing in |1 - eta*lam|, so the sector's two
+    # endpoints give the same worst case as a dense scan.
+    rng = np.random.default_rng(12)
+    unstable = 0
+    for _ in range(300):
+        gamma = 10.0 ** rng.uniform(-4.0, 0.0)
+        sector = SectorBounds(gamma, gamma * 10.0 ** rng.uniform(0.0, 4.0))
+        eta = 10.0 ** rng.uniform(-3.0, 0.5) / sector.beta
+        mu = rng.uniform(0.0, 0.99)
+        got = momentum_rate(eta, mu, sector)
+        want = _momentum_rate_on_grid(eta, mu, sector)
+        assert got == pytest.approx(want, abs=1e-15, rel=1e-12)
+        unstable += got == 0.0
+    assert 0 < unstable < 300
 
 
 def test_momentum_rate_zero_when_unstable():
