@@ -4,8 +4,8 @@
 Produces the gap-versus-n slope table and the gap-versus-T growth curve
 on the standard synthetic pool (600 records, 64 features, unit class
 separation, master seed 23), writing one CSV per experiment plus a
-combined JSON summary.  Expect a few minutes of runtime at the full 25
-trials; use --trials to trim while prototyping.
+combined JSON summary.  Both experiments together take about half a
+second at the full 25 trials; use --trials to trim while prototyping.
 """
 
 import argparse

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,20 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
+def _timed_experiment(run, base, config: ExperimentConfig, sizes: int) -> tuple:
+    """Run one experiment driver; return its result and a timing record."""
+    t0 = time.perf_counter()
+    result = run(base, config)
+    seconds = time.perf_counter() - t0
+    steps = config.trials * config.horizon * sizes
+    return result, {"seconds": seconds, "coupled_steps": steps, "steps_per_s": steps / seconds}
+
+
+def _print_timing(timing: dict) -> None:
+    print(f"run time       {timing['seconds']:.3g} s  ({timing['coupled_steps']} coupled steps, "
+          f"{1e6 / timing['steps_per_s']:.3g} us each)")
+
+
 def _cmd_simulate(args) -> int:
     config = _sim_config(args)
     base = _load_dataset(args)
@@ -285,7 +300,8 @@ def _cmd_simulate(args) -> int:
         "grad_bound": sector.grad_bound,
     }
     if args.mode == "vs-n":
-        result = stability_vs_n(base, config)
+        result, timing = _timed_experiment(
+            stability_vs_n, base, config, len(config.subset_sizes))
         print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
         print(f"sizes          {result.sizes}")
         print("mean ParamDiff " + "  ".join(f"{v:.5g}" for v in result.mean_param_diff))
@@ -293,6 +309,7 @@ def _cmd_simulate(args) -> int:
             print(f"log-log slope  {result.fit.slope:.4f}  (r2={result.fit.r2:.4f})")
         else:
             print("log-log slope  n/a (need at least 3 subset sizes)")
+        _print_timing(timing)
         rows = [
             [n, f"{result.mean_param_diff[i]:.10g}",
              f"{result.trial_param_diff[i].max():.10g}",
@@ -314,13 +331,14 @@ def _cmd_simulate(args) -> int:
                 "master_seed": config.master_seed,
                 "trials": config.trials,
                 "horizon": config.horizon,
+                **timing,
             }
             with open(args.json_out, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, sort_keys=True, indent=2)
                 fh.write("\n")
         return EXIT_OK
 
-    result = stability_vs_t(base, config)
+    result, timing = _timed_experiment(stability_vs_t, base, config, 1)
     print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
     print(f"subset size    {result.size}")
     print(f"checkpoints    {result.checkpoints}")
@@ -330,6 +348,7 @@ def _cmd_simulate(args) -> int:
     print(f"fit region     {result.fit_region}")
     print(f"log-log slope  {result.loglog.slope:.4f}")
     print(f"saturating fit c={result.sat_coeff:.5g}  r2={result.sat_r2:.4f}")
+    _print_timing(timing)
     if args.out:
         rows = [
             [c, f"{result.mean_curve[i]:.10g}"]
@@ -351,6 +370,7 @@ def _cmd_simulate(args) -> int:
             "sat_coeff": result.sat_coeff,
             "sat_r2": result.sat_r2,
             "master_seed": config.master_seed,
+            **timing,
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

@@ -21,7 +21,9 @@ __all__ = [
     "Dataset",
     "synthetic_dataset",
     "ingest_csv",
+    "subset_rows",
     "subsample",
+    "neighbor_record",
     "make_neighbor",
     "effective_sector",
 ]
@@ -138,37 +140,48 @@ def ingest_csv(path: str | Path) -> Dataset:
     return Dataset(x=x, y=y, name=path.stem)
 
 
-def subsample(data: Dataset, n: int, rng: np.random.Generator) -> Dataset:
-    """Uniform subset of n records without replacement."""
+def subset_rows(data: Dataset, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Row ids of a uniform subset of n records, drawn without replacement."""
     if not (1 <= n <= data.n):
         raise ValueError(f"subset size must lie in [1, {data.n}], got {n}")
-    sel = rng.choice(data.n, n, replace=False)
+    return rng.choice(data.n, n, replace=False)
+
+
+def subsample(data: Dataset, n: int, rng: np.random.Generator) -> Dataset:
+    """Uniform subset of n records without replacement."""
+    sel = subset_rows(data, n, rng)
     return Dataset(
         x=data.x[sel], y=data.y[sel], name=f"{data.name}[n={n}]", sampler=data.sampler
     )
 
 
-def make_neighbor(
+def neighbor_record(
     data: Dataset, j: int, mode: str, rng: np.random.Generator
-) -> Dataset:
-    """Dataset differing from data in record j only.
+) -> tuple[np.ndarray, float]:
+    """The record that replaces record j in a neighbor of data.
 
-    mode "resample" replaces the record with a fresh draw (process
-    sampler when available, bootstrap row otherwise); mode "flip" keeps
-    the features and negates the label.
+    mode "resample" draws a fresh record (process sampler when
+    available, bootstrap row otherwise); mode "flip" keeps the features
+    and negates the label.
     """
     if not (0 <= j < data.n):
         raise ValueError(f"record index must lie in [0, {data.n}), got {j}")
+    if mode == "resample":
+        return data.draw_record(rng)
+    if mode == "flip":
+        return data.x[j].copy(), float(-data.y[j])
+    raise ValueError(f"unknown neighbor mode {mode!r}")
+
+
+def make_neighbor(
+    data: Dataset, j: int, mode: str, rng: np.random.Generator
+) -> Dataset:
+    """Dataset differing from data in record j only (see neighbor_record)."""
+    row, label = neighbor_record(data, j, mode, rng)
     x = data.x.copy()
     y = data.y.copy()
-    if mode == "resample":
-        row, label = data.draw_record(rng)
-        x[j] = row
-        y[j] = label
-    elif mode == "flip":
-        y[j] = -y[j]
-    else:
-        raise ValueError(f"unknown neighbor mode {mode!r}")
+    x[j] = row
+    y[j] = label
     return Dataset(x=x, y=y, name=f"{data.name}~{j}", sampler=data.sampler)
 
 

@@ -18,6 +18,9 @@ __all__ = [
     "sigmoid",
     "reg_logistic_grad",
     "reg_logistic_loss",
+    "reg_logistic_losses",
+    "row_dots",
+    "reg_logistic_grad_rows",
     "LogisticTask",
     "QuadraticTask",
     "random_sector_quadratics",
@@ -52,6 +55,38 @@ def reg_logistic_loss(w: np.ndarray, x: np.ndarray, y: float, lam: float) -> flo
     return float(np.logaddexp(0.0, -m) + 0.5 * lam * np.dot(w, w))
 
 
+def reg_logistic_losses(w: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """Regularized logistic loss of one w at every row of x."""
+    margins = y * (x @ w)
+    return np.logaddexp(0.0, -margins) + 0.5 * lam * float(np.dot(w, w))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, a[k] . b[k].
+
+    A stacked matmul of (rows, 1, dim) by (rows, dim, 1) makes one BLAS
+    dot per row, so entry k is bitwise equal to np.dot(a[k], b[k]);
+    einsum and (a * b).sum(1) add in another order and are not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def reg_logistic_grad_rows(
+    w: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float
+) -> np.ndarray:
+    """Row k is reg_logistic_grad(w[k], x[k], y[k], lam)[1], bitwise.
+
+    The arithmetic is the scalar form's, operation for operation: the
+    margin y (w.x), the two-branch stable sigmoid and -y s x + lam w.
+    exp(-|z|) is exp(-z) on the z >= 0 branch and exp(z) on the other,
+    so neither branch can overflow.
+    """
+    z = -(y * row_dots(w, x))
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return (-y * s)[:, None] * x + lam * w
+
+
 @dataclass
 class LogisticTask:
     """Regularized logistic regression over a fixed sample matrix."""
@@ -76,8 +111,7 @@ class LogisticTask:
 
     def losses_at(self, w: np.ndarray, probe_x: np.ndarray, probe_y: np.ndarray) -> np.ndarray:
         """Vector of regularized losses over a probe set."""
-        margins = probe_y * (probe_x @ w)
-        return np.logaddexp(0.0, -margins) + 0.5 * self.lam * float(np.dot(w, w))
+        return reg_logistic_losses(w, probe_x, probe_y, self.lam)
 
     def replaced(self, j: int, x_new: np.ndarray, y_new: float) -> "LogisticTask":
         x = self.x.copy()

@@ -12,17 +12,25 @@ record-for-record: for master seed M, subset size n, and trial k, the
 spawned streams are (M, n, k) for the replaced-record index, (M, n, k, 1)
 for the replacement draw, (M, n, k, 2) for the index sequence,
 (M, n, k, 3) for the subset draw, and (M, n, k, 4) for held-out probes.
+
+The drivers run all trials of one subset size in lockstep: both arms of
+every trial are rows of one (2 trials, dim) state, and each step makes
+one row gather and one row-wise logistic gradient.  The seed roles are
+unchanged, and every row is bitwise equal to its run stepped alone.
+update_rule holds the one step of each optimizer, shared by the drivers
+and coupled_run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, effective_sector, make_neighbor, subsample
-from .losses import LogisticTask
+from .data import Dataset, effective_sector, neighbor_record, subset_rows
+from .losses import reg_logistic_grad_rows, reg_logistic_losses, row_dots
 from .lyapunov import contraction_rate, momentum_rate, sgd_rate
 from .optimizers import NagSmoothQuadratic, NagStandard, OptimizerSpec, Sgd
 
@@ -33,6 +41,7 @@ __all__ = [
     "FitResult",
     "VsNResult",
     "VsTResult",
+    "update_rule",
     "coupled_run",
     "empirical_stability",
     "envelope_rate",
@@ -97,6 +106,53 @@ class CoupledTrace:
         return self.loss_gap.get(step)
 
 
+def update_rule(optimizer: OptimizerSpec) -> tuple[Callable, Callable]:
+    """The optimizer's step as a (query, update) pair on (rows, dim) arrays.
+
+    Each row of w and v is one run.  query(w, v) is the point where the
+    gradient is taken; update(w, v, g) returns the next (w, v).  The
+    arithmetic is that of optimizers.nag_step, sgd_step and nag_sq_step,
+    operation for operation, so every row is bitwise equal to that
+    run stepped alone.
+
+    Raises:
+        TypeError: for an optimizer without a coupled rule.
+    """
+    if isinstance(optimizer, NagStandard):
+        eta, mu = optimizer.eta, optimizer.mu
+
+        def query(w, v):
+            return w + mu * v
+
+        def update(w, v, g):
+            v = mu * v - eta * g
+            return w + v, v
+
+    elif isinstance(optimizer, Sgd):
+        eta = optimizer.eta
+
+        def query(w, v):
+            return w
+
+        def update(w, v, g):
+            return w - eta * g, v
+
+    elif isinstance(optimizer, NagSmoothQuadratic):
+        theta = optimizer.theta
+        beta = optimizer.bounds.beta
+
+        def query(w, v):
+            return w
+
+        def update(w, v, g):
+            v_next = w - g / beta
+            return (1.0 + theta) * v_next - theta * v, v_next
+
+    else:
+        raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
+    return query, update
+
+
 def coupled_run(
     task_a,
     task_b,
@@ -121,12 +177,11 @@ def coupled_run(
         raise ValueError("coupled tasks must have equal sample counts")
     if not (0 <= j < n):
         raise ValueError(f"replaced index must lie in [0, {n}), got {j}")
+    query, update = update_rule(optimizer)
     idx = index_rng.integers(0, n, size=horizon)
-    dim = task_a.dim
-    w = np.zeros(dim)
-    v = np.zeros(dim)
-    w2 = np.zeros(dim)
-    v2 = np.zeros(dim)
+    # Row 0 runs on task_a, row 1 on task_b.
+    w = np.zeros((2, task_a.dim))
+    v = np.zeros_like(w)
 
     cps = set(int(c) for c in checkpoints)
     cps.add(horizon)
@@ -136,59 +191,18 @@ def coupled_run(
     max_grad = 0.0
     with_probes = probe_x is not None and probe_y is not None
 
-    if isinstance(optimizer, NagStandard):
-        eta, mu = optimizer.eta, optimizer.mu
-
-        def advance(i: int) -> tuple:
-            nonlocal w, v, w2, v2
-            g1 = task_a.grad(w + mu * v, i)
-            v = mu * v - eta * g1
-            w = w + v
-            g2 = task_b.grad(w2 + mu * v2, i)
-            v2 = mu * v2 - eta * g2
-            w2 = w2 + v2
-            return g1, g2
-
-    elif isinstance(optimizer, Sgd):
-        eta = optimizer.eta
-
-        def advance(i: int) -> tuple:
-            nonlocal w, w2
-            g1 = task_a.grad(w, i)
-            w = w - eta * g1
-            g2 = task_b.grad(w2, i)
-            w2 = w2 - eta * g2
-            return g1, g2
-
-    elif isinstance(optimizer, NagSmoothQuadratic):
-        theta = optimizer.theta
-        beta = optimizer.bounds.beta
-
-        def advance(i: int) -> tuple:
-            nonlocal w, v, w2, v2
-            g1 = task_a.grad(w, i)
-            v_next = w - g1 / beta
-            w = (1.0 + theta) * v_next - theta * v
-            v = v_next
-            g2 = task_b.grad(w2, i)
-            v2_next = w2 - g2 / beta
-            w2 = (1.0 + theta) * v2_next - theta * v2
-            v2 = v2_next
-            return g1, g2
-
-    else:
-        raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
-
     for t in range(horizon):
         i = int(idx[t])
         if i == j:
-            snapshots.append((t, w.copy(), w2.copy()))
-        g1, g2 = advance(i)
-        max_grad = max(max_grad, float(np.linalg.norm(g1)), float(np.linalg.norm(g2)))
-        param_diff[t] = np.linalg.norm(w - w2)
+            snapshots.append((t, w[0].copy(), w[1].copy()))
+        p = query(w, v)
+        g = np.stack((task_a.grad(p[0], i), task_b.grad(p[1], i)))
+        w, v = update(w, v, g)
+        max_grad = max(max_grad, float(np.linalg.norm(g[0])), float(np.linalg.norm(g[1])))
+        param_diff[t] = np.linalg.norm(w[0] - w[1])
         if with_probes and (t + 1) in cps:
             gaps = np.abs(
-                task_a.losses_at(w, probe_x, probe_y) - task_b.losses_at(w2, probe_x, probe_y)
+                task_a.losses_at(w[0], probe_x, probe_y) - task_b.losses_at(w[1], probe_x, probe_y)
             )
             loss_gap[t + 1] = float(gaps.max())
 
@@ -228,34 +242,105 @@ def empirical_stability(traces: list) -> StabilityReport:
     )
 
 
-def _trial_trace(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> CoupledTrace:
-    """One coupled run under the named seed-role scheme."""
+class _TrialInputs(NamedTuple):
+    """What one coupled trial draws: the subset's row ids into the base,
+    the replaced index j and its new record, the probes and the index
+    stream."""
+
+    rows: np.ndarray
+    j: int
+    x_new: np.ndarray
+    y_new: float
+    probe_x: np.ndarray | None
+    probe_y: np.ndarray | None
+    idx: np.ndarray
+
+
+def _trial_inputs(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> _TrialInputs:
+    """One trial's draws under the named seed-role scheme."""
     m = config.master_seed
-    sub_rng = np.random.default_rng(np.random.SeedSequence((m, n, trial, 3)))
-    sub = subsample(base, n, sub_rng) if n < base.n else base
-    j = int(np.random.default_rng(np.random.SeedSequence((m, n, trial))).integers(0, n))
-    nb_rng = np.random.default_rng(np.random.SeedSequence((m, n, trial, 1)))
-    neighbor = make_neighbor(sub, j, config.neighbor_mode, nb_rng)
-    task_a = LogisticTask(x=sub.x, y=sub.y, lam=config.lambda_reg)
-    task_b = LogisticTask(x=neighbor.x, y=neighbor.y, lam=config.lambda_reg)
+
+    def rng(*role):
+        return np.random.default_rng(np.random.SeedSequence((m, n, trial, *role)))
+
+    if n < base.n:
+        rows = subset_rows(base, n, rng(3))
+        sub = Dataset(x=base.x[rows], y=base.y[rows], sampler=base.sampler)
+    else:
+        rows, sub = np.arange(base.n), base
+    j = int(rng().integers(0, n))
+    x_new, y_new = neighbor_record(sub, j, config.neighbor_mode, rng(1))
     probe_x = probe_y = None
     if config.probes > 0:
-        probe_rng = np.random.default_rng(np.random.SeedSequence((m, n, trial, 4)))
+        probe_rng = rng(4)
         records = [base.draw_record(probe_rng) for _ in range(config.probes)]
         probe_x = np.array([r[0] for r in records])
         probe_y = np.array([r[1] for r in records])
-    idx_rng = np.random.default_rng(np.random.SeedSequence((m, n, trial, 2)))
-    return coupled_run(
-        task_a,
-        task_b,
-        j,
-        config.optimizer,
-        config.horizon,
-        idx_rng,
-        checkpoints=config.checkpoints,
-        probe_x=probe_x,
-        probe_y=probe_y,
-    )
+    idx = rng(2).integers(0, n, size=config.horizon)
+    return _TrialInputs(rows, j, x_new, y_new, probe_x, probe_y, idx)
+
+
+class _SizeRuns(NamedTuple):
+    """Every trial of one subset size, run in lockstep.
+
+    param_diff[k, t] is trial k's ||w - w'|| after step t+1; loss_gap[k]
+    its worst probe-loss gap at the final step (None without probes);
+    max_grad[k] the largest gradient norm either arm took.
+    """
+
+    param_diff: np.ndarray
+    loss_gap: np.ndarray | None
+    max_grad: np.ndarray
+
+
+def _lockstep(base: Dataset, n: int, config: ExperimentConfig) -> _SizeRuns:
+    """Run every trial of subset size n as one (2 trials, dim) state.
+
+    Row k is arm a of trial k and row trials + k its arm b.  Rows are
+    gathered each step from one table: the base rows, then trial k's
+    replaced record at row base.n + k, which arm b reads in place of
+    its subset's row j.
+    """
+    if not (1 <= n <= base.n):
+        raise ValueError(f"subset size must lie in [1, {base.n}], got {n}")
+    trials, lam = config.trials, config.lambda_reg
+    inputs = [_trial_inputs(base, n, k, config) for k in range(trials)]
+    table = np.vstack([base.x] + [tr.x_new for tr in inputs])
+    labels = np.concatenate([base.y, [tr.y_new for tr in inputs]])
+    # Row ids per arm, flattened: ids[0, k n + i] is row i of trial k's
+    # subset, and ids[1] is the same except at i = j.
+    ids = np.stack([np.concatenate([tr.rows for tr in inputs])] * 2)
+    for k, tr in enumerate(inputs):
+        ids[1, k * n + tr.j] = base.n + k
+    # pos[t, k] is where step t of trial k reads in ids.
+    pos = np.stack([tr.idx for tr in inputs], axis=1)
+    pos += n * np.arange(trials)
+
+    query, update = update_rule(config.optimizer)
+    w = np.zeros((2 * trials, base.dim))
+    v = np.zeros_like(w)
+    gaps = np.zeros((config.horizon, trials))
+    max_grad = np.zeros(trials)
+    for t in range(config.horizon):
+        rows = ids[:, pos[t]].ravel()
+        p = query(w, v)
+        g = reg_logistic_grad_rows(p, table[rows], labels[rows], lam)
+        w, v = update(w, v, g)
+        norms = np.sqrt(row_dots(g, g))
+        max_grad = np.fmax(max_grad, np.fmax(norms[:trials], norms[trials:]))
+        d = w[:trials] - w[trials:]
+        gaps[t] = np.sqrt(row_dots(d, d))
+
+    loss_gap = None
+    if config.probes > 0:
+        loss_gap = np.array([
+            float(np.abs(
+                reg_logistic_losses(w[k], tr.probe_x, tr.probe_y, lam)
+                - reg_logistic_losses(w[trials + k], tr.probe_x, tr.probe_y, lam)
+            ).max())
+            for k, tr in enumerate(inputs)
+        ])
+    return _SizeRuns(param_diff=gaps.T, loss_gap=loss_gap, max_grad=max_grad)
 
 
 @dataclass(frozen=True)
@@ -345,12 +430,11 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
     grads = np.zeros_like(finals)
     have_gaps = config.probes > 0
     for a, n in enumerate(config.subset_sizes):
-        for k in range(config.trials):
-            trace = _trial_trace(base, int(n), k, config)
-            finals[a, k] = trace.final_param_diff
-            grads[a, k] = trace.max_grad_norm
-            if have_gaps:
-                gaps[a, k] = trace.final_loss_gap
+        runs = _lockstep(base, int(n), config)
+        finals[a] = runs.param_diff[:, -1]
+        grads[a] = runs.max_grad
+        if have_gaps:
+            gaps[a] = runs.loss_gap
     means = finals.mean(axis=1)
     fit = None
     if len(config.subset_sizes) >= 3:
@@ -399,10 +483,7 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     cps = np.asarray(config.checkpoints, dtype=int)
     if cps.size < 3:
         raise ValueError("need at least three checkpoints for the growth fits")
-    curves = np.zeros((config.trials, cps.size))
-    for k in range(config.trials):
-        trace = _trial_trace(base, n, k, config)
-        curves[k] = trace.param_diff[cps - 1]
+    curves = _lockstep(base, n, config).param_diff[:, cps - 1]
     mean_curve = curves.mean(axis=0)
 
     sector = effective_sector(base, config.lambda_reg)

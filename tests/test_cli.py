@@ -284,6 +284,23 @@ def test_simulate_vs_t_csv_and_json(tmp_path, capsys):
     assert report["sector"]["grad_bound"] > 0.0
 
 
+def test_simulate_json_reports_timing(tmp_path, capsys):
+    for mode, sizes, per_size in (("vs-n", "10,15,20", 3), ("vs-t", "10", 1)):
+        out_json = tmp_path / f"{mode}.json"
+        rc = main([
+            "simulate", mode, *TINY_SIM,
+            "--sizes", sizes, "--checkpoints", "20,40,60", "--probes", "0",
+            "--json", str(out_json),
+        ])
+        assert rc == EXIT_OK
+        assert "coupled steps" in capsys.readouterr().out
+        report = json.loads(out_json.read_text())
+        assert report["coupled_steps"] == 2 * 60 * per_size  # trials * horizon * sizes
+        assert report["seconds"] > 0.0
+        assert report["steps_per_s"] == pytest.approx(
+            report["coupled_steps"] / report["seconds"])
+
+
 def test_simulate_reads_csv_dataset(tmp_path):
     rows = ["f1,f2,label"]
     for i in range(40):
@@ -366,3 +383,15 @@ def test_feasibility_map_script():
     assert kappa2.startswith("2 ") and kappa3.startswith("3 ")
     assert "#" in kappa2
     assert "#" not in kappa3
+
+
+def test_stability_experiments_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_stability_experiments.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--trials", "2", "--outdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("vs_n.csv", "vs_t.csv", "experiments.json"):
+        assert (tmp_path / name).is_file()

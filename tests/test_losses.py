@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from stabcert.losses import (
     QuadraticTask,
     random_sector_quadratics,
     reg_logistic_grad,
+    reg_logistic_grad_rows,
     reg_logistic_loss,
+    row_dots,
     sigmoid,
 )
 from stabcert.optimizers import SectorBounds
@@ -112,3 +116,41 @@ def test_random_sector_quadratics_spectra():
         vals = np.linalg.eigvalsh(h)
         assert vals[0] >= sb.gamma - 1e-10
         assert vals[-1] <= sb.beta + 1e-10
+
+
+def test_row_dots_bitwise_equal_np_dot():
+    rng = np.random.default_rng(17)
+    for dim in (1, 3, 16, 64, 65):
+        a = rng.normal(size=(9, dim))
+        b = rng.normal(size=(9, dim))
+        got = row_dots(a, b)
+        for k in range(9):
+            assert got[k] == np.dot(a[k].copy(), b[k].copy())
+
+
+def test_grad_rows_bitwise_equal_scalar_grad():
+    # Seeded draws over a wide margin range, plus margins of exactly 0
+    # (both signs of zero) and +/-800, where exp over- or underflows:
+    # every row must equal the scalar gradient bit for bit.
+    rng = np.random.default_rng(5)
+    rows, dim, lam = 400, 6, 0.03
+    w = rng.normal(size=(rows, dim)) * rng.choice([0.01, 1.0, 30.0, 300.0], size=(rows, 1))
+    x = rng.normal(size=(rows, dim))
+    y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    e0 = np.eye(dim)[0]
+    w[:4] = 0.0  # margin +/-0
+    w[4:8] = 800.0 * e0
+    x[4:8] = e0
+    y[4:8] = [1.0, -1.0, 1.0, -1.0]  # margins +800, -800
+    margins = y * np.array([np.dot(w[k], x[k]) for k in range(rows)])
+    assert {0.0, 800.0, -800.0} <= set(margins)
+    assert (margins > 40.0).any() and (margins < -40.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = reg_logistic_grad_rows(w, x, y, lam)
+    for k in range(rows):
+        want = reg_logistic_grad(w[k].copy(), x[k].copy(), y[k], lam)[1]
+        np.testing.assert_array_equal(got[k], want)
+    # saturation: the data term vanishes at +800 and is -y x at -800
+    np.testing.assert_array_equal(got[4], lam * w[4])
+    np.testing.assert_array_equal(got[5], -y[5] * x[5] + lam * w[5])

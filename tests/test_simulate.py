@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import simulate
-from stabcert.data import synthetic_dataset
-from stabcert.losses import LogisticTask, random_sector_quadratics
+from stabcert.data import (
+    effective_sector,
+    ingest_csv,
+    make_neighbor,
+    subsample,
+    synthetic_dataset,
+)
+from stabcert.losses import LogisticTask, random_sector_quadratics, reg_logistic_grad
 from stabcert.lyapunov import contraction_rate
 from stabcert.optimizers import (
     HeavyBall,
@@ -14,7 +20,9 @@ from stabcert.optimizers import (
     OptimizerState,
     SectorBounds,
     Sgd,
+    nag_sq_step,
     nag_step,
+    sgd_step,
 )
 from stabcert.simulate import (
     CoupledTrace,
@@ -271,22 +279,22 @@ def test_vs_t_skips_zero_gap_checkpoints(monkeypatch):
         probes=0,
         master_seed=7,
     )
-    real = simulate._trial_trace
+    real = simulate._lockstep
 
     def gaps_zeroed_until(step):
-        def trial(*args):
-            trace = real(*args)
-            trace.param_diff[:step] = 0.0
-            return trace
+        def size_runs(*args):
+            runs = real(*args)
+            runs.param_diff[:, :step] = 0.0
+            return runs
 
-        return trial
+        return size_runs
 
-    monkeypatch.setattr(simulate, "_trial_trace", gaps_zeroed_until(10))
+    monkeypatch.setattr(simulate, "_lockstep", gaps_zeroed_until(10))
     res = stability_vs_t(base, config)
     assert res.mean_curve[0] == 0.0
     assert res.fit_region == (50, 100, 150)
     assert np.isfinite(res.loglog.slope) and np.isfinite(res.sat_coeff)
-    monkeypatch.setattr(simulate, "_trial_trace", gaps_zeroed_until(50))
+    monkeypatch.setattr(simulate, "_lockstep", gaps_zeroed_until(50))
     with pytest.raises(ValueError, match="positive mean gap"):
         stability_vs_t(base, config)
 
@@ -390,3 +398,168 @@ def test_param_gap_is_symmetric_in_task_order(seed):
     a = coupled_run(task, other, 2, Sgd(0.1), 30, np.random.default_rng(seed))
     b = coupled_run(other, task, 2, Sgd(0.1), 30, np.random.default_rng(seed))
     np.testing.assert_allclose(a.param_diff, b.param_diff, atol=1e-12)
+
+
+def _oracle_trial(base, n, trial, config):
+    """One coupled trial run alone, the way the drivers once ran each.
+
+    Same seed roles, subsample and make_neighbor; each arm is stepped by
+    the optimizers' step functions on reg_logistic_grad.  Returns the
+    gap after every step, the final probe-loss gap (None without
+    probes) and the largest gradient norm of either arm.
+    """
+    m = config.master_seed
+
+    def rng(*role):
+        return np.random.default_rng(np.random.SeedSequence((m, n, trial, *role)))
+
+    sub = subsample(base, n, rng(3)) if n < base.n else base
+    j = int(rng().integers(0, n))
+    nb = make_neighbor(sub, j, config.neighbor_mode, rng(1))
+    if config.probes > 0:
+        probe_rng = rng(4)
+        records = [base.draw_record(probe_rng) for _ in range(config.probes)]
+        px = np.array([r[0] for r in records])
+        py = np.array([r[1] for r in records])
+    idx = rng(2).integers(0, n, size=config.horizon)
+    opt, lam = config.optimizer, config.lambda_reg
+    states = [OptimizerState.zeros(base.dim), OptimizerState.zeros(base.dim)]
+    diffs = np.zeros(config.horizon)
+    max_grad = 0.0
+    for t, i in enumerate(idx):
+        for arm, data in enumerate((sub, nb)):
+            seen = []
+
+            def grad(w):
+                seen.append(reg_logistic_grad(w, data.x[i], data.y[i], lam)[1])
+                return seen[-1]
+
+            state = states[arm]
+            if isinstance(opt, NagStandard):
+                states[arm] = nag_step(state, grad, opt.eta, opt.mu)
+            elif isinstance(opt, Sgd):
+                states[arm] = sgd_step(state, grad(state.w), opt.eta)
+            else:
+                states[arm] = nag_sq_step(state, grad(state.w), opt.bounds)
+            max_grad = max(max_grad, float(np.linalg.norm(seen[0])))
+        diffs[t] = np.linalg.norm(states[0].w - states[1].w)
+    gap = None
+    if config.probes > 0:
+        losses = [
+            np.logaddexp(0.0, -(py * (px @ s.w))) + 0.5 * lam * float(np.dot(s.w, s.w))
+            for s in states
+        ]
+        gap = float(np.abs(losses[0] - losses[1]).max())
+    return diffs, gap, max_grad
+
+
+def _csv_base(tmp_path, n=40, dim=4):
+    rng = np.random.default_rng(8)
+    rows = ["," .join([f"f{c}" for c in range(dim)] + ["label"])]
+    for k in range(n):
+        cells = [f"{v:.6f}" for v in rng.normal(size=dim)] + [str(k % 2)]
+        rows.append(",".join(cells))
+    path = tmp_path / "pool.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    base = ingest_csv(path)
+    assert base.sampler is None  # neighbors and probes take bootstrap rows
+    return base
+
+
+@pytest.mark.parametrize(
+    "opt_name, mode, source, probes",
+    [
+        ("nag", "resample", "synthetic", 3),
+        ("nag", "flip", "csv", 0),
+        ("sgd", "resample", "csv", 2),
+        ("sgd", "flip", "synthetic", 0),
+        ("nag_sq", "resample", "synthetic", 0),
+        ("nag_sq", "flip", "csv", 4),
+    ],
+)
+def test_lockstep_drivers_equal_per_trial_oracle(tmp_path, opt_name, mode, source, probes):
+    base = synthetic_dataset(40, 4, seed=2) if source == "synthetic" else _csv_base(tmp_path)
+    lam = 0.01
+    optimizer = {
+        "nag": NagStandard(eta=0.05, mu=0.8),
+        "sgd": Sgd(eta=0.1),
+        "nag_sq": NagSmoothQuadratic(effective_sector(base, lam)),
+    }[opt_name]
+    config = ExperimentConfig(
+        optimizer=optimizer,
+        lambda_reg=lam,
+        horizon=80,
+        trials=3,
+        subset_sizes=(10, 25, base.n),
+        checkpoints=(20, 40, 60, 80),
+        neighbor_mode=mode,
+        probes=probes,
+        master_seed=31,
+    )
+    shape = (len(config.subset_sizes), config.trials)
+    finals, gaps, grads = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    diffs = {}
+    for a, n in enumerate(config.subset_sizes):
+        for k in range(config.trials):
+            diffs[n, k], gap, grads[a, k] = _oracle_trial(base, n, k, config)
+            finals[a, k] = diffs[n, k][-1]
+            if probes:
+                gaps[a, k] = gap
+
+    res = stability_vs_n(base, config)
+    np.testing.assert_array_equal(res.trial_param_diff, finals)
+    np.testing.assert_array_equal(res.trial_max_grad, grads)
+    if probes:
+        np.testing.assert_array_equal(res.trial_loss_gap, gaps)
+    else:
+        assert res.trial_loss_gap is None
+
+    vst = stability_vs_t(base, config)
+    cps = np.asarray(config.checkpoints) - 1
+    np.testing.assert_array_equal(
+        vst.trial_curves, np.array([diffs[10, k][cps] for k in range(config.trials)])
+    )
+    # and at every step, not only at the reported ones
+    runs = simulate._lockstep(base, 10, config)
+    np.testing.assert_array_equal(
+        runs.param_diff, np.array([diffs[10, k] for k in range(config.trials)])
+    )
+
+
+@pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+def test_coupled_run_equals_step_functions(kind):
+    # coupled_run's shared two-row rule against each arm stepped alone
+    # through nag_step, sgd_step and nag_sq_step on the task's own grad
+    sb = SectorBounds(0.25, 1.0)
+    if kind == "logistic":
+        task, other = _tiny_tasks(seed=3)
+    else:
+        task = random_sector_quadratics(10, 4, sb, np.random.default_rng(12))
+        other = task.replaced(2, np.eye(4) * 0.5, np.ones(4))
+    horizon = 40
+    for opt in (NagStandard(0.05, 0.8), Sgd(0.1), NagSmoothQuadratic(sb)):
+        trace = coupled_run(task, other, 2, opt, horizon, np.random.default_rng(4))
+        idx = np.random.default_rng(4).integers(0, task.n_samples, size=horizon)
+        states = [OptimizerState.zeros(task.dim), OptimizerState.zeros(task.dim)]
+        for t, i in enumerate(idx):
+            for arm, tk in enumerate((task, other)):
+                state = states[arm]
+                if isinstance(opt, NagStandard):
+                    states[arm] = nag_step(state, lambda w: tk.grad(w, i), opt.eta, opt.mu)
+                elif isinstance(opt, Sgd):
+                    states[arm] = sgd_step(state, tk.grad(state.w, i), opt.eta)
+                else:
+                    states[arm] = nag_sq_step(state, tk.grad(state.w, i), opt.bounds)
+            assert trace.param_diff[t] == np.linalg.norm(states[0].w - states[1].w)
+    with pytest.raises(TypeError, match="unsupported"):
+        simulate.update_rule(HeavyBall(0.1, 0.5))
+
+
+def test_lockstep_rejects_oversized_subset():
+    base = synthetic_dataset(20, 3, seed=0)
+    config = ExperimentConfig(
+        optimizer=Sgd(eta=0.05), horizon=10, trials=1, subset_sizes=(21,),
+        checkpoints=(), probes=0,
+    )
+    with pytest.raises(ValueError, match="subset size"):
+        stability_vs_n(base, config)
