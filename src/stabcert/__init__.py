@@ -5,8 +5,8 @@ move the learned parameters:
 
 - a direct quadratic-Lyapunov construction for the sector-tuned
   Nesterov method (lyapunov),
-- an automated sector-IQC linear matrix inequality solved by a small
-  projected-subgradient engine (iqc, sdp),
+- an automated sector-IQC linear matrix inequality decided by a small
+  barrier interior-point solver with dual witnesses (iqc, sdp),
 - coupled-run experiments measuring the gap empirically (data, losses,
   simulate).
 """

@@ -17,7 +17,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,11 +37,11 @@ from .lyapunov import (
 from .optimizers import HeavyBall, NagSmoothQuadratic, NagStandard, SectorBounds, Sgd, lure_of, theta_of
 from .sdp import (
     FEASIBLE,
-    RATE_OPTIONS,
     SolverOptions,
     certify_rate,
     s_lemma_cross_check,
     solve_feasibility,
+    verify_infeasibility,
 )
 from .simulate import ExperimentConfig, envelope_rate, stability_vs_n, stability_vs_t
 
@@ -72,9 +71,7 @@ def _build_parser() -> _Parser:
     cert.add_argument("--eta", type=float, help="step size (sgd/heavyball; default 1/beta)")
     cert.add_argument("--mu", type=float, default=0.0, help="momentum (heavyball)")
     cert.add_argument("--rate", action="store_true", help="bisect for the best certified rho")
-    cert.add_argument("--seed", type=int, default=0)
-    cert.add_argument("--restarts", type=int,
-                      help="solver restarts (default 16, or 6 per probe with --rate)")
+    cert.add_argument("--seed", type=int, default=0, help="seed of the sampling check")
     cert.add_argument("--out", help="write the certificate JSON here")
 
     lyap = sub.add_parser("lyapunov", help="direct certificate region for the tuned method")
@@ -134,10 +131,7 @@ def _cmd_certify(args) -> int:
     else:
         spec = NagSmoothQuadratic(bounds=bounds)
     system = lure_of(spec, bounds)
-    overrides = {"seed": args.seed}
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    opts = replace(RATE_OPTIONS if args.rate else SolverOptions(), **overrides)
+    opts = SolverOptions(seed=args.seed)
     if args.rate:
         rate = certify_rate(system, bounds, args.optimizer, options=opts)
         print(f"optimizer      {args.optimizer}")
@@ -153,7 +147,12 @@ def _cmd_certify(args) -> int:
     print(f"optimizer      {args.optimizer}")
     print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
     print(f"status         {result.status}")
-    print(f"best violation {result.best_violation:.3e}")
+    print(f"newton steps   {result.traces[0].iterations}")
+    print(f"margin t*      {-result.best_violation:.3e}")
+    if result.witness is not None:
+        verified = verify_infeasibility(result.witness, system, bounds, opts)
+        print(f"dual bound     {verified.bound:.3e}")
+        print(f"witness        {'verified' if verified else 'not verified'}")
     if result.certificate is not None:
         cert = result.certificate
         check = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,

@@ -151,6 +151,7 @@ class IqcCertificate:
     status: str
     solver_seed: int
     tau3: float = 0.0
+    newton_steps: int = 0
 
     def recompute_eigs(self, system: LureSystem, bounds: SectorBounds) -> tuple[float, float]:
         """Re-derive (lmi_max_eig, p_min_eig) from the stored variables."""
@@ -176,6 +177,7 @@ def certificate_to_json(cert: IqcCertificate) -> str:
         "p_min_eig": cert.p_min_eig,
         "status": cert.status,
         "solver_seed": cert.solver_seed,
+        "newton_steps": cert.newton_steps,
     }
     return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -185,7 +187,8 @@ def certificate_from_json(text: str) -> IqcCertificate:
 
     A document without "tau3" (written before the sector product
     multiplier existed) reads as tau3 = 0.0, which is the LMI it
-    certified.
+    certified; one without "newton_steps" (written before the barrier
+    solver) reads as 0 steps.
     """
     raw = json.loads(text)
     flat = np.asarray(raw["P"], dtype=float)
@@ -206,4 +209,5 @@ def certificate_from_json(text: str) -> IqcCertificate:
         status=str(raw["status"]),
         solver_seed=int(raw["solver_seed"]),
         tau3=float(raw.get("tau3", 0.0)),
+        newton_steps=int(raw.get("newton_steps", 0)),
     )

@@ -14,8 +14,7 @@ closed-form stability bounds that such certificates imply.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -121,6 +120,32 @@ class LyapunovCertificate:
     valid: bool
 
 
+def _worst_eig(theta: float, eps, rho):
+    """lambda_max of M_alpha_bar for P_eps: floats in, float out; arrays broadcast.
+
+    With q = 1 - rho and s = 1 + theta, for P = P_eps exactly
+
+        M_alpha = [[alpha^2 eps - q, q s], [q s, theta^2 - q (s^2 + eps)]],
+
+    so only its (1,1) entry moves with alpha.  lambda_max is nondecreasing
+    in that entry, so the interval's worst case is alpha_bar = 1 - 1/kappa.
+    One expression serves scalars and grids, so both give bitwise the
+    same eigenvalue.
+
+    Returns:
+        (worst eigenvalue, alpha_bar).
+    """
+    bar = 1.0 - 1.0 / kappa_of_theta(theta)
+    q = 1.0 - rho
+    s = 1.0 + theta
+    m00 = bar * bar * eps - q
+    m01 = q * s
+    m11 = theta * theta - q * (s * s + eps)
+    mean = 0.5 * (m00 + m11)
+    gap = 0.5 * (m00 - m11)
+    return mean + np.sqrt(gap * gap + m01 * m01), bar
+
+
 def verify_contraction(
     theta: float,
     eps: float,
@@ -129,13 +154,8 @@ def verify_contraction(
 ) -> LyapunovCertificate:
     """Check A_alpha^T P A_alpha <= (1-rho) P over alpha in [0, alpha_bar].
 
-    With q = 1 - rho and s = 1 + theta, for P = P_eps exactly
-
-        M_alpha = [[alpha^2 eps - q, q s], [q s, theta^2 - q (s^2 + eps)]],
-
-    so only its (1,1) entry moves with alpha.  lambda_max is nondecreasing
-    in that entry, so the interval's worst case is alpha_bar = 1 - 1/kappa
-    and one symmetric 2x2 eigenvalue there settles the pair exactly.
+    One symmetric 2x2 eigenvalue at the worst direction
+    alpha_bar = 1 - 1/kappa settles the pair exactly (see _worst_eig).
     grid_points is accepted for older callers and ignored.
 
     Raises:
@@ -145,21 +165,13 @@ def verify_contraction(
         raise ValueError(f"eps must be positive, got {eps}")
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    bar = 1.0 - 1.0 / kappa_of_theta(theta)
-    q = 1.0 - rho
-    s = 1.0 + theta
-    m00 = bar * bar * eps - q
-    m01 = q * s
-    m11 = theta * theta - q * (s * s + eps)
-    mean = 0.5 * (m00 + m11)
-    gap = 0.5 * (m00 - m11)
-    worst = mean + math.sqrt(gap * gap + m01 * m01)
+    worst, bar = _worst_eig(theta, eps, rho)
     return LyapunovCertificate(
         theta=theta,
         eps=eps,
         rho=rho,
         grid_points=1,
-        worst_eig=worst,
+        worst_eig=float(worst),
         worst_alpha=bar,
         valid=bool(worst <= 0.0),
     )
@@ -167,22 +179,49 @@ def verify_contraction(
 
 @dataclass(frozen=True)
 class FeasibleRegion:
-    """Outcome of a grid search over (eps, rho) certificate candidates."""
+    """Outcome of a sweep over an (eps, rho) grid, stored compactly.
+
+    worst_eig[i, j] is the worst eigenvalue of the pair
+    (eps_grid[i], rho_grid[j]).  The certificate lists are built on each
+    access, eps-major like a loop over eps_grid then rho_grid, and equal
+    what verify_contraction returns pair by pair.
+    """
 
     theta: float
-    certificates: list
-    feasible: list = field(default_factory=list)
+    eps_grid: np.ndarray
+    rho_grid: np.ndarray
+    worst_eig: np.ndarray
+
+    def _certificates(self, mask: np.ndarray) -> list:
+        i, j = np.nonzero(mask)
+        bar = 1.0 - 1.0 / kappa_of_theta(self.theta)
+        return [
+            LyapunovCertificate(self.theta, eps, rho, 1, worst, bar, worst <= 0.0)
+            for eps, rho, worst in zip(self.eps_grid[i].tolist(), self.rho_grid[j].tolist(),
+                                       self.worst_eig[i, j].tolist())
+        ]
+
+    @property
+    def certificates(self) -> list:
+        """Every swept pair's certificate."""
+        return self._certificates(np.ones(self.worst_eig.shape, dtype=bool))
+
+    @property
+    def feasible(self) -> list:
+        """The valid certificates."""
+        return self._certificates(self.worst_eig <= 0.0)
 
     @property
     def empty(self) -> bool:
-        return len(self.feasible) == 0
+        return not np.any(self.worst_eig <= 0.0)
 
     @property
     def best(self) -> LyapunovCertificate | None:
         """Feasible certificate with the largest rho (ties: most negative worst_eig)."""
-        if not self.feasible:
+        feasible = self.feasible
+        if not feasible:
             return None
-        return max(self.feasible, key=lambda c: (c.rho, -c.worst_eig))
+        return max(feasible, key=lambda c: (c.rho, -c.worst_eig))
 
 
 def find_feasible_region(
@@ -191,7 +230,7 @@ def find_feasible_region(
     rho_grid: np.ndarray,
     grid_points: int | None = None,
 ) -> FeasibleRegion:
-    """Sweep every (eps, rho) candidate pair through verify_contraction.
+    """Decide every (eps, rho) candidate pair in one array expression.
 
     Args:
         theta: momentum weight in [0, 1).
@@ -200,22 +239,18 @@ def find_feasible_region(
         grid_points: accepted for older callers and ignored.
 
     Returns:
-        FeasibleRegion listing all certificates and the valid subset.
+        FeasibleRegion over the two grids.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     rho_grid = np.asarray(rho_grid, dtype=float)
     if eps_grid.size == 0 or rho_grid.size == 0:
         raise ValueError("eps and rho grids must be non-empty")
-    certs = []
-    feas = []
-    rhos = rho_grid.tolist()  # one float per grid value, shared by its certificates
-    for eps in eps_grid.tolist():
-        for rho in rhos:
-            cert = verify_contraction(theta, eps, rho)
-            certs.append(cert)
-            if cert.valid:
-                feas.append(cert)
-    return FeasibleRegion(theta=theta, certificates=certs, feasible=feas)
+    if not np.all(eps_grid > 0.0):
+        raise ValueError(f"eps must be positive, got {eps_grid.min()}")
+    if not np.all((rho_grid > 0.0) & (rho_grid < 1.0)):
+        raise ValueError(f"rho must lie in (0, 1), got {rho_grid}")
+    worst, _ = _worst_eig(theta, eps_grid[:, None], rho_grid[None, :])
+    return FeasibleRegion(theta=theta, eps_grid=eps_grid, rho_grid=rho_grid, worst_eig=worst)
 
 
 class ContractionRate(NamedTuple):

@@ -1,63 +1,53 @@
-"""Projected-subgradient feasibility solver for the certificate LMI.
+"""Barrier interior-point decision of the certificate LMI, with a dual witness.
 
-The decision vector v = (vech P, lambda, tau1, tau2, tau3) asks for a
-strictly negative definite LMI with P positive definite, lambda above
-a floor, and nonnegative multipliers for the three sector inequalities
-(strong monotonicity, co-coercivity and the sector product form; see
-iqc).  The LMI is linear in v, LMI(v) = sum_k v_k L_k, and the basis
-L_k is built once per problem.  The solver minimizes the pointwise max
-of the two eigenvalue violations with Polyak-style subgradient steps
-(eigenvector outer products give exact subgradients, q^T L_k q, of
-extreme eigenvalues of an affine matrix map), projecting the box
-variables after every step.  The LMI is homogeneous in the whole tuple,
-so the tuple is rescaled whenever the largest of trace(P)/s and the
-multipliers leaves [0.1, 10].
+The decision vector v = (vech P, lambda, tau1, tau2, tau3) enters the
+certificate LMI (see iqc) affinely, LMI(v) = sum_k v_k L_k, with the
+basis L_k built once per problem.  A solve maximizes the margin t in
 
-All seeded restarts step in lockstep as the rows of one array: each
-iteration makes one LAPACK eigh call on the stack of LMIs and one on
-the stack of P blocks.  Row products use einsum, never a BLAS product,
-so a restart's path is bitwise the same whether it runs alone or beside
-others.  LAPACK searches and Jacobi trusts: any Feasible candidate is
-re-verified by the package's own Jacobi eigensolver and by a randomized
-sector sampling check before it is accepted.
+    -LMI(v) >= t I,  P >= t I,  tau >= 0,  lambda >= t,  trace P + sum tau = 1
 
-Statuses: Feasible (verified certificate in hand), Infeasible (every
-restart stalled at a clearly positive violation; an operational claim,
-not a dual proof), Inconclusive (budget ran out while still improving,
-or the residual landed too close to zero to call).
+(lambda held at 0 in rate-only searches).  The LMI is homogeneous, so
+t* > 0 exactly when a certificate exists; normalizing the multipliers
+with P keeps them bounded (at gamma = beta the LMI improves along a
+multiplier direction forever).  The constraints are one block-diagonal
+LMI F(x) >= 0 in x = (v, t), solved by the primal barrier method of
+Vandenberghe & Boyd (SIAM Review 1996): Newton steps on
+-t/mu - log det F(x), the normalization a KKT equality, mu / 10 per
+stage.  It works in the units u/beta (sector [gamma/beta, 1]), so
+verdicts do not depend on the units of the sector.  The last dual point
+(blocks Z1, Z2 of mu F(x)^-1, and nu for the normalization) bounds t*
+by weak duality; a negative bound proves infeasibility.
+
+LAPACK searches and Jacobi trusts.  Statuses: Feasible (the candidate
+passed verify_certificate and the sector sampling check), Infeasible
+(the dual witness passed verify_infeasibility), Inconclusive (neither,
+as when t* lies within the margins of zero).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .iqc import (
-    IqcCertificate,
-    sector_lift,
-    sector_multipliers,
-    sector_product_multiplier,
-)
+from .iqc import IqcCertificate, sector_lift, sector_multipliers, sector_product_multiplier
 from .linalg import sym_eigen
 from .optimizers import LureSystem, SectorBounds
 
 __all__ = [
-    "SolverOptions",
-    "RestartTrace",
-    "FeasibilityResult",
-    "RateResult",
-    "CertificateCheck",
-    "RATE_OPTIONS",
-    "solve_feasibility",
-    "verify_certificate",
-    "s_lemma_cross_check",
-    "certify_rate",
+    "SolverOptions", "RestartTrace", "InfeasibilityWitness", "FeasibilityResult", "RateResult",
+    "CertificateCheck", "InfeasibilityCheck", "solve_feasibility", "verify_certificate",
+    "verify_infeasibility", "s_lemma_cross_check", "certify_rate",
 ]
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 INCONCLUSIVE = "Inconclusive"
+
+# Stages end once dim(F) * mu, a central point's duality gap, is below
+# _GAP_TOL; centering ends at a squared Newton decrement below _CENTERED.
+_GAP_TOL = 1e-7
+_CENTERED = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,12 +57,11 @@ class SolverOptions:
     feas_margin: the LMI must clear lambda_max <= -feas_margin.
     p_tol: P must clear lambda_min >= p_tol.
     lambda_min: floor for the decay-coupling variable lambda.
-    restarts: independent seeded starts; first feasible one wins.
-    max_iters: per-restart subgradient step budget.
-    patience: break a restart after this many steps without improvement.
-    infeasible_margin: stalled residual above this reports Infeasible,
-        anything closer to zero reports Inconclusive.
+    max_iters: cap on the Newton steps of one solve.
+    infeasible_margin: a witness must bound t* at or below -infeasible_margin.
     check_samples: sample count for the randomized certificate check.
+    seed: seed of that check, stored in the certificate.
+    restarts, patience: accepted for older callers and ignored.
 
     Raises:
         ValueError: naming the first field out of range.
@@ -82,12 +71,9 @@ class SolverOptions:
     p_tol: float = 1e-8
     lambda_min: float = 1e-6
     restarts: int = 16
-    max_iters: int = 50_000
+    max_iters: int = 500
     patience: int = 2000
-    step_cap: float = 1.0
-    target_gap: float = 1e-3
-    stall_tol: float = 1e-9
-    infeasible_margin: float = 1e-4
+    infeasible_margin: float = 1e-8
     check_samples: int = 10_000
     seed: int = 0
 
@@ -95,37 +81,44 @@ class SolverOptions:
         for name in ("restarts", "max_iters", "patience", "check_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SolverOptions.{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("feas_margin", "p_tol", "lambda_min", "target_gap", "stall_tol",
-                     "infeasible_margin"):
+        for name in ("feas_margin", "p_tol", "lambda_min", "infeasible_margin"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(
                     f"SolverOptions.{name} must be non-negative, got {getattr(self, name)}")
-        if not self.step_cap > 0.0:
-            raise ValueError(f"SolverOptions.step_cap must be positive, got {self.step_cap}")
-
-
-# certify_rate's defaults, also the base of `stabcert certify --rate`.
-RATE_OPTIONS = SolverOptions(restarts=6, max_iters=20_000, patience=1200)
 
 
 @dataclass(frozen=True)
 class RestartTrace:
-    """Per-restart outcome: best violation seen and how the run ended."""
+    """The Newton log of one solve: steps taken, -t at the end, final duality gap."""
 
-    restart: int
-    best_violation: float
     iterations: int
-    stalled: bool
+    best_violation: float
+    gap: float
+
+
+@dataclass(frozen=True)
+class InfeasibilityWitness:
+    """A dual point in the solver's units u/beta: z1 pairs with -LMI(v) >= t I,
+    z2 with P >= t I and nu with trace P + sum tau = 1, for the LMI at rho
+    and with_lam."""
+
+    z1: np.ndarray
+    z2: np.ndarray
+    nu: float
+    rho: float
+    with_lam: bool
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Aggregate solver outcome across restarts."""
+    """Outcome of one solve: best_violation is -t at the end, witness the dual
+    point behind a non-positive margin (verified iff Infeasible), else None."""
 
     status: str
     certificate: IqcCertificate | None
     best_violation: float
     traces: list = field(default_factory=list)
+    witness: InfeasibilityWitness | None = None
 
 
 @dataclass(frozen=True)
@@ -154,6 +147,19 @@ class CertificateCheck:
         return self.ok
 
 
+@dataclass(frozen=True)
+class InfeasibilityCheck:
+    """Recheck verdict for one witness, with its bound on t*; truthy iff it passed."""
+
+    ok: bool
+    z1_min_eig: float
+    z2_min_eig: float
+    bound: float
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 class _Problem:
     """The affine LMI map of one system/sector, built once.
 
@@ -161,11 +167,12 @@ class _Problem:
     row-major upper-triangle order.  Row k of `basis` is vec(L_k), so
     LMI(v) = (v @ basis) reshaped to (d, d).  Row k of `p_basis` is the
     k-th symmetric unit matrix E_k of P, and P itself is the gather
-    v[p_index].
+    v[p_index].  The barrier works on x = (v[free], t), and F(x) =
+    sum_k x_k blocks[k] is the block diagonal of -LMI(v) - t I, P - t I,
+    the three taus and, with the lambda term, lam - t.
     """
 
     def __init__(self, system: LureSystem, bounds: SectorBounds, rho: float, with_lam: bool):
-        self.bounds = bounds
         self.rho = rho
         self.with_lam = with_lam
         self.s = s = system.state_dim
@@ -182,8 +189,7 @@ class _Problem:
         p_terms = f.T @ units @ f
         p_terms[:, :s, :s] -= (1.0 - rho) * units
         lam_term = np.zeros((d, d))
-        if with_lam:
-            lam_term[:s, :s] = np.eye(s)
+        lam_term[:s, :s] = np.eye(s)
         j = sector_lift(system)
         pis = (*sector_multipliers(bounds), sector_product_multiplier(bounds))
         terms = [*p_terms, lam_term, *(j.T @ pi @ j for pi in pis)]
@@ -192,137 +198,134 @@ class _Problem:
         self.p_index = np.zeros((s, s), dtype=int)
         self.p_index[self.vech] = self.p_index[self.vech[::-1]] = np.arange(n_p)
 
+        self.free = np.flatnonzero(np.r_[np.ones(n_p), with_lam, np.ones(3)])
+        n = self.free.size + 1
+        self.dim = big = d + s + 3 + with_lam
+        blocks = np.zeros((n, big, big))
+        blocks[:-1, :d, :d] = -self.basis[self.free].reshape(-1, d, d)
+        blocks[:n_p, d : d + s, d : d + s] = units
+        diag = np.arange(d + s, big)
+        blocks[n - 4 + np.arange(3), diag[:3], diag[:3]] = 1.0
+        if with_lam:
+            blocks[[n_p, -1], diag[3], diag[3]] = 1.0, -1.0
+        blocks[-1, np.arange(d + s), np.arange(d + s)] = -1.0
+        self.blocks = blocks
+        self.eq = np.r_[self.trace_mask[self.free], 0.0]
+        self.eq[-4:-1] = 1.0  # eq . x = trace P + sum tau
+
     def lmi(self, p: np.ndarray, lam: float, tau1: float, tau2: float,
             tau3: float) -> np.ndarray:
         v = np.concatenate([p[self.vech], [lam, tau1, tau2, tau3]])
         return (v @ self.basis).reshape(self.d, self.d)
 
 
-def _start(prob: _Problem, restart: int, opts: SolverOptions) -> np.ndarray:
-    """The seeded starting vector of one restart (before projection)."""
-    rng = np.random.default_rng(np.random.SeedSequence((opts.seed, restart)))
-    s = prob.s
-    raw = rng.normal(size=(s, s))
-    p0 = raw @ raw.T / s + 0.5 * np.eye(s)
-    lam = opts.lambda_min + 0.1 * abs(rng.normal()) if prob.with_lam else 0.0
-    taus = [0.1 + abs(rng.normal()) for _ in range(3)]
-    return np.concatenate([p0[prob.vech], [lam, *taus]])
+def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float,
+                  with_lam: bool) -> _Problem:
+    """The problem in the units u/beta: with T = blkdiag(I, beta), T LMI T is
+    the LMI of (A, beta B, C, beta D) on [gamma/beta, 1] at multipliers
+    (beta tau1, beta tau2, beta^2 tau3), so both decide the same question."""
+    beta = bounds.beta
+    scaled = LureSystem(system.a, beta * system.b, system.c, beta * system.d)
+    return _Problem(scaled, SectorBounds(bounds.gamma / beta, 1.0), rho, with_lam)
 
 
-def _phi_and_grad(prob: _Problem, v: np.ndarray, opts: SolverOptions):
-    """Violation and a subgradient for every row of v, shape (rows, nv)."""
-    rows, n, d, s = len(v), prob.n_p, prob.d, prob.s
-    lmi_vals, lmi_vecs = np.linalg.eigh(np.einsum("rk,kn->rn", v, prob.basis).reshape(rows, d, d))
-    p_vals, p_vecs = np.linalg.eigh(v[:, prob.p_index])
-    g_lmi = lmi_vals[:, -1] + opts.feas_margin
-    g_p = opts.p_tol - p_vals[:, 0]
-    on_p = g_lmi < g_p
-    # q^T L_k q on the LMI branch; -w^T E_k w on P's entries otherwise.
-    q = lmi_vecs[:, :, -1]
-    grad = np.einsum("ra,rb,kab->rk", q, q, prob.basis.reshape(-1, d, d))
-    if on_p.any():
-        w = p_vecs[:, :, 0]
-        grad_p = -np.einsum("ra,rb,kab->rk", w, w, prob.p_basis.reshape(n, s, s))
-        grad[on_p] = 0.0
-        grad[on_p, :n] = grad_p[on_p]
-    return np.maximum(g_lmi, g_p), grad
+def _barrier(prob: _Problem, x: np.ndarray):
+    """Eigenpairs of F(x), or None when x is not strictly feasible."""
+    vals, vecs = np.linalg.eigh(np.tensordot(x, prob.blocks, 1))
+    return (vals, vecs) if vals[0] > 0.0 else None
 
 
-def _project(prob: _Problem, v: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Clip the rows of v onto the box constraints and rescale drifted rows, in place.
+def _maximize_margin(prob: _Problem, max_steps: int):
+    """Follow the central path of max t s.t. F(x) >= 0, trace P + sum tau = 1.
 
-    floor holds the lower bounds of (lam, tau1, tau2, tau3); without the
-    lambda term lam starts at 0 and its subgradient is 0, so it stays 0.
-    """
-    n = prob.n_p
-    np.maximum(v[:, n:], floor, out=v[:, n:])
-    # The LMI is homogeneous in the decision tuple; rescale when its
-    # size drifts so the absolute margins keep their meaning.  The size
-    # is the largest of trace(P)/s and the multipliers: watching P alone
-    # lets the multipliers run off towards overflow.
-    trace = np.einsum("rk,k->r", v, prob.trace_mask)
-    size = np.maximum(trace / prob.s, v[:, n + 1 :].max(axis=1))
-    out = (size > 10.0) | (size < 0.1)
-    if out.any():
-        out &= size > 0.0
-        v[out] /= size[out, None]
-        v[out, n:] = np.maximum(v[out, n:], floor)
-    return v
-
-
-def _lockstep(prob: _Problem, restarts, opts: SolverOptions) -> dict:
-    """Run seeded restarts side by side, the lowest feasible one winning.
-
-    Each row follows exactly the path its restart would follow alone.
-    A row ends when it turns feasible, when it stalls (no improvement by
-    stall_tol for patience steps, or a vanishing subgradient) or at
-    max_iters.  Once some restart is feasible, higher-numbered ones are
-    dropped, and the loop ends when every lower-numbered one has ended.
+    Stages center by damped Newton steps of 1/(1 + lambda), lambda the
+    Newton decrement, which stay inside the Dikin ellipsoid of the
+    self-concordant barrier; below lambda = 1/4 full steps converge
+    quadratically.  The KKT matrix is scaled to a unit Hessian diagonal.
+    A stage that cannot center (step cap, rounding) ends the path at the
+    last centered stage.
 
     Returns:
-        {restart: (v, violation, iterations, stalled)} for the restarts
-        up to and including the winner (all of them without one), as a
-        one-at-a-time search stopping at the first feasible restart
-        would have run them.
+        (x, mu, z, steps): that iterate, its mu, the dual point of its
+        last Newton step, and the Newton steps taken in all.
     """
-    rows = np.asarray(restarts)
-    floor = np.array([opts.lambda_min if prob.with_lam else 0.0, 0.0, 0.0, 0.0])
-    v = _project(prob, np.array([_start(prob, r, opts) for r in rows]), floor)
-    best = np.full(len(rows), np.inf)
-    best_v = v.copy()
-    best_iter = np.zeros(len(rows), dtype=int)
-    ended: dict = {}
-    winner = np.inf
-    for k in range(1, opts.max_iters + 1):
-        phi, grad = _phi_and_grad(prob, v, opts)
-        improved = phi < best - opts.stall_tol
-        np.copyto(best, phi, where=improved)
-        np.copyto(best_v, v, where=improved[:, None])
-        np.copyto(best_iter, k, where=improved)
-        gnorm2 = np.einsum("rk,rk->r", grad, grad)
-        feasible = phi < 0.0
-        done = feasible | (best_iter < k - opts.patience) | (gnorm2 <= 1e-300)
-        if done.any():
-            for i in np.flatnonzero(done):
-                r = int(rows[i])
-                if feasible[i]:
-                    ended[r] = (v[i].copy(), float(phi[i]), k, False)
-                    winner = min(winner, r)
-                else:
-                    ended[r] = (best_v[i].copy(), float(best[i]), k, True)
-            live = ~done & (rows < winner)
-            if not live.any():
+    n = prob.blocks.shape[0]
+    x = prob.eq / (prob.s + 3)  # P = I and tau = 1, scaled onto the normalization
+    x[-1] = np.linalg.eigvalsh(np.tensordot(x, prob.blocks, 1))[0] - 1.0
+    vals, vecs = _barrier(prob, x)
+    kkt = np.zeros((n + 1, n + 1))
+    mu, steps, centered = 1.0, 0, None
+    while True:
+        while True:
+            inv = (vecs / vals) @ vecs.T
+            w = inv @ prob.blocks
+            grad = np.einsum("kaa->k", w)  # minus the gradient of the barrier objective
+            grad[-1] += 1.0 / mu
+            hess = np.einsum("kab,lba->kl", w, w)
+            scale = 1.0 / np.sqrt(np.diag(hess))
+            kkt[:n, :n] = hess * np.outer(scale, scale)
+            kkt[:n, n] = kkt[n, :n] = prob.eq * scale
+            dx = scale * np.linalg.solve(kkt, np.r_[grad * scale, 0.0])[:n]
+            dec = grad @ dx
+            if dec <= _CENTERED or steps >= max_steps:
                 break
-            rows, v, best, best_v, best_iter, phi, grad, gnorm2 = (
-                a[live] for a in (rows, v, best, best_v, best_iter, phi, grad, gnorm2))
-        step = np.minimum((phi + opts.target_gap) / gnorm2, opts.step_cap)
-        v = _project(prob, v - step[:, None] * grad, floor)
-    else:
-        for i, r in enumerate(rows):
-            ended[int(r)] = (best_v[i].copy(), float(best[i]), opts.max_iters, False)
-    return {r: ended[r] for r in sorted(ended) if r <= winner}
+            step = 1.0 if dec < 0.0625 else 1.0 / (1.0 + np.sqrt(dec))
+            while (eig := _barrier(prob, x + step * dx)) is None and step > 1e-12:
+                step *= 0.5  # only rounding leaves the ellipsoid
+            if eig is None:
+                break
+            x, (vals, vecs) = x + step * dx, eig
+            steps += 1
+        # mu (F^-1 - F^-1 dF F^-1) meets the Newton system's stationarity
+        # equations exactly, and is positive definite for a decrement below 1.
+        z = mu * (inv - inv @ np.tensordot(dx, prob.blocks, 1) @ inv)
+        here = (x, mu, 0.5 * (z + z.T))
+        if not abs(dec) <= _CENTERED:
+            return (*(centered or here), steps)
+        if prob.dim * mu <= _GAP_TOL:
+            return (*here, steps)
+        centered = here
+        mu *= 0.1
 
 
-def _make_cert(prob, v, name, status, opts) -> IqcCertificate:
-    p = v[prob.p_index]
-    lam, tau1, tau2, tau3 = (float(x) for x in v[prob.n_p :])
-    lmi_top = float(sym_eigen(prob.lmi(p, lam, tau1, tau2, tau3)).values[-1])
-    p_bot = float(sym_eigen(p).values[0])
-    return IqcCertificate(
-        optimizer=name,
-        gamma=prob.bounds.gamma,
-        beta=prob.bounds.beta,
-        p=p,
-        lam=lam,
-        tau1=tau1,
-        tau2=tau2,
-        rho=prob.rho,
-        lmi_max_eig=lmi_top,
-        p_min_eig=p_bot,
-        status=status,
-        solver_seed=opts.seed,
-        tau3=tau3,
-    )
+def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None = None):
+    """Weak-duality bound on t* from (Z1, Z2, nu); also nu and the tau slacks.
+
+    For Z1, Z2 >= 0 and any v with trace P + sum tau = 1 and margin t >= 0,
+
+        0 <= <Z1, -LMI(v) - t I> + <Z2, P - t I> + <Z1, L_lam> (lam - t)
+           = nu + sum_k r_k v_k - sum_i tau_i (<Z1, L_tau_i> + nu) - t * scale,
+
+    with r_k = <Z2, E_k> - <Z1, L_k> - nu [E_k diagonal] the residual of
+    P's k-th stationarity equation and scale = tr Z1 + tr Z2 + <Z1, L_lam>.
+    If every tau slack <Z1, L_tau_i> + nu is >= 0, then |P_ij| <= 1 gives
+    t <= (nu + sum |r_k|) / scale.  nu defaults to the smallest diagonal
+    <Z2, E_k> - <Z1, L_k>, which minimizes the bound for P up to 3x3.
+    """
+    pair = prob.basis @ z1.reshape(-1)
+    stat = prob.p_basis @ z2.reshape(-1) - pair[: prob.n_p]
+    diag = prob.trace_mask[: prob.n_p]
+    nu = float(stat[diag == 1.0].min()) if nu is None else nu
+    scale = np.trace(z1) + np.trace(z2) + (pair[prob.n_p] if prob.with_lam else 0.0)
+    return float((nu + np.abs(stat - nu * diag).sum()) / scale), nu, pair[prob.n_p + 1 :] + nu
+
+
+def _make_cert(system, bounds, prob, x, name, steps, opts) -> IqcCertificate:
+    """The certificate of barrier point x, mapped back from the units u/beta.
+
+    It is scaled by max(1, beta^2), so that its LMI and P clear -t and t
+    in the caller's units as they do in the solver's.
+    """
+    beta = bounds.beta
+    v = np.zeros(prob.n_p + 4)
+    v[prob.free] = x[:-1] * max(1.0, beta * beta)
+    lam, tau1, tau2, tau3 = (float(c) for c in v[prob.n_p :] / [1.0, beta, beta, beta * beta])
+    cert = IqcCertificate(
+        optimizer=name, gamma=bounds.gamma, beta=beta, p=v[prob.p_index], lam=lam,
+        tau1=tau1, tau2=tau2, rho=prob.rho, lmi_max_eig=0.0, p_min_eig=0.0,
+        status=FEASIBLE, solver_seed=opts.seed, tau3=tau3, newton_steps=steps)
+    lmi_top, p_bot = cert.recompute_eigs(system, bounds)
+    return replace(cert, lmi_max_eig=lmi_top, p_min_eig=p_bot)
 
 
 def solve_feasibility(
@@ -333,12 +336,12 @@ def solve_feasibility(
     with_lam: bool = True,
     options: SolverOptions | None = None,
 ) -> FeasibilityResult:
-    """Search for a verified solution of the certificate LMI.
+    """Decide the certificate LMI by maximizing its margin t.
 
-    Runs the seeded subgradient restarts in lockstep; the lowest-numbered
-    feasible restart wins, so the outcome is that of running them one at
-    a time.  A candidate only becomes a Feasible result after
-    verify_certificate and the sector sampling cross-check both pass.
+    A positive margin becomes a Feasible result only after
+    verify_certificate and the sector sampling cross-check both pass; a
+    non-positive one becomes Infeasible only after its dual witness
+    passes verify_infeasibility.
 
     Args:
         system: feedback form of the optimizer.
@@ -352,31 +355,22 @@ def solve_feasibility(
     opts = options or SolverOptions()
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    prob = _Problem(system, bounds, rho, with_lam)
-    results = _lockstep(prob, range(opts.restarts), opts)
-
-    traces = [
-        RestartTrace(restart=r, best_violation=res[1], iterations=res[2], stalled=res[3])
-        for r, res in results.items()
-    ]
-    for v, phi, _, _ in results.values():
-        if phi < 0.0:
-            cert = _make_cert(prob, v, optimizer_name, FEASIBLE, opts)
-            report = verify_certificate(cert, system, bounds, opts)
-            sampled = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,
-                                          seed=opts.seed)
-            if report.ok and sampled["ok"]:
-                return FeasibilityResult(FEASIBLE, cert, phi, traces)
-
-    best = min(res[1] for res in results.values())
-    ran_out = any(
-        not res[3] and res[2] >= opts.max_iters and res[1] >= 0.0 for res in results.values()
-    )
-    if ran_out or best <= opts.infeasible_margin:
-        status = INCONCLUSIVE
-    else:
-        status = INFEASIBLE
-    return FeasibilityResult(status, None, best, traces)
+    prob = _unit_problem(system, bounds, rho, with_lam)
+    x, mu, z, steps = _maximize_margin(prob, opts.max_iters)
+    margin = float(x[-1])
+    traces = [RestartTrace(steps, -margin, prob.dim * mu)]
+    if margin > 0.0:
+        cert = _make_cert(system, bounds, prob, x, optimizer_name, steps, opts)
+        report = verify_certificate(cert, system, bounds, opts)
+        sampled = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,
+                                      seed=opts.seed)
+        status = FEASIBLE if report.ok and sampled["ok"] else INCONCLUSIVE
+        return FeasibilityResult(status, cert if status == FEASIBLE else None, -margin, traces)
+    d, s = prob.d, prob.s
+    z1, z2 = z[:d, :d].copy(), z[d : d + s, d : d + s].copy()
+    witness = InfeasibilityWitness(z1, z2, _dual_bound(prob, z1, z2)[1], rho, with_lam)
+    ok = verify_infeasibility(witness, system, bounds, opts).ok
+    return FeasibilityResult(INFEASIBLE if ok else INCONCLUSIVE, None, -margin, traces, witness)
 
 
 def verify_certificate(
@@ -396,23 +390,34 @@ def verify_certificate(
     opts = options or SolverOptions()
     lmi_top, p_bot = cert.recompute_eigs(system, bounds)
     lam_ok = cert.lam >= opts.lambda_min or cert.lam == 0.0
-    ok = (
-        lmi_top <= -opts.feas_margin
-        and p_bot >= opts.p_tol
-        and cert.tau1 >= 0.0
-        and cert.tau2 >= 0.0
-        and cert.tau3 >= 0.0
-        and lam_ok
-    )
-    return CertificateCheck(
-        ok=bool(ok),
-        lmi_max_eig=lmi_top,
-        p_min_eig=p_bot,
-        lam=cert.lam,
-        tau1=cert.tau1,
-        tau2=cert.tau2,
-        tau3=cert.tau3,
-    )
+    ok = (lmi_top <= -opts.feas_margin and p_bot >= opts.p_tol and lam_ok
+          and cert.tau1 >= 0.0 and cert.tau2 >= 0.0 and cert.tau3 >= 0.0)
+    return CertificateCheck(bool(ok), lmi_top, p_bot, cert.lam, cert.tau1, cert.tau2, cert.tau3)
+
+
+def verify_infeasibility(
+    witness: InfeasibilityWitness,
+    system: LureSystem,
+    bounds: SectorBounds,
+    options: SolverOptions | None = None,
+) -> InfeasibilityCheck:
+    """Independently recheck that a dual witness proves the LMI infeasible.
+
+    Rebuilds the affine map in the units u/beta and tests that Z1 and Z2
+    are positive semidefinite (by the package's own Jacobi eigensolver),
+    that every tau slack is nonnegative, and that the bound of
+    _dual_bound, residuals included, is <= -infeasible_margin.
+    Then no P > 0, tau >= 0, lambda >= 0 make the LMI negative
+    semidefinite.  Truthy exactly when all conditions hold.
+    """
+    opts = options or SolverOptions()
+    prob = _unit_problem(system, bounds, witness.rho, witness.with_lam)
+    z1_bot = float(sym_eigen(witness.z1).values[0])
+    z2_bot = float(sym_eigen(witness.z2).values[0])
+    bound, _, tau_slacks = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
+    ok = (z1_bot >= 0.0 and z2_bot >= 0.0 and bool(np.all(tau_slacks >= 0.0))
+          and bound <= -opts.infeasible_margin)
+    return InfeasibilityCheck(bool(ok), z1_bot, z2_bot, bound)
 
 
 def s_lemma_cross_check(
@@ -469,9 +474,9 @@ def certify_rate(
     """Bisect for the largest decay rate the LMI can certify.
 
     Feasibility is monotone in rho (any certificate at rho works for
-    smaller rho), so bisection applies.  Uses rate-mode searches (no
-    lambda coupling).  If even rho_low is not certifiable the result is
-    Infeasible-at-range.
+    smaller rho), so bisection applies.  Probes are rate-mode solves (no
+    lambda coupling) and count only when Feasible.  If even rho_low is
+    not certifiable the result is Infeasible-at-range.
 
     Returns:
         RateResult with rho_star the largest rho found feasible, its
@@ -479,29 +484,23 @@ def certify_rate(
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
-    opts = options or RATE_OPTIONS
+    opts = options or SolverOptions()
     tested = []
 
-    def probe(rho: float) -> FeasibilityResult:
-        res = solve_feasibility(
-            system, bounds, optimizer_name, rho=rho, with_lam=False, options=opts
-        )
+    def probe(rho: float) -> IqcCertificate | None:
+        res = solve_feasibility(system, bounds, optimizer_name, rho, False, opts)
         tested.append((rho, res.status))
-        return res
+        return res.certificate if res.status == FEASIBLE else None
 
-    low_res = probe(rho_low)
-    if low_res.status != FEASIBLE:
+    if (cert := probe(rho_low)) is None:
         return RateResult("Infeasible-at-range", 0.0, None, tested)
-    lo, lo_cert = rho_low, low_res.certificate
-    high_res = probe(rho_high)
-    if high_res.status == FEASIBLE:
-        return RateResult("Certified", rho_high, high_res.certificate, tested)
-    hi = rho_high
+    if (top := probe(rho_high)) is not None:
+        return RateResult("Certified", rho_high, top, tested)
+    lo, hi = rho_low, rho_high
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        res = probe(mid)
-        if res.status == FEASIBLE:
-            lo, lo_cert = mid, res.certificate
+        if (found := probe(mid)) is not None:
+            lo, cert = mid, found
         else:
             hi = mid
-    return RateResult("Certified", lo, lo_cert, tested)
+    return RateResult("Certified", lo, cert, tested)

@@ -220,8 +220,8 @@ def test_criterion_5_sdp_certificates():
     assert elapsed < 120.0
     # Strong monotonicity and co-coercivity alone lose the NAG case at
     # kappa = 10 (feasible only up to kappa ~5); the sector product
-    # multiplier recovers it (feasible through kappa = 10, Inconclusive
-    # at 12, Infeasible from 16 up).
+    # multiplier recovers it (feasible through kappa = 10, Infeasible
+    # with a verified dual witness from 12 up).
     assert nag_ok, f"nag-sq at kappa=10: {nag_res.status}"
 
 

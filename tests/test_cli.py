@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -6,10 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from stabcert import cli
 from stabcert.cli import EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
 from stabcert.iqc import certificate_from_json
-from stabcert.sdp import RATE_OPTIONS, RateResult
 
 TINY_SIM = [
     "--n-base", "60", "--dim", "5", "--horizon", "60", "--trials", "2",
@@ -39,13 +36,16 @@ def test_certify_feasible_writes_certificate(tmp_path, capsys):
     out = tmp_path / "cert.json"
     rc = main([
         "certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0",
-        "--restarts", "4", "--out", str(out),
+        "--out", str(out),
     ])
     assert rc == EXIT_OK
     text = capsys.readouterr().out
     assert "status         Feasible" in text
     assert "sampled slack" in text
+    assert "newton steps" in text and "margin t*" in text
+    assert "dual bound" not in text
     cert = certificate_from_json(out.read_text())
+    assert cert.newton_steps > 0
     assert cert.optimizer == "sgd"
     assert cert.status == "Feasible"
     assert cert.lmi_max_eig < 0.0
@@ -55,21 +55,25 @@ def test_certify_feasible_writes_certificate(tmp_path, capsys):
 def test_certify_negative_exit_2(capsys):
     rc = main([
         "certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0",
-        "--eta", "3.0", "--restarts", "4",
+        "--eta", "3.0",
     ])
     assert rc == EXIT_NEGATIVE
-    assert "Infeasible" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "status         Infeasible" in text
+    line = next(l for l in text.splitlines() if l.startswith("margin t*"))
+    assert float(line.split()[-1]) < 0.0
+    assert "dual bound" in text
+    assert "witness        verified" in text
 
 
 def test_certify_heavyball_and_nag(capsys):
     rc = main([
         "certify", "--optimizer", "heavyball", "--gamma", "0.5", "--beta", "1.0",
-        "--mu", "0.3", "--restarts", "4",
+        "--mu", "0.3",
     ])
     assert rc == EXIT_OK
     rc = main([
         "certify", "--optimizer", "nag-sq", "--gamma", "0.25", "--beta", "1.0",
-        "--restarts", "4",
     ])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.count("Feasible") == 2
@@ -96,37 +100,6 @@ def test_certify_rate_honours_seed(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "Certified" in capsys.readouterr().out
     assert json.loads(out.read_text())["solver_seed"] == 5
-
-
-def test_certify_rate_options(monkeypatch, capsys):
-    # --rate starts from certify_rate's own defaults; --seed always and
-    # --restarts only when given override them.
-    seen = []
-
-    def spy(system, bounds, name, options=None):
-        seen.append(options)
-        return RateResult("Infeasible-at-range", 0.0, None, [])
-
-    monkeypatch.setattr(cli, "certify_rate", spy)
-    base = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0", "--rate"]
-    assert main(base + ["--seed", "9"]) == EXIT_NEGATIVE
-    assert main(base + ["--restarts", "3"]) == EXIT_NEGATIVE
-    assert seen[0] == dataclasses.replace(RATE_OPTIONS, seed=9)
-    assert seen[1] == dataclasses.replace(RATE_OPTIONS, restarts=3)
-    assert (RATE_OPTIONS.restarts, RATE_OPTIONS.max_iters, RATE_OPTIONS.patience) == (
-        6, 20_000, 1200)
-
-
-def test_certify_zero_restarts_exit_64(capsys):
-    for extra in ([], ["--rate"]):
-        rc = main([
-            "certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0",
-            "--restarts", "0", *extra,
-        ])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "restarts must be >= 1" in err
-        assert "Traceback" not in err
 
 
 def test_certify_invalid_sector_exit_64(capsys):

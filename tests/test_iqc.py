@@ -236,6 +236,22 @@ def test_certificate_json_without_tau3_reads_zero():
     assert back.tau2 == 0.6
 
 
+def test_certificate_json_newton_steps_round_trip_and_default():
+    # Documents written before the barrier solver carry no newton_steps.
+    import json
+
+    cert = IqcCertificate(
+        optimizer="sgd", gamma=0.1, beta=1.0, p=np.array([[1.0]]), lam=0.09, tau1=0.0,
+        tau2=0.0, rho=0.0, lmi_max_eig=-0.09, p_min_eig=1.0, status="Feasible",
+        solver_seed=0, tau3=0.5, newton_steps=73,
+    )
+    text = certificate_to_json(cert)
+    assert certificate_from_json(text).newton_steps == 73
+    raw = json.loads(text)
+    del raw["newton_steps"]
+    assert certificate_from_json(json.dumps(raw)).newton_steps == 0
+
+
 def test_certificate_json_rejects_non_square_p():
     cert_text = certificate_to_json(
         IqcCertificate(

@@ -256,6 +256,31 @@ def test_coupled_steps_obey_certificate():
             assert v_next <= (1.0 - cert.rho) * v_now + 1e-12
 
 
+def test_region_equals_the_per_pair_loop():
+    # The one-expression sweep must give, certificate for certificate and
+    # bitwise, what verify_contraction gives pair by pair: on the 24 x 16
+    # grids of `stabcert lyapunov` and on 200 random pairs per kappa.
+    rng = np.random.default_rng(17)
+    for kappa in (1.0, 2.0, 4.0, 10.0):
+        theta = theta_of(kappa)
+        eps_lo = theta**2 if theta > 0.0 else 1e-9
+        grids = [
+            (np.linspace(eps_lo, 4.0 * (1.0 + theta) ** 2, 24),
+             np.linspace(1e-4, 0.5 / np.sqrt(kappa), 16)),
+            (rng.uniform(1e-3, 10.0, size=20), rng.uniform(1e-4, 0.9, size=10)),
+        ]
+        for eps_grid, rho_grid in grids:
+            region = find_feasible_region(theta, eps_grid, rho_grid)
+            assert region.eps_grid is eps_grid and region.rho_grid is rho_grid
+            want = [verify_contraction(theta, e, r)
+                    for e in eps_grid.tolist() for r in rho_grid.tolist()]
+            assert region.certificates == want
+            assert region.feasible == [c for c in want if c.valid]
+            assert region.empty == (not any(c.valid for c in want))
+            if not region.empty:
+                assert region.best == max(region.feasible, key=lambda c: (c.rho, -c.worst_eig))
+
+
 def test_find_feasible_region_rejects_empty_grids():
     with pytest.raises(ValueError):
         find_feasible_region(0.3, np.array([]), np.array([0.1]))

@@ -4,13 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stabcert.iqc import (
-    IqcCertificate,
-    assemble_lmi,
-    sector_lift,
-    sector_multipliers,
-    sector_product_multiplier,
-)
+from stabcert.iqc import IqcCertificate, assemble_lmi
 from stabcert.optimizers import (
     HeavyBall,
     NagSmoothQuadratic,
@@ -22,13 +16,12 @@ from stabcert.sdp import (
     FEASIBLE,
     INFEASIBLE,
     SolverOptions,
-    _lockstep,
-    _phi_and_grad,
     _Problem,
     certify_rate,
     s_lemma_cross_check,
     solve_feasibility,
     verify_certificate,
+    verify_infeasibility,
 )
 
 FAST = SolverOptions(restarts=4, max_iters=8000, patience=800)
@@ -81,86 +74,6 @@ def test_solver_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "spec, rho",
-    [
-        (Sgd(3.0), 0.0),
-        (HeavyBall(eta=1.0, mu=0.1), 0.5),
-        (NagSmoothQuadratic(SectorBounds(0.1, 1.0)), 0.3),
-        (NagSmoothQuadratic(SectorBounds(0.1, 1.0)), 0.0),
-    ],
-    ids=["sgd", "heavyball", "nag-sq", "nag-sq-first-wins"],
-)
-def test_lockstep_equals_one_restart_at_a_time(spec, rho):
-    # Every row of the lockstep search must follow, bitwise, the path its
-    # restart follows alone.  The first three cases sit above what the
-    # LMI certifies, so all six restarts run to their own ends; in the
-    # last one a later restart turns feasible first and the lower ones
-    # still run on, as they would one at a time.
-    sb = SectorBounds(0.1, 1.0)
-    prob = _Problem(lure_of(spec, sb), sb, rho, with_lam=rho == 0.0)
-    opts = SolverOptions(restarts=6, max_iters=3000, patience=300)
-    batch = _lockstep(prob, range(6), opts)
-    assert list(batch) == list(range(len(batch)))
-    winners = [r for r, res in batch.items() if res[1] < 0.0]
-    assert winners == [max(batch)] or (winners == [] and len(batch) == 6)
-    assert len({res[2] for res in batch.values()}) > 1
-    for r, (v, phi, iters, stalled) in batch.items():
-        v_alone, phi_alone, iters_alone, stalled_alone = _lockstep(prob, [r], opts)[r]
-        np.testing.assert_array_equal(v, v_alone)
-        assert (phi, iters, stalled) == (phi_alone, iters_alone, stalled_alone)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [Sgd(0.7), HeavyBall(eta=0.5, mu=0.3), NagSmoothQuadratic(SectorBounds(0.1, 1.0))],
-    ids=["sgd", "heavyball", "nag-sq"],
-)
-def test_subgradient_matches_entrywise_formula(spec):
-    # Reference: the entrywise subgradient of the extreme eigenvalues,
-    # on the LMI built by assemble_lmi.  For the LMI branch, with
-    # x = q[:s] and u = F q, d/dP_ij is u_i u_j - (1 - rho) x_i x_j
-    # (twice that off the diagonal), d/dlam is |x|^2 and d/dtau_m is
-    # q^T J^T Pi_m J q; for the P branch, d/dP_ij is -w_i w_j (twice
-    # that off the diagonal).  The last two rows have a negative definite
-    # P and no multipliers, so P's bound binds there.
-    sb = SectorBounds(0.1, 1.0)
-    system = lure_of(spec, sb)
-    rho = 0.05
-    prob = _Problem(system, sb, rho, with_lam=True)
-    opts = SolverOptions()
-    s = system.state_dim
-    rng = np.random.default_rng(5)
-    v = rng.uniform(0.1, 2.0, size=(6, prob.n_p + 4))
-    for row in v[4:]:
-        raw = rng.normal(size=(s, s))
-        row[: prob.n_p] = -(raw @ raw.T + 0.5 * np.eye(s))[prob.vech]
-        row[prob.n_p :] = 0.0
-    phi, grad = _phi_and_grad(prob, v, opts)
-    f = np.hstack([system.a, system.b])
-    j = sector_lift(system)
-    pis = (*sector_multipliers(sb), sector_product_multiplier(sb))
-    for row, g in zip(v, grad):
-        p = row[prob.p_index]
-        lam, tau1, tau2, tau3 = row[prob.n_p :]
-        vals, vecs = np.linalg.eigh(assemble_lmi(system, sb, p, lam, tau1, tau2, rho, tau3))
-        p_vals, p_vecs = np.linalg.eigh(p)
-        want = np.zeros_like(row)
-        if vals[-1] + opts.feas_margin >= opts.p_tol - p_vals[0]:
-            q = vecs[:, -1]
-            x, u = q[:s], f @ q
-            outer = np.outer(u, u) - (1.0 - rho) * np.outer(x, x)
-            want[-4] = x @ x
-            want[-3:] = [q @ j.T @ pi @ j @ q for pi in pis]
-        else:
-            w = p_vecs[:, 0]
-            outer = -np.outer(w, w)
-        for k, (a, b) in enumerate(zip(*prob.vech)):
-            want[k] = outer[a, b] * (1.0 if a == b else 2.0)
-        np.testing.assert_allclose(g, want, rtol=1e-10, atol=1e-12)
-    assert np.all(grad[4:, prob.n_p :] == 0.0) and np.any(grad[:4, prob.n_p :] != 0.0)
-
-
-@pytest.mark.parametrize(
     "name, value",
     [
         ("restarts", 0),
@@ -168,9 +81,7 @@ def test_subgradient_matches_entrywise_formula(spec):
         ("patience", 0),
         ("check_samples", 0),
         ("feas_margin", -1e-9),
-        ("stall_tol", -1.0),
         ("infeasible_margin", float("nan")),
-        ("step_cap", 0.0),
     ],
 )
 def test_solver_options_validates_fields(name, value):
@@ -283,21 +194,6 @@ def test_certify_rate_range_errors():
         certify_rate(system, sb, rho_low=0.5, rho_high=0.4)
 
 
-def test_infeasible_status_for_stalled_positive_residual():
-    # eta = 3/beta stalls clearly positive; with a budget generous enough
-    # to stall everywhere, the verdict is the operational Infeasible.
-    sb = SectorBounds(0.1, 1.0)
-    res = solve_feasibility(
-        lure_of(Sgd(3.0), sb),
-        sb,
-        "sgd",
-        options=SolverOptions(restarts=4, max_iters=12_000, patience=900),
-    )
-    assert res.status == INFEASIBLE
-    assert res.best_violation > 1e-4
-    assert all(t.stalled for t in res.traces)
-
-
 @pytest.mark.parametrize(
     "spec",
     [Sgd(0.7), HeavyBall(eta=0.5, mu=0.3), NagSmoothQuadratic(SectorBounds(0.1, 1.0))],
@@ -365,3 +261,103 @@ def test_verify_certificate_rejects_negative_tau3():
     check = verify_certificate(bad, system, sb)
     assert not check
     assert check.tau3 == -1e-3
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0, 10.0])
+def test_sgd_triple_step_has_a_verified_witness(kappa):
+    # eta = 3/beta: x+ = (1 - 3h/beta) x leaves [-1, 1] at h = beta, so
+    # no certificate exists and the dual point must prove it.
+    sb = SectorBounds(1.0 / kappa, 1.0)
+    system = lure_of(Sgd(3.0), sb)
+    res = solve_feasibility(system, sb, "sgd")
+    assert res.status == INFEASIBLE
+    assert res.certificate is None
+    check = verify_infeasibility(res.witness, system, sb)
+    assert check.ok
+    assert check.bound < 0.0 and check.z1_min_eig >= 0.0 and check.z2_min_eig >= 0.0
+
+
+def test_corrupted_witness_fails_the_check():
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(Sgd(3.0), sb)
+    witness = solve_feasibility(system, sb, "sgd").witness
+    assert verify_infeasibility(witness, system, sb)
+    negated = verify_infeasibility(dataclasses.replace(witness, z1=-witness.z1), system, sb)
+    assert not negated and negated.z1_min_eig < 0.0
+    raised = verify_infeasibility(dataclasses.replace(witness, nu=1e-3), system, sb)
+    assert not raised and raised.bound > 0.0
+    # Still PSD, but off the stationarity equations: the residuals must count.
+    shifted = dataclasses.replace(witness, z2=witness.z2 + np.eye(len(witness.z2)))
+    assert not verify_infeasibility(shifted, system, sb)
+
+
+@pytest.mark.parametrize("kappa", [12.0, 16.0, 25.0])
+def test_nag_beyond_the_sector_lmi_is_infeasible_with_a_witness(kappa):
+    # The pointwise sector LMI for nag-sq ends near kappa = 11.66.
+    sb = SectorBounds(1.0 / kappa, 1.0)
+    system = lure_of(NagSmoothQuadratic(sb), sb)
+    res = solve_feasibility(system, sb, "nag-sq")
+    assert res.status == INFEASIBLE
+    assert verify_infeasibility(res.witness, system, sb)
+
+
+def test_feasible_result_carries_no_witness():
+    sb = SectorBounds(0.1, 1.0)
+    res = solve_feasibility(lure_of(Sgd(1.0), sb), sb, "sgd")
+    assert res.status == FEASIBLE and res.witness is None
+    assert res.certificate.newton_steps == res.traces[0].iterations > 0
+
+
+@pytest.mark.parametrize("spec", [Sgd(1.0), NagSmoothQuadratic(SectorBounds(1.0, 1.0))],
+                         ids=["sgd", "nag-sq"])
+def test_degenerate_sector_is_feasible(spec):
+    # At gamma = beta the multiplier terms have a direction along which the
+    # LMI only improves; normalizing them with P keeps the solve bounded.
+    sb = SectorBounds(1.0, 1.0)
+    assert solve_feasibility(lure_of(spec, sb), sb).status == FEASIBLE
+
+
+def _scaled_specs(name, bounds):
+    if name == "sgd":
+        return Sgd(1.0 / bounds.beta)
+    if name == "heavyball":
+        return HeavyBall(eta=1.0 / bounds.beta, mu=0.3)
+    return NagSmoothQuadratic(bounds)
+
+
+@pytest.mark.parametrize("name", ["sgd", "heavyball", "nag-sq"])
+def test_verdicts_do_not_depend_on_sector_units(name):
+    # (gamma, beta) -> (c gamma, c beta) with eta * beta fixed is the same
+    # optimizer in other units, so it must get the same verdict and rate.
+    tol = 1e-4
+    for kappa in (10.0, 12.0, 25.0):
+        verdicts, rates = set(), []
+        for c in (0.04, 1.0, 25.0):
+            sb = SectorBounds(c / kappa, c)
+            system = lure_of(_scaled_specs(name, sb), sb)
+            verdicts.add(solve_feasibility(system, sb, name).status)
+            rates.append(certify_rate(system, sb, name, tol=tol).rho_star)
+        assert len(verdicts) == 1, f"kappa={kappa}: {verdicts}"
+        assert max(rates) - min(rates) <= tol, f"kappa={kappa}: {rates}"
+
+
+def test_certify_rate_sgd_is_exact():
+    # The exact supremum is 1 - (1 - 1/kappa)^2 = 0.19; a probe above it
+    # cannot verify, and the bisection ends within twice its tol.
+    sb = SectorBounds(0.1, 1.0)
+    res = certify_rate(lure_of(Sgd(1.0), sb), sb, "sgd")
+    assert 0.19 - 2e-4 <= res.rho_star <= 0.19
+
+
+@pytest.mark.parametrize(
+    "spec, floor",
+    [(HeavyBall(eta=1.0, mu=0.3), 0.120878),
+     (NagSmoothQuadratic(SectorBounds(0.1, 1.0)), 0.0644822)],
+    ids=["heavyball", "nag-sq"],
+)
+def test_certify_rate_loses_nothing(spec, floor):
+    # The rates the projected-subgradient search certified on [0.1, 1].
+    sb = SectorBounds(0.1, 1.0)
+    res = certify_rate(lure_of(spec, sb), sb)
+    assert res.status == "Certified"
+    assert res.rho_star >= floor
