@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from stabcert import cli
 from stabcert.cli import EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
 from stabcert.iqc import certificate_from_json
+from stabcert.sdp import RateResult, SolverOptions
 
 TINY_SIM = [
     "--n-base", "60", "--dim", "5", "--horizon", "60", "--trials", "2",
@@ -100,6 +102,26 @@ def test_certify_rate_honours_seed(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "Certified" in capsys.readouterr().out
     assert json.loads(out.read_text())["solver_seed"] == 5
+
+
+def test_certify_rate_options(monkeypatch, capsys):
+    # --rate starts from the solver's own defaults, as the plain mode does;
+    # --seed overrides them, and the old --restarts flag is a usage error.
+    seen = []
+
+    def spy(system, bounds, name, options=None):
+        seen.append(options)
+        return RateResult("Infeasible-at-range", 0.0, None, [])
+
+    monkeypatch.setattr(cli, "certify_rate", spy)
+    base = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0", "--rate"]
+    assert main(base + ["--seed", "9"]) == EXIT_NEGATIVE
+    assert main(base) == EXIT_NEGATIVE
+    assert seen == [SolverOptions(seed=9), SolverOptions()]
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--restarts", "3"])
+    assert exc.value.code == EXIT_USAGE
+    assert len(seen) == 2
 
 
 def test_certify_invalid_sector_exit_64(capsys):

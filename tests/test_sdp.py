@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from stabcert.iqc import IqcCertificate, assemble_lmi
+from stabcert.iqc import (
+    IqcCertificate,
+    assemble_lmi,
+    sector_lift,
+    sector_multipliers,
+    sector_product_multiplier,
+)
 from stabcert.optimizers import (
     HeavyBall,
     NagSmoothQuadratic,
@@ -71,6 +77,56 @@ def test_solver_is_deterministic():
     assert a.certificate.lam == b.certificate.lam
     assert a.certificate.tau1 == b.certificate.tau1
     assert a.certificate.tau2 == b.certificate.tau2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Sgd(0.7), HeavyBall(eta=0.5, mu=0.3), NagSmoothQuadratic(SectorBounds(0.1, 1.0))],
+    ids=["sgd", "heavyball", "nag-sq"],
+)
+def test_subgradient_matches_entrywise_formula(spec):
+    # The affine map the barrier differentiates: at the top eigenvector q
+    # of the LMI built by assemble_lmi, the subgradient of lambda_max is
+    # q^T L_k q = basis @ vec(q q^T).  Entrywise, with x = q[:s] and
+    # u = F q, d/dP_ij is u_i u_j - (1 - rho) x_i x_j (twice that off the
+    # diagonal), d/dlam is |x|^2 and d/dtau_m is q^T J^T Pi_m J q; for
+    # lambda_min(P) at its bottom eigenvector w, d/dP_ij is w_i w_j.
+    # The barrier blocks hold -LMI and P on the diagonal of F(v, t).
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    rho = 0.05
+    prob = _Problem(system, sb, rho, with_lam=True)
+    s, d = system.state_dim, prob.d
+    f = np.hstack([system.a, system.b])
+    j = sector_lift(system)
+    pis = (*sector_multipliers(sb), sector_product_multiplier(sb))
+    rng = np.random.default_rng(5)
+    for row in rng.uniform(0.1, 2.0, size=(4, prob.n_p + 4)):
+        p = row[prob.p_index]
+        lam, tau1, tau2, tau3 = row[prob.n_p :]
+        lmi = assemble_lmi(system, sb, p, lam, tau1, tau2, rho, tau3)
+        np.testing.assert_allclose(prob.lmi(p, lam, tau1, tau2, tau3), lmi,
+                                   rtol=1e-12, atol=1e-12)
+        q = np.linalg.eigh(lmi)[1][:, -1]
+        x, u = q[:s], f @ q
+        outer = np.outer(u, u) - (1.0 - rho) * np.outer(x, x)
+        want = np.zeros_like(row)
+        for k, (a, b) in enumerate(zip(*prob.vech)):
+            want[k] = outer[a, b] * (1.0 if a == b else 2.0)
+        want[-4] = x @ x
+        want[-3:] = [q @ j.T @ pi @ j @ q for pi in pis]
+        np.testing.assert_allclose(prob.basis @ np.outer(q, q).ravel(), want,
+                                   rtol=1e-10, atol=1e-12)
+        w = np.linalg.eigh(p)[1][:, 0]
+        want_p = [np.outer(w, w)[a, b] * (1.0 if a == b else 2.0) for a, b in zip(*prob.vech)]
+        np.testing.assert_allclose(prob.p_basis @ np.outer(w, w).ravel(), want_p,
+                                   rtol=1e-10, atol=1e-12)
+        t = -0.25
+        big = np.tensordot(np.r_[row[prob.free], t], prob.blocks, 1)
+        np.testing.assert_allclose(big[:d, :d], -lmi - t * np.eye(d), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(big[d : d + s, d : d + s], p - t * np.eye(s), atol=1e-12)
+        np.testing.assert_allclose(np.diag(big)[d + s :], [tau1, tau2, tau3, lam - t],
+                                   atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +248,25 @@ def test_certify_rate_range_errors():
         certify_rate(system, sb, rho_low=0.0)
     with pytest.raises(ValueError):
         certify_rate(system, sb, rho_low=0.5, rho_high=0.4)
+
+
+def test_infeasible_status_for_stalled_positive_residual():
+    # eta = 3/beta ends with a clearly positive residual -t*; the verdict
+    # is Infeasible because the dual point of that same solve verifies,
+    # and the one trace carries the residual and a closed duality gap.
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(Sgd(3.0), sb)
+    res = solve_feasibility(
+        system,
+        sb,
+        "sgd",
+        options=SolverOptions(restarts=4, max_iters=12_000, patience=900),
+    )
+    assert res.status == INFEASIBLE
+    assert res.best_violation > 1e-4
+    assert [t.best_violation for t in res.traces] == [res.best_violation]
+    assert all(0 < t.iterations <= 12_000 and t.gap <= 1e-6 for t in res.traces)
+    assert verify_infeasibility(res.witness, system, sb)
 
 
 @pytest.mark.parametrize(
