@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: certify (LMI feasibility for an optimizer/sector), lyapunov
-(direct certificate region for the sector-tuned method), bound (closed
-form stability bounds), simulate vs-n / vs-t (coupled-run experiments
-with CSV/JSON reports).
+(direct certificate region for the sector-tuned method, printed as a
+'#'/'.' map), bound (closed form stability bounds), simulate vs-n / vs-t
+(coupled-run experiments with CSV/JSON reports).
 
 Exit codes: 0 success, 2 certification negative (Infeasible,
 Inconclusive, or an empty region), 64 usage errors, 66 unreadable or
@@ -35,15 +35,8 @@ from .lyapunov import (
     verify_contraction,
 )
 from .optimizers import HeavyBall, NagSmoothQuadratic, NagStandard, SectorBounds, Sgd, lure_of, theta_of
-from .sdp import (
-    FEASIBLE,
-    SolverOptions,
-    certify_rate,
-    s_lemma_cross_check,
-    solve_feasibility,
-    verify_infeasibility,
-)
-from .simulate import ExperimentConfig, envelope_rate, stability_vs_n, stability_vs_t
+from .sdp import FEASIBLE, SolverOptions, certify_rate, solve_feasibility
+from .simulate import ExperimentConfig, stability_vs_n, stability_vs_t
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -149,18 +142,15 @@ def _cmd_certify(args) -> int:
     print(f"status         {result.status}")
     print(f"newton steps   {result.traces[0].iterations}")
     print(f"margin t*      {-result.best_violation:.3e}")
-    if result.witness is not None:
-        verified = verify_infeasibility(result.witness, system, bounds, opts)
-        print(f"dual bound     {verified.bound:.3e}")
-        print(f"witness        {'verified' if verified else 'not verified'}")
+    if result.witness_check is not None:
+        print(f"dual bound     {result.witness_check.bound:.3e}")
+        print(f"witness        {'verified' if result.witness_check else 'not verified'}")
     if result.certificate is not None:
         cert = result.certificate
-        check = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,
-                                    seed=args.seed)
         print(f"lmi max eig    {cert.lmi_max_eig:.3e}")
         print(f"p min eig      {cert.p_min_eig:.3e}")
         print(f"lambda         {cert.lam:.3e}")
-        print(f"sampled slack  {check['max_violation']:.3e}")
+        print(f"sampled slack  {result.sampled['max_violation']:.3e}")
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(certificate_to_json(cert) + "\n")
@@ -199,8 +189,13 @@ def _cmd_lyapunov(args) -> int:
     eps_grid = np.linspace(eps_lo, 4.0 * (1.0 + theta) ** 2, args.eps_points)
     rho_grid = np.linspace(1e-4, 0.5 / np.sqrt(args.kappa), args.rho_points)
     region = find_feasible_region(theta, eps_grid, rho_grid)
-    print(f"pairs swept    {len(region.certificates)}")
-    print(f"feasible pairs {len(region.feasible)}")
+    feasible = region.worst_eig <= 0.0
+    print(f"pairs swept    {feasible.size}")
+    print(f"feasible pairs {int(feasible.sum())}")
+    print(f"eps columns    [{eps_grid[0]:.3g}, {eps_grid[-1]:.3g}]")
+    print(f"rho rows       [{rho_grid[0]:.3g}, {rho_grid[-1]:.3g}], growing downward")
+    for row in feasible.T:
+        print("  " + "".join("#" if ok else "." for ok in row))
     if region.best is not None:
         best = region.best
         print(f"best           eps={best.eps:.6g} rho={best.rho:.6g} "
@@ -275,6 +270,12 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _timed_experiment(run, base, config: ExperimentConfig, sizes: int) -> tuple:
     """Run one experiment driver; return its result and a timing record."""
     t0 = time.perf_counter()
@@ -332,9 +333,7 @@ def _cmd_simulate(args) -> int:
                 "horizon": config.horizon,
                 **timing,
             }
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            _write_json(args.json_out, payload)
         return EXIT_OK
 
     result, timing = _timed_experiment(stability_vs_t, base, config, 1)
@@ -371,9 +370,7 @@ def _cmd_simulate(args) -> int:
             "master_seed": config.master_seed,
             **timing,
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.json_out, payload)
     return EXIT_OK
 
 

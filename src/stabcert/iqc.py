@@ -11,6 +11,8 @@ S-procedure lossless.  Folding nonnegative multiples of all three into
 the Lyapunov decrement condition for a feedback system gives one linear
 matrix inequality in (P, lambda, tau1, tau2, tau3); a negative
 semidefinite solution is a machine-checkable stability certificate.
+sdp.s_lemma_cross_check samples in-sector responses to check a solved
+certificate's decrement directly.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigvals_sym, loewner_leq
+from .linalg import eigvals_sym
 from .optimizers import LureSystem, SectorBounds
 
 __all__ = [
     "IqcCertificate",
     "sector_multipliers",
     "sector_product_multiplier",
-    "iqc_holds_for_gradient",
     "sector_lift",
     "assemble_lmi",
     "certificate_to_json",
@@ -54,36 +55,6 @@ def sector_product_multiplier(bounds: SectorBounds) -> np.ndarray:
     """
     mid = 0.5 * (bounds.gamma + bounds.beta)
     return np.array([[-bounds.gamma * bounds.beta, mid], [mid, -1.0]])
-
-
-def iqc_holds_for_gradient(
-    bounds: SectorBounds, hessian: np.ndarray, w: np.ndarray, w_prime: np.ndarray
-) -> tuple[float, float]:
-    """Evaluate both sector forms for a quadratic gradient difference.
-
-    Args:
-        bounds: curvature sector.
-        hessian: symmetric matrix with spectrum inside [gamma, beta]
-            (checked, error if outside).
-        w, w_prime: the two points being coupled.
-
-    Returns:
-        (v1, v2), the values of the two quadratic forms; both are
-        nonnegative for any in-sector Hessian.
-    """
-    hessian = np.asarray(hessian, dtype=float)
-    dim = hessian.shape[0]
-    eye = np.eye(dim)
-    if not loewner_leq(bounds.gamma * eye, hessian, tol=1e-9):
-        raise ValueError("hessian has curvature below gamma")
-    if not loewner_leq(hessian, bounds.beta * eye, tol=1e-9):
-        raise ValueError("hessian has curvature above beta")
-    y = np.asarray(w, dtype=float) - np.asarray(w_prime, dtype=float)
-    u = hessian @ y
-    inner = float(u @ y)
-    v1 = inner - bounds.gamma * float(y @ y)
-    v2 = inner - float(u @ u) / bounds.beta
-    return v1, v2
 
 
 def sector_lift(system: LureSystem) -> np.ndarray:

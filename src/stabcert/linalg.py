@@ -1,10 +1,11 @@
-"""Small dense symmetric eigensolver and order-cone helpers.
+"""Small dense symmetric eigensolver and closed-form 2x2 eigenvalues.
 
 Everything downstream that claims a certificate valid must be able to
 check it without trusting LAPACK, so the eigensolver here is a plain
 cyclic Jacobi iteration written against numpy arrays only.  Matrices in
 this project are tiny (dimension <= 8), where Jacobi is both accurate
-and fast enough.
+and fast enough.  eig2_general solves a general 2x2 characteristic
+quadratic from its trace and determinant.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ __all__ = [
     "Eig2",
     "sym_eigen",
     "eigvals_sym",
-    "is_psd",
-    "loewner_leq",
     "eig2_general",
 ]
 
@@ -115,20 +114,6 @@ def sym_eigen(m: np.ndarray) -> Spectrum:
 def eigvals_sym(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix (Jacobi, no vectors kept)."""
     return sym_eigen(m).values
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True if the symmetric matrix m has no eigenvalue below -tol."""
-    return bool(eigvals_sym(m)[0] >= -tol)
-
-
-def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Loewner order test a <= b, i.e. b - a is PSD up to tol."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return is_psd(b - a, tol=tol)
 
 
 class Eig2(NamedTuple):

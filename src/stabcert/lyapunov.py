@@ -10,6 +10,17 @@ with P_eps the completed-square form below.  This module builds those
 matrices, tests each pair exactly at the worst direction alpha_bar =
 1 - 1/kappa, maps the feasible (eps, rho) region, and evaluates the
 closed-form stability bounds that such certificates imply.
+
+With q = 1 - rho and s = 1 + theta, a pair needs det M_alpha_bar >= 0:
+
+    eps q^2 - [theta^2 + alpha_bar^2 eps (s^2 + eps)] q
+        + alpha_bar^2 eps theta^2 >= 0.
+
+The band of valid pairs ends near kappa = 2.914 (at kappa = 2.9 the
+best rho is about 0.0069), so the region is empty from kappa = 3 on.
+From kappa = 4 on there is a plainer witness: alpha_bar (1 + theta)
+reaches 1 (it is 0.845 at kappa = 3), so the state (1 + theta, 1) has
+V+ >= V for every eps > 0.
 """
 
 from __future__ import annotations

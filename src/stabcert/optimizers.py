@@ -2,14 +2,17 @@
 
 Covers plain SGD, heavy ball, Nesterov acceleration in its standard
 (eta, mu) form, and the smooth-quadratic Nesterov variant whose momentum
-weight theta is pinned by the condition number.  Each method is also
-exposed as a linear system in feedback with the gradient, which is what
-the Lyapunov and IQC certification layers consume.
+weight theta is pinned by the condition number.  SGD and both Nesterov
+forms have a step rule here, the reference that simulate.update_rule
+reproduces row for row.  SGD, heavy ball and the sector-tuned method
+are exposed as a linear system in feedback with the gradient (lure_of),
+which is what the Lyapunov and IQC certification layers consume; heavy
+ball has no step rule because nothing simulates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -25,12 +28,10 @@ __all__ = [
     "LureSystem",
     "theta_of",
     "sgd_step",
-    "heavy_ball_step",
     "nag_step",
     "nag_sq_step",
     "a_alpha",
     "lure_of",
-    "verify_gradient_difference",
 ]
 
 GradFn = Callable[[np.ndarray], np.ndarray]
@@ -180,17 +181,6 @@ def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerSt
     return OptimizerState(w=w, v=state.v.copy(), t=state.t + 1)
 
 
-def heavy_ball_step(
-    state: OptimizerState, grad: np.ndarray, eta: float, mu: float
-) -> OptimizerState:
-    """Polyak momentum step; state.v holds the previous iterate.
-
-    grad is the gradient already evaluated at state.w.
-    """
-    w = state.w - eta * np.asarray(grad, dtype=float) + mu * (state.w - state.v)
-    return OptimizerState(w=w, v=state.w.copy(), t=state.t + 1)
-
-
 def nag_step(state: OptimizerState, grad_at: GradFn, eta: float, mu: float) -> OptimizerState:
     """Standard Nesterov step; grad_at is called at the lookahead w + mu*v."""
     v = mu * state.v - eta * grad_at(state.w + mu * state.v)
@@ -265,33 +255,3 @@ def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
             d=np.array([[0.0]]),
         )
     raise TypeError(f"no feedback form for optimizer {type(spec).__name__}")
-
-
-def verify_gradient_difference(
-    bounds: SectorBounds,
-    trials: int = 200,
-    dim: int = 6,
-    seed: int = 0,
-) -> dict:
-    """Sample random sector quadratics and check the smoothness inequality.
-
-    Draws Hessians with eigenvalues in [gamma, beta] and random point
-    pairs, then verifies ||grad(w) - grad(w')|| <= beta * ||w - w'||.
-
-    Returns:
-        dict with max_ratio (worst observed Lipschitz ratio), trials,
-        and ok (max_ratio <= 1 up to roundoff).
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        lam = rng.uniform(bounds.gamma, bounds.beta, size=dim)
-        hess = (q * lam) @ q.T
-        w = rng.normal(size=dim)
-        w2 = rng.normal(size=dim)
-        num = float(np.linalg.norm(hess @ (w - w2)))
-        den = bounds.beta * float(np.linalg.norm(w - w2))
-        if den > 0:
-            worst = max(worst, num / den)
-    return {"max_ratio": worst, "trials": trials, "ok": worst <= 1.0 + 1e-12}

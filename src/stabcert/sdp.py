@@ -112,13 +112,20 @@ class InfeasibilityWitness:
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of one solve: best_violation is -t at the end, witness the dual
-    point behind a non-positive margin (verified iff Infeasible), else None."""
+    point behind a non-positive margin (verified iff Infeasible), else None.
+
+    sampled is the s_lemma_cross_check of the candidate behind a positive
+    margin and witness_check the verify_infeasibility of the witness, each
+    None when that check did not run.
+    """
 
     status: str
     certificate: IqcCertificate | None
     best_violation: float
     traces: list = field(default_factory=list)
     witness: InfeasibilityWitness | None = None
+    sampled: dict | None = None
+    witness_check: InfeasibilityCheck | None = None
 
 
 @dataclass(frozen=True)
@@ -365,12 +372,14 @@ def solve_feasibility(
         sampled = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,
                                       seed=opts.seed)
         status = FEASIBLE if report.ok and sampled["ok"] else INCONCLUSIVE
-        return FeasibilityResult(status, cert if status == FEASIBLE else None, -margin, traces)
+        return FeasibilityResult(status, cert if status == FEASIBLE else None, -margin, traces,
+                                 sampled=sampled)
     d, s = prob.d, prob.s
     z1, z2 = z[:d, :d].copy(), z[d : d + s, d : d + s].copy()
     witness = InfeasibilityWitness(z1, z2, _dual_bound(prob, z1, z2)[1], rho, with_lam)
-    ok = verify_infeasibility(witness, system, bounds, opts).ok
-    return FeasibilityResult(INFEASIBLE if ok else INCONCLUSIVE, None, -margin, traces, witness)
+    check = verify_infeasibility(witness, system, bounds, opts)
+    return FeasibilityResult(INFEASIBLE if check.ok else INCONCLUSIVE, None, -margin, traces,
+                             witness, witness_check=check)
 
 
 def verify_certificate(
@@ -434,10 +443,13 @@ def s_lemma_cross_check(
     Draws random states x and curvatures h in [h_low, h_high] (defaults
     to the sector), sets u = h * y for y = C x + D u, and evaluates
 
-        V(A x + B u) - (1 - rho) V(x) + lambda ||x||^2,
+        (V(A x + B u) - (1 - rho) V(x) + lambda ||x||^2) / ||x||^2,
 
     which must be <= 0 for every in-sector response if the certificate
-    is sound.  Returns the max over samples; drawing h outside the
+    is sound.  Returns the max over samples as max_violation, a margin
+    comparable with t*: for z = (x, u) the decrement is z^T LMI z minus
+    the nonnegative sector terms, and ||z||^2 >= ||x||^2, so it is at
+    most lmi_max_eig when that is negative.  Drawing h outside the
     sector should, and does, break valid certificates.
     """
     if system.input_dim != 1:
@@ -457,7 +469,8 @@ def s_lemma_cross_check(
     x_next = x @ system.a.T + np.outer(u, system.b[:, 0])
     v_next = np.einsum("ij,jk,ik->i", x_next, cert.p, x_next)
     v_now = np.einsum("ij,jk,ik->i", x, cert.p, x)
-    vals = v_next - (1.0 - cert.rho) * v_now + cert.lam * np.einsum("ij,ij->i", x, x)
+    sq = np.einsum("ij,ij->i", x, x)
+    vals = (v_next - (1.0 - cert.rho) * v_now + cert.lam * sq) / sq
     worst = float(vals.max())
     return {"ok": bool(worst <= 1e-9), "max_violation": worst, "samples": samples}
 

@@ -37,13 +37,11 @@ from .optimizers import NagSmoothQuadratic, NagStandard, OptimizerSpec, Sgd
 __all__ = [
     "ExperimentConfig",
     "CoupledTrace",
-    "StabilityReport",
     "FitResult",
     "VsNResult",
     "VsTResult",
     "update_rule",
     "coupled_run",
-    "empirical_stability",
     "envelope_rate",
     "stability_vs_n",
     "stability_vs_t",
@@ -212,33 +210,6 @@ def coupled_run(
         loss_gap=loss_gap,
         hit_snapshots=snapshots,
         max_grad_norm=max_grad,
-    )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Summary statistics over a batch of coupled runs."""
-
-    trials: int
-    mean_param_diff: float
-    max_param_diff: float
-    mean_loss_gap: float | None
-    max_loss_gap: float | None
-
-
-def empirical_stability(traces: list) -> StabilityReport:
-    """Aggregate final parameter gaps and loss gaps over trials."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    finals = np.array([tr.final_param_diff for tr in traces])
-    gaps = [tr.final_loss_gap for tr in traces]
-    has_gaps = all(g is not None for g in gaps)
-    return StabilityReport(
-        trials=len(traces),
-        mean_param_diff=float(finals.mean()),
-        max_param_diff=float(finals.max()),
-        mean_loss_gap=float(np.mean(gaps)) if has_gaps else None,
-        max_loss_gap=float(np.max(gaps)) if has_gaps else None,
     )
 
 

@@ -1,11 +1,10 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from stabcert import cli
+from stabcert import cli, sdp
 from stabcert.cli import EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
 from stabcert.iqc import certificate_from_json
 from stabcert.sdp import RateResult, SolverOptions
@@ -365,28 +364,44 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith("stabcert ")
 
 
-def test_feasibility_map_script():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "feasibility_map.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--kappas", "2,3", "--eps-points", "8",
-         "--rho-points", "4"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    kappa2, kappa3 = proc.stdout.split("kappa=")[1:]
-    assert kappa2.startswith("2 ") and kappa3.startswith("3 ")
-    assert "#" in kappa2
-    assert "#" not in kappa3
+def _map_rows(text: str) -> list:
+    return [line[2:] for line in text.splitlines()
+            if line.startswith("  ") and line[2:] and set(line[2:]) <= {"#", "."}]
 
 
-def test_stability_experiments_script(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_stability_experiments.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--trials", "2", "--outdir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for name in ("vs_n.csv", "vs_t.csv", "experiments.json"):
-        assert (tmp_path / name).is_file()
+def test_lyapunov_feasibility_map(capsys):
+    for kappa, code in (("2", EXIT_OK), ("3", EXIT_NEGATIVE)):
+        rc = main(["lyapunov", "--kappa", kappa, "--eps-points", "8", "--rho-points", "4"])
+        assert rc == code
+        text = capsys.readouterr().out
+        rows = _map_rows(text)
+        assert len(rows) == 4 and all(len(row) == 8 for row in rows)
+        feasible = next(l for l in text.splitlines() if l.startswith("feasible pairs"))
+        assert sum(row.count("#") for row in rows) == int(feasible.split()[-1])
+        # rows are rho, growing downward, and a pair valid at rho stays
+        # valid at any smaller rho
+        counts = [row.count("#") for row in rows]
+        assert counts == sorted(counts, reverse=True)
+        assert ("#" in text) == (kappa == "2")
+
+
+def test_certify_runs_each_check_once(monkeypatch, capsys):
+    calls = {}
+    for owner in (sdp, cli):
+        for name in ("verify_certificate", "s_lemma_cross_check", "verify_infeasibility"):
+            if not hasattr(owner, name):
+                continue
+
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+    base = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0"]
+    assert main(base) == EXIT_OK
+    assert calls == {"verify_certificate": 1, "s_lemma_cross_check": 1}
+    assert "sampled slack" in capsys.readouterr().out
+    calls.clear()
+    assert main(base + ["--eta", "3.0"]) == EXIT_NEGATIVE
+    assert calls == {"verify_infeasibility": 1}
+    assert "witness        verified" in capsys.readouterr().out

@@ -8,7 +8,6 @@ from stabcert.iqc import (
     assemble_lmi,
     certificate_from_json,
     certificate_to_json,
-    iqc_holds_for_gradient,
     sector_multipliers,
     sector_product_multiplier,
 )
@@ -71,23 +70,20 @@ def test_product_multiplier_is_not_in_the_cone_of_pi1_pi2():
 
 
 def test_iqc_holds_for_quadratic_gradients():
+    # For a matrix Hessian H with spectrum in [gamma, beta] and u = H y,
+    # every multiplier's form pi00 y.y + 2 pi01 u.y + pi11 u.u (Pi (x) I
+    # on the pair (y, u)) is nonnegative, the product form Pi3 included.
     sb = SectorBounds(0.2, 1.0)
+    pis = (*sector_multipliers(sb), sector_product_multiplier(sb))
     rng = np.random.default_rng(2)
     for _ in range(50):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         h = (q * rng.uniform(sb.gamma, sb.beta, size=4)) @ q.T
-        v1, v2 = iqc_holds_for_gradient(sb, h, rng.normal(size=4), rng.normal(size=4))
-        assert v1 >= -1e-10 and v2 >= -1e-10
-
-
-def test_iqc_rejects_out_of_sector_hessians():
-    sb = SectorBounds(0.2, 1.0)
-    w = np.ones(2)
-    w2 = np.zeros(2)
-    with pytest.raises(ValueError, match="below gamma"):
-        iqc_holds_for_gradient(sb, np.diag([0.05, 0.5]), w, w2)
-    with pytest.raises(ValueError, match="above beta"):
-        iqc_holds_for_gradient(sb, np.diag([0.5, 2.0]), w, w2)
+        y = rng.normal(size=4)
+        u = h @ y
+        for pi in pis:
+            value = pi[0, 0] * (y @ y) + 2.0 * pi[0, 1] * (u @ y) + pi[1, 1] * (u @ u)
+            assert value >= -1e-10
 
 
 def test_lmi_hand_built_sgd_oracle():

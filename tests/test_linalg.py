@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from stabcert.linalg import (
     eig2_general,
     eigvals_sym,
-    is_psd,
-    loewner_leq,
     sym_eigen,
 )
 
@@ -46,18 +44,6 @@ def test_sym_eigen_zero_and_scalar():
     assert np.all(spec.values == 0.0)
     spec = sym_eigen(np.array([[4.5]]))
     assert spec.values[0] == 4.5
-
-
-def test_is_psd_and_loewner():
-    assert is_psd(np.eye(3))
-    assert not is_psd(np.diag([1.0, -1e-6]))
-    assert is_psd(np.diag([1.0, -1e-12]))  # inside default tolerance
-    a = np.diag([1.0, 2.0])
-    b = np.diag([1.0, 3.0])
-    assert loewner_leq(a, b)
-    assert not loewner_leq(b, a)
-    with pytest.raises(ValueError):
-        loewner_leq(np.eye(2), np.eye(3))
 
 
 def test_eig2_general_real_and_complex():

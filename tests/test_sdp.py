@@ -212,6 +212,21 @@ def test_sampling_check_detects_out_of_sector_responses():
     assert outside["max_violation"] > 0.0
 
 
+def test_sampled_slack_is_a_margin_at_most_lmi_max_eig():
+    # Per unit ||x||^2 the sampled decrement is z^T LMI z minus nonnegative
+    # sector terms, and ||z||^2 >= ||x||^2, so it cannot exceed the LMI's
+    # top eigenvalue; solve_feasibility carries the check it ran.
+    sb = SectorBounds(0.1, 1.0)
+    for name, spec in (("sgd", Sgd(1.0)), ("heavyball", HeavyBall(eta=1.0, mu=0.3)),
+                       ("nag-sq", NagSmoothQuadratic(sb))):
+        system = lure_of(spec, sb)
+        res = solve_feasibility(system, sb, name)
+        assert res.status == FEASIBLE, name
+        sampled = s_lemma_cross_check(res.certificate, system, sb)
+        assert sampled["max_violation"] <= res.certificate.lmi_max_eig, name
+        assert res.sampled == sampled
+
+
 def test_solve_feasibility_validates_rho():
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(Sgd(1.0), sb)

@@ -25,10 +25,8 @@ from stabcert.optimizers import (
     sgd_step,
 )
 from stabcert.simulate import (
-    CoupledTrace,
     ExperimentConfig,
     coupled_run,
-    empirical_stability,
     envelope_rate,
     fit_loglog_slope,
     saturating_fit,
@@ -148,24 +146,6 @@ def test_quadratic_contraction_between_hits():
     )
     assert np.isfinite(trace.param_diff).all()
     assert trace.param_diff.max() < 50.0
-
-
-def test_empirical_stability_aggregates():
-    mk = lambda d, g: CoupledTrace(
-        param_diff=np.array([0.0, d]),
-        hits=np.array([False, True]),
-        loss_gap={2: g},
-        hit_snapshots=[],
-        max_grad_norm=1.0,
-    )
-    report = empirical_stability([mk(1.0, 0.5), mk(3.0, 0.1)])
-    assert report.trials == 2
-    assert report.mean_param_diff == pytest.approx(2.0)
-    assert report.max_param_diff == pytest.approx(3.0)
-    assert report.mean_loss_gap == pytest.approx(0.3)
-    assert report.max_loss_gap == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        empirical_stability([])
 
 
 def test_fit_loglog_recovers_power_law():
