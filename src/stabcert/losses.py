@@ -83,7 +83,8 @@ def reg_logistic_grad_rows(
     """
     z = -(y * row_dots(w, x))
     e = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    s = np.where(z >= 0, 1.0 / d, e / d)
     return (-y * s)[:, None] * x + lam * w
 
 

@@ -13,12 +13,15 @@ spawned streams are (M, n, k) for the replaced-record index, (M, n, k, 1)
 for the replacement draw, (M, n, k, 2) for the index sequence,
 (M, n, k, 3) for the subset draw, and (M, n, k, 4) for held-out probes.
 
-The drivers run all trials of one subset size in lockstep: both arms of
-every trial are rows of one (2 trials, dim) state, and each step makes
-one row gather and one row-wise logistic gradient.  The seed roles are
-unchanged, and every row is bitwise equal to its run stepped alone.
-update_rule holds the one step of each optimizer, shared by the drivers
-and coupled_run.
+The drivers run all trials of all requested subset sizes in lockstep:
+both arms of every trial are rows of one (2 runs, dim) state, with
+runs = trials times the number of sizes, and each step makes one row
+gather and one row-wise logistic gradient.  stability_vs_n steps its
+sizes together and stability_vs_t its one size.  The gap is recorded
+only at the checkpoints and the horizon.  The seed roles are unchanged,
+and every row is bitwise equal to its run stepped alone.  update_rule
+holds the one step of each optimizer, shared by the drivers and
+coupled_run.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.subset_sizes:
             raise ValueError("need at least one subset size")
+        if self.checkpoints and min(self.checkpoints) < 1:
+            raise ValueError(f"checkpoints must be >= 1, got {min(self.checkpoints)}")
         if self.checkpoints and max(self.checkpoints) > self.horizon:
             raise ValueError("checkpoints must not exceed the horizon")
         if self.neighbor_mode not in ("resample", "flip"):
@@ -213,105 +218,131 @@ def coupled_run(
     )
 
 
+def _seeded(config: ExperimentConfig, n: int, trial: int, *role: int) -> np.random.Generator:
+    """The stream of one seed role of one trial (see the module docstring)."""
+    return np.random.default_rng(np.random.SeedSequence((config.master_seed, n, trial, *role)))
+
+
 class _TrialInputs(NamedTuple):
-    """What one coupled trial draws: the subset's row ids into the base,
-    the replaced index j and its new record, the probes and the index
+    """What one coupled trial draws before it steps: the subset's row ids
+    into the base, the replaced index j, its new record and the index
     stream."""
 
     rows: np.ndarray
     j: int
     x_new: np.ndarray
     y_new: float
-    probe_x: np.ndarray | None
-    probe_y: np.ndarray | None
     idx: np.ndarray
 
 
 def _trial_inputs(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> _TrialInputs:
-    """One trial's draws under the named seed-role scheme."""
-    m = config.master_seed
-
-    def rng(*role):
-        return np.random.default_rng(np.random.SeedSequence((m, n, trial, *role)))
-
+    """One trial's draws under the named seed-role scheme, probes aside."""
     if n < base.n:
-        rows = subset_rows(base, n, rng(3))
+        rows = subset_rows(base, n, _seeded(config, n, trial, 3))
         sub = Dataset(x=base.x[rows], y=base.y[rows], sampler=base.sampler)
     else:
         rows, sub = np.arange(base.n), base
-    j = int(rng().integers(0, n))
-    x_new, y_new = neighbor_record(sub, j, config.neighbor_mode, rng(1))
-    probe_x = probe_y = None
-    if config.probes > 0:
-        probe_rng = rng(4)
-        records = [base.draw_record(probe_rng) for _ in range(config.probes)]
-        probe_x = np.array([r[0] for r in records])
-        probe_y = np.array([r[1] for r in records])
-    idx = rng(2).integers(0, n, size=config.horizon)
-    return _TrialInputs(rows, j, x_new, y_new, probe_x, probe_y, idx)
+    j = int(_seeded(config, n, trial).integers(0, n))
+    x_new, y_new = neighbor_record(sub, j, config.neighbor_mode, _seeded(config, n, trial, 1))
+    idx = _seeded(config, n, trial, 2).integers(0, n, size=config.horizon)
+    return _TrialInputs(rows, j, x_new, y_new, idx)
+
+
+def _probe_set(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> tuple:
+    """One trial's held-out probes, drawn from its own seed-role stream."""
+    probe_rng = _seeded(config, n, trial, 4)
+    records = [base.draw_record(probe_rng) for _ in range(config.probes)]
+    return np.array([r[0] for r in records]), np.array([r[1] for r in records])
 
 
 class _SizeRuns(NamedTuple):
-    """Every trial of one subset size, run in lockstep.
+    """Every trial of one subset size, cut from the lockstep state.
 
-    param_diff[k, t] is trial k's ||w - w'|| after step t+1; loss_gap[k]
-    its worst probe-loss gap at the final step (None without probes);
-    max_grad[k] the largest gradient norm either arm took.
+    steps holds the recorded step numbers, config.checkpoints and the
+    horizon, ascending and without repeats; param_diff[k, c] is trial
+    k's ||w - w'|| after step steps[c]; loss_gap[k] its worst probe-loss
+    gap at the final step (None without probes); max_grad[k] the
+    largest gradient norm either arm took.
     """
 
+    steps: np.ndarray
     param_diff: np.ndarray
     loss_gap: np.ndarray | None
     max_grad: np.ndarray
 
 
-def _lockstep(base: Dataset, n: int, config: ExperimentConfig) -> _SizeRuns:
-    """Run every trial of subset size n as one (2 trials, dim) state.
+def _lockstep(base: Dataset, sizes, config: ExperimentConfig) -> list:
+    """Run every trial of every subset size in sizes as one state.
 
-    Row k is arm a of trial k and row trials + k its arm b.  Rows are
-    gathered each step from one table: the base rows, then trial k's
-    replaced record at row base.n + k, which arm b reads in place of
-    its subset's row j.
+    Trial k of sizes[a] is run r = a trials + k.  Row r of the
+    (2 runs, dim) state is its arm a and row runs + r its arm b.  Rows
+    are gathered each step from one table: the base rows, then run r's
+    replaced record at row base.n + r, which arm b reads in place of
+    its subset's row j.  Returns one _SizeRuns per size, in the order
+    of sizes.
     """
-    if not (1 <= n <= base.n):
-        raise ValueError(f"subset size must lie in [1, {base.n}], got {n}")
-    trials, lam = config.trials, config.lambda_reg
-    inputs = [_trial_inputs(base, n, k, config) for k in range(trials)]
-    table = np.vstack([base.x] + [tr.x_new for tr in inputs])
-    labels = np.concatenate([base.y, [tr.y_new for tr in inputs]])
-    # Row ids per arm, flattened: ids[0, k n + i] is row i of trial k's
-    # subset, and ids[1] is the same except at i = j.
-    ids = np.stack([np.concatenate([tr.rows for tr in inputs])] * 2)
-    for k, tr in enumerate(inputs):
-        ids[1, k * n + tr.j] = base.n + k
-    # pos[t, k] is where step t of trial k reads in ids.
-    pos = np.stack([tr.idx for tr in inputs], axis=1)
-    pos += n * np.arange(trials)
+    sizes = [int(n) for n in sizes]
+    for n in sizes:
+        if not (1 <= n <= base.n):
+            raise ValueError(f"subset size must lie in [1, {base.n}], got {n}")
+    trials, lam, horizon = config.trials, config.lambda_reg, config.horizon
+    cells = [(n, k) for n in sizes for k in range(trials)]
+    runs = len(cells)
+    table = np.empty((base.n + runs, base.dim))
+    table[:base.n] = base.x
+    labels = np.empty(base.n + runs)
+    labels[:base.n] = base.y
+    # Row ids per arm, flattened: run r's subset starts at offset start,
+    # each size's runs after those of the sizes before it, and ids[1]
+    # is ids[0] except at run r's j.  pos[t, r] is where step t of run
+    # r reads in ids, in the narrowest integer type that holds it.
+    ids = np.empty((2, trials * sum(sizes)), dtype=np.intp)
+    pos = np.empty((horizon, runs), dtype=np.min_scalar_type(ids.shape[1] - 1))
+    start = 0
+    for r, (n, k) in enumerate(cells):
+        tr = _trial_inputs(base, n, k, config)
+        ids[:, start:start + n] = tr.rows
+        ids[1, start + tr.j] = base.n + r
+        table[base.n + r], labels[base.n + r] = tr.x_new, tr.y_new
+        pos[:, r] = tr.idx + start
+        start += n
 
+    steps = np.array(sorted({int(c) for c in config.checkpoints} | {horizon}))
+    column = {int(s): c for c, s in enumerate(steps)}
     query, update = update_rule(config.optimizer)
-    w = np.zeros((2 * trials, base.dim))
+    w = np.zeros((2 * runs, base.dim))
     v = np.zeros_like(w)
-    gaps = np.zeros((config.horizon, trials))
-    max_grad = np.zeros(trials)
-    for t in range(config.horizon):
+    gaps = np.empty((steps.size, runs))
+    # sqrt is correctly rounded and monotone, so one sqrt of the largest
+    # squared norm is bitwise the largest norm.
+    grad_sq = np.zeros(runs)
+    for t in range(horizon):
         rows = ids[:, pos[t]].ravel()
         p = query(w, v)
         g = reg_logistic_grad_rows(p, table[rows], labels[rows], lam)
         w, v = update(w, v, g)
-        norms = np.sqrt(row_dots(g, g))
-        max_grad = np.fmax(max_grad, np.fmax(norms[:trials], norms[trials:]))
-        d = w[:trials] - w[trials:]
-        gaps[t] = np.sqrt(row_dots(d, d))
+        sq = row_dots(g, g)
+        grad_sq = np.fmax(grad_sq, np.fmax(sq[:runs], sq[runs:]))
+        c = column.get(t + 1)
+        if c is not None:
+            d = w[:runs] - w[runs:]
+            gaps[c] = np.sqrt(row_dots(d, d))
+    max_grad = np.sqrt(grad_sq)
 
     loss_gap = None
     if config.probes > 0:
-        loss_gap = np.array([
-            float(np.abs(
-                reg_logistic_losses(w[k], tr.probe_x, tr.probe_y, lam)
-                - reg_logistic_losses(w[trials + k], tr.probe_x, tr.probe_y, lam)
-            ).max())
-            for k, tr in enumerate(inputs)
-        ])
-    return _SizeRuns(param_diff=gaps.T, loss_gap=loss_gap, max_grad=max_grad)
+        loss_gap = np.empty(runs)
+        for r, (n, k) in enumerate(cells):
+            px, py = _probe_set(base, n, k, config)
+            loss_gap[r] = np.abs(
+                reg_logistic_losses(w[r], px, py, lam)
+                - reg_logistic_losses(w[runs + r], px, py, lam)
+            ).max()
+    own = [slice(a * trials, (a + 1) * trials) for a in range(len(sizes))]
+    return [
+        _SizeRuns(steps, gaps[:, s].T, None if loss_gap is None else loss_gap[s], max_grad[s])
+        for s in own
+    ]
 
 
 @dataclass(frozen=True)
@@ -396,16 +427,10 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
     from the seed roles, so the per-size averages estimate stability of
     the subsampled learning problem rather than of one fixed subset.
     """
-    finals = np.zeros((len(config.subset_sizes), config.trials))
-    gaps = np.zeros_like(finals)
-    grads = np.zeros_like(finals)
-    have_gaps = config.probes > 0
-    for a, n in enumerate(config.subset_sizes):
-        runs = _lockstep(base, int(n), config)
-        finals[a] = runs.param_diff[:, -1]
-        grads[a] = runs.max_grad
-        if have_gaps:
-            gaps[a] = runs.loss_gap
+    runs = _lockstep(base, config.subset_sizes, config)
+    finals = np.array([r.param_diff[:, -1] for r in runs])
+    grads = np.array([r.max_grad for r in runs])
+    gaps = np.array([r.loss_gap for r in runs]) if config.probes > 0 else None
     means = finals.mean(axis=1)
     fit = None
     if len(config.subset_sizes) >= 3:
@@ -414,7 +439,7 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
         sizes=tuple(config.subset_sizes),
         mean_param_diff=means,
         trial_param_diff=finals,
-        trial_loss_gap=gaps if have_gaps else None,
+        trial_loss_gap=gaps,
         trial_max_grad=grads,
         fit=fit,
     )
@@ -454,7 +479,8 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     cps = np.asarray(config.checkpoints, dtype=int)
     if cps.size < 3:
         raise ValueError("need at least three checkpoints for the growth fits")
-    curves = _lockstep(base, n, config).param_diff[:, cps - 1]
+    runs = _lockstep(base, (n,), config)[0]
+    curves = runs.param_diff[:, np.searchsorted(runs.steps, cps)]
     mean_curve = curves.mean(axis=0)
 
     sector = effective_sector(base, config.lambda_reg)

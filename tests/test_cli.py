@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from stabcert import cli, sdp
+from stabcert import cli, sdp, simulate
 from stabcert.cli import EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
 from stabcert.iqc import certificate_from_json
 from stabcert.sdp import RateResult, SolverOptions
@@ -352,6 +352,22 @@ def test_simulate_checkpoint_past_horizon_exit_64(capsys):
     ])
     assert rc == EXIT_USAGE
     assert "horizon" in capsys.readouterr().err
+
+
+def test_simulate_checkpoint_below_one_exit_64(monkeypatch, capsys):
+    # Rejected with the config, before any coupled step is taken.
+    def no_stepping(*args):
+        raise AssertionError("stepped despite a checkpoint below 1")
+
+    monkeypatch.setattr(simulate, "_lockstep", no_stepping)
+    rc = main([
+        "simulate", "vs-t", *TINY_SIM,
+        "--sizes", "10", "--checkpoints", "0,10,50,60",
+    ])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "checkpoints must be >= 1, got 0" in err
+    assert "log-log" not in err
 
 
 def test_console_script_entry_point():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,8 @@ def test_config_validation():
         ExperimentConfig(subset_sizes=())
     with pytest.raises(ValueError):
         ExperimentConfig(checkpoints=(4000,), horizon=2000)
+    with pytest.raises(ValueError, match="checkpoints must be >= 1"):
+        ExperimentConfig(checkpoints=(0, 10, 50))
     with pytest.raises(ValueError):
         ExperimentConfig(neighbor_mode="clone")
 
@@ -264,7 +268,8 @@ def test_vs_t_skips_zero_gap_checkpoints(monkeypatch):
     def gaps_zeroed_until(step):
         def size_runs(*args):
             runs = real(*args)
-            runs.param_diff[:, :step] = 0.0
+            for size in runs:
+                size.param_diff[:, size.steps <= step] = 0.0
             return runs
 
         return size_runs
@@ -446,19 +451,33 @@ def _csv_base(tmp_path, n=40, dim=4):
     return base
 
 
+# Both bases hold 40 records, so size 40 runs on the whole base.
+SIZES, CHECKPOINTS = (10, 25, 40), (20, 40, 60, 80)
+
+
 @pytest.mark.parametrize(
-    "opt_name, mode, source, probes",
+    "opt_name, mode, source, probes, sizes, checkpoints",
     [
-        ("nag", "resample", "synthetic", 3),
-        ("nag", "flip", "csv", 0),
-        ("sgd", "resample", "csv", 2),
-        ("sgd", "flip", "synthetic", 0),
-        ("nag_sq", "resample", "synthetic", 0),
-        ("nag_sq", "flip", "csv", 4),
+        pytest.param("nag", "resample", "synthetic", 3, SIZES, CHECKPOINTS,
+                     id="nag-resample-synthetic-3"),
+        pytest.param("nag", "flip", "csv", 0, SIZES, CHECKPOINTS, id="nag-flip-csv-0"),
+        pytest.param("sgd", "resample", "csv", 2, SIZES, CHECKPOINTS, id="sgd-resample-csv-2"),
+        pytest.param("sgd", "flip", "synthetic", 0, SIZES, CHECKPOINTS,
+                     id="sgd-flip-synthetic-0"),
+        pytest.param("nag_sq", "resample", "synthetic", 0, SIZES, CHECKPOINTS,
+                     id="nag_sq-resample-synthetic-0"),
+        pytest.param("nag_sq", "flip", "csv", 4, SIZES, CHECKPOINTS, id="nag_sq-flip-csv-4"),
+        pytest.param("nag", "resample", "csv", 2, (25, 10, 40), CHECKPOINTS,
+                     id="nag-resample-csv-2-sizes-unsorted"),
+        pytest.param("sgd", "resample", "synthetic", 3, SIZES, (60, 20, 80, 40),
+                     id="sgd-resample-synthetic-3-checkpoints-unsorted"),
     ],
 )
-def test_lockstep_drivers_equal_per_trial_oracle(tmp_path, opt_name, mode, source, probes):
+def test_lockstep_drivers_equal_per_trial_oracle(
+    tmp_path, opt_name, mode, source, probes, sizes, checkpoints
+):
     base = synthetic_dataset(40, 4, seed=2) if source == "synthetic" else _csv_base(tmp_path)
+    assert base.n == 40
     lam = 0.01
     optimizer = {
         "nag": NagStandard(eta=0.05, mu=0.8),
@@ -470,8 +489,8 @@ def test_lockstep_drivers_equal_per_trial_oracle(tmp_path, opt_name, mode, sourc
         lambda_reg=lam,
         horizon=80,
         trials=3,
-        subset_sizes=(10, 25, base.n),
-        checkpoints=(20, 40, 60, 80),
+        subset_sizes=sizes,
+        checkpoints=checkpoints,
         neighbor_mode=mode,
         probes=probes,
         master_seed=31,
@@ -494,16 +513,28 @@ def test_lockstep_drivers_equal_per_trial_oracle(tmp_path, opt_name, mode, sourc
     else:
         assert res.trial_loss_gap is None
 
+    first = config.subset_sizes[0]
     vst = stability_vs_t(base, config)
     cps = np.asarray(config.checkpoints) - 1
     np.testing.assert_array_equal(
-        vst.trial_curves, np.array([diffs[10, k][cps] for k in range(config.trials)])
+        vst.trial_curves, np.array([diffs[first, k][cps] for k in range(config.trials)])
     )
+
+    def oracle_at(n, steps):
+        return np.array([diffs[n, k][np.asarray(steps) - 1] for k in range(config.trials)])
+
     # and at every step, not only at the reported ones
-    runs = simulate._lockstep(base, 10, config)
-    np.testing.assert_array_equal(
-        runs.param_diff, np.array([diffs[10, k] for k in range(config.trials)])
-    )
+    every = replace(config, checkpoints=tuple(range(1, config.horizon + 1)))
+    for n, runs in zip(config.subset_sizes, simulate._lockstep(base, config.subset_sizes, every)):
+        np.testing.assert_array_equal(runs.steps, np.arange(1, config.horizon + 1))
+        np.testing.assert_array_equal(runs.param_diff, oracle_at(n, runs.steps))
+    # one gap column per recorded step (the checkpoints and the horizon),
+    # never a full history
+    two = replace(config, checkpoints=(40, 20, 40))
+    for n, runs in zip(config.subset_sizes, simulate._lockstep(base, config.subset_sizes, two)):
+        np.testing.assert_array_equal(runs.steps, [20, 40, 80])
+        assert runs.param_diff.shape == (config.trials, 3)
+        np.testing.assert_array_equal(runs.param_diff, oracle_at(n, runs.steps))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
