@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     cert.add_argument("--beta", type=float, required=True)
     cert.add_argument("--eta", type=float, help="step size (sgd/heavyball; default 1/beta)")
     cert.add_argument("--mu", type=float, default=0.0, help="momentum (heavyball)")
-    cert.add_argument("--rate", action="store_true", help="bisect for the best certified rho")
+    cert.add_argument("--rate", action="store_true", help="search for the largest certifiable rho")
     cert.add_argument("--seed", type=int, default=0, help="seed of the sampling check")
     cert.add_argument("--out", help="write the certificate JSON here")
 
@@ -131,6 +131,10 @@ def _cmd_certify(args) -> int:
         print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
         print(f"status         {rate.status}")
         print(f"rho_star       {rate.rho_star:.6g}")
+        print(f"probes         {len(rate.tested)}")
+        above = [rho for rho, status in rate.tested if status != FEASIBLE and rho > rate.rho_star]
+        if above:
+            print(f"bracket        [{rate.rho_star:.6g}, {min(above):.6g}]")
         if rate.certificate is not None and args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(certificate_to_json(rate.certificate) + "\n")

@@ -464,21 +464,23 @@ class VsTResult:
 def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     """Checkpointed gap curve with log-log and saturating-envelope fits.
 
-    Runs the first configured subset size.  The envelope rate rho comes
-    from the optimizer's own contraction over the effective curvature
-    sector of the base data.  Fits use the checkpoints below the
+    Runs the first configured subset size at the distinct checkpoints,
+    in the order given, so each enters the fits once.  The envelope rate
+    rho comes from the optimizer's own contraction over the effective
+    curvature sector of the base data.  Fits use the checkpoints below the
     envelope half-life T_half (all of them when fewer than 3 qualify),
     keeping the growth fit away from the saturation plateau, and of
     those only the ones with a positive mean gap; fit_region lists them.
 
     Raises:
-        ValueError: on fewer than 3 checkpoints, or fewer than 3 left to
-            fit.
+        ValueError: on fewer than 3 distinct checkpoints, or fewer than 3
+            left to fit.
     """
     n = int(config.subset_sizes[0])
-    cps = np.asarray(config.checkpoints, dtype=int)
+    cps = np.array(list(dict.fromkeys(int(c) for c in config.checkpoints)), dtype=int)
     if cps.size < 3:
-        raise ValueError("need at least three checkpoints for the growth fits")
+        raise ValueError("need at least three checkpoints for the growth fits, counting "
+                         f"repeats once; got {cps.size} distinct")
     runs = _lockstep(base, (n,), config)[0]
     curves = runs.param_diff[:, np.searchsorted(runs.steps, cps)]
     mean_curve = curves.mean(axis=0)

@@ -89,7 +89,14 @@ def test_certify_rate_mode(capsys):
     assert "Certified" in text
     line = next(l for l in text.splitlines() if l.startswith("rho_star"))
     # sgd at eta = 1/beta contracts V by (1 - gamma/beta)^2 at the slow edge
-    assert float(line.split()[1]) == pytest.approx(1 - (1 - 0.1) ** 2, abs=5e-3)
+    rho_star = float(line.split()[1])
+    assert rho_star == pytest.approx(1 - (1 - 0.1) ** 2, abs=5e-3)
+    probes = next(l for l in text.splitlines() if l.startswith("probes"))
+    assert 3 <= int(probes.split()[1]) <= 10
+    bracket = next(l for l in text.splitlines() if l.startswith("bracket"))
+    low, high = (float(v) for v in bracket.split(None, 1)[1].strip("[]").split(","))
+    assert low == rho_star
+    assert rho_star < 0.19 < high <= rho_star + 1e-4
 
 
 def test_certify_rate_honours_seed(tmp_path, capsys):
@@ -352,6 +359,18 @@ def test_simulate_checkpoint_past_horizon_exit_64(capsys):
     ])
     assert rc == EXIT_USAGE
     assert "horizon" in capsys.readouterr().err
+
+
+def test_simulate_repeated_checkpoints_exit_64(capsys):
+    # 20,20,60 is two distinct checkpoints, too few for the growth fits.
+    rc = main([
+        "simulate", "vs-t", *TINY_SIM,
+        "--sizes", "10", "--checkpoints", "20,20,60", "--probes", "0",
+    ])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "three checkpoints" in captured.err and "2 distinct" in captured.err
+    assert "fit region" not in captured.out
 
 
 def test_simulate_checkpoint_below_one_exit_64(monkeypatch, capsys):

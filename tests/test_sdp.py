@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -18,9 +19,12 @@ from stabcert.optimizers import (
     Sgd,
     lure_of,
 )
+from stabcert import sdp
 from stabcert.sdp import (
     FEASIBLE,
+    INCONCLUSIVE,
     INFEASIBLE,
+    FeasibilityResult,
     SolverOptions,
     _Problem,
     certify_rate,
@@ -433,7 +437,7 @@ def test_verdicts_do_not_depend_on_sector_units(name):
 
 def test_certify_rate_sgd_is_exact():
     # The exact supremum is 1 - (1 - 1/kappa)^2 = 0.19; a probe above it
-    # cannot verify, and the bisection ends within twice its tol.
+    # cannot verify, and the search ends within twice its tol.
     sb = SectorBounds(0.1, 1.0)
     res = certify_rate(lure_of(Sgd(1.0), sb), sb, "sgd")
     assert 0.19 - 2e-4 <= res.rho_star <= 0.19
@@ -451,3 +455,141 @@ def test_certify_rate_loses_nothing(spec, floor):
     res = certify_rate(lure_of(spec, sb), sb)
     assert res.status == "Certified"
     assert res.rho_star >= floor
+
+
+_RATE_SPECS = [Sgd(1.0), HeavyBall(eta=1.0, mu=0.3), NagSmoothQuadratic(SectorBounds(0.1, 1.0))]
+_RATE_IDS = ["sgd", "heavyball", "nag-sq"]
+
+
+def _bisect_rate(system, sb, rho_low=1e-4, rho_high=0.999, tol=1e-4):
+    # The plain bisection the rate search replaced, kept as an oracle.
+    def feasible(rho):
+        return solve_feasibility(system, sb, rho=rho, with_lam=False).status == FEASIBLE
+
+    assert feasible(rho_low) and not feasible(rho_high)
+    lo, hi = rho_low, rho_high
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
+def test_rate_search_brackets_rho_star_in_few_probes(spec):
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    tol = 1e-4
+    res = certify_rate(system, sb, tol=tol)
+    assert res.status == "Certified"
+    assert res.certificate.rho == res.rho_star
+    assert all(status == FEASIBLE for rho, status in res.tested if rho <= res.rho_star)
+    assert any(status != FEASIBLE and res.rho_star < rho <= res.rho_star + tol
+               for rho, status in res.tested)
+    assert abs(res.rho_star - _bisect_rate(system, sb, tol=tol)) <= tol
+    assert len(res.tested) <= 10  # bisection takes 16
+
+
+def _monotone_margins(root, below, above, band):
+    # A stand-in for solve_feasibility whose margin is t = below * (root -
+    # rho) up to root and above * (root - rho) past it: Feasible up to root,
+    # then Inconclusive with a positive margin for band more, then
+    # Infeasible.  The certificate is the probed rho.  A search that
+    # stops shrinking fails here instead of running on.
+    probes = []
+
+    def solve(system, bounds, name, rho, with_lam, options):
+        assert with_lam is False
+        probes.append(rho)
+        assert len(probes) <= 1000, "the rate search does not converge"
+        if rho <= root:
+            return FeasibilityResult(FEASIBLE, rho, -below * (root - rho))
+        if rho <= root + band:
+            return FeasibilityResult(INCONCLUSIVE, None, -1e-3)
+        return FeasibilityResult(INFEASIBLE, None, -above * (root - rho))
+
+    return solve
+
+
+@pytest.mark.parametrize("root", [3e-4, 0.3, 0.998])
+@pytest.mark.parametrize(
+    "below, above, band",
+    [(1.0, 1.0, 0.0), (1.0, 1e6, 0.0), (1e6, 1e-9, 0.0), (1e-9, 1e6, 0.0),
+     (1.0, 1.0, 0.05), (1e6, 1e-9, 0.3)],
+    ids=["linear", "kinked", "skewed-high", "skewed-low", "inconclusive", "skewed-inconclusive"],
+)
+@pytest.mark.parametrize("tol", [1e-4, 1e-7])
+def test_rate_search_survives_pathological_margins(monkeypatch, root, below, above, band, tol):
+    monkeypatch.setattr(sdp, "solve_feasibility", _monotone_margins(root, below, above, band))
+    sb = SectorBounds(0.1, 1.0)
+    rho_low, rho_high = 1e-4, 0.999
+    res = certify_rate(lure_of(Sgd(1.0), sb), sb, rho_low=rho_low, rho_high=rho_high, tol=tol)
+    assert res.status == "Certified"
+    assert res.rho_star <= root and res.certificate == res.rho_star
+    rejected = [rho for rho, status in res.tested if status != FEASIBLE]
+    assert min(rejected) - res.rho_star <= tol
+    assert all(rho > root for rho in rejected)
+    # the worst case stated in certify_rate's docstring
+    assert len(res.tested) <= 2 + 3 * math.ceil(math.log2((rho_high - rho_low) / tol))
+
+
+@pytest.mark.parametrize("status, margin", [(INFEASIBLE, -1.0), (INCONCLUSIVE, 1.0)])
+def test_rate_search_step_margin_halves_like_bisection(monkeypatch, status, margin):
+    # A margin that only has a sign puts every secant root at the midpoint;
+    # an Inconclusive hi with the same margin as lo leaves no secant at all.
+    def solve(system, bounds, name, rho, with_lam, options):
+        return (FeasibilityResult(FEASIBLE, rho, -1.0) if rho <= 0.3
+                else FeasibilityResult(status, None, -margin))
+
+    monkeypatch.setattr(sdp, "solve_feasibility", solve)
+    sb = SectorBounds(0.1, 1.0)
+    res = certify_rate(lure_of(Sgd(1.0), sb), sb)
+    assert 0.3 - 1e-4 <= res.rho_star <= 0.3
+    assert len(res.tested) <= 2 + math.ceil(math.log2((0.999 - 1e-4) / 1e-4))
+
+
+def _parent_newton_step(prob, vals, vecs, mu):
+    # The Newton step as first written, with tensordot, einsum, outer and
+    # r_; _newton_step must reproduce it bit for bit.
+    n = prob.blocks.shape[0]
+    kkt = np.zeros((n + 1, n + 1))
+    inv = (vecs / vals) @ vecs.T
+    w = inv @ prob.blocks
+    grad = np.einsum("kaa->k", w)
+    grad[-1] += 1.0 / mu
+    hess = np.einsum("kab,lba->kl", w, w)
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    kkt[:n, :n] = hess * np.outer(scale, scale)
+    kkt[:n, n] = kkt[n, :n] = prob.eq * scale
+    dx = scale * np.linalg.solve(kkt, np.r_[grad * scale, 0.0])[:n]
+    return dx, grad @ dx, inv
+
+
+@pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
+@pytest.mark.parametrize("rho, with_lam", [(0.0, True), (0.1, False), (0.3, False)])
+def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, with_lam):
+    # At every iterate of a solve, F(x), the step, the decrement and F^-1
+    # equal the reference formulas exactly.
+    sb = SectorBounds(0.1, 1.0)
+    prob = sdp._unit_problem(lure_of(spec, sb), sb, rho, with_lam)
+    barrier, newton_step = sdp._barrier, sdp._newton_step
+    seen = {"points": 0, "steps": 0}
+
+    def checked_barrier(prob, x):
+        np.testing.assert_array_equal((x @ prob.flat).reshape(prob.dim, prob.dim),
+                                      np.tensordot(x, prob.blocks, 1))
+        seen["points"] += 1
+        return barrier(prob, x)
+
+    def checked_step(prob, vals, vecs, mu, kkt, rhs):
+        got = newton_step(prob, vals, vecs, mu, kkt, rhs)
+        for a, b in zip(got, _parent_newton_step(prob, vals, vecs, mu)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal((got[0] @ prob.flat).reshape(prob.dim, prob.dim),
+                                      np.tensordot(got[0], prob.blocks, 1))
+        seen["steps"] += 1
+        return got
+
+    monkeypatch.setattr(sdp, "_barrier", checked_barrier)
+    monkeypatch.setattr(sdp, "_newton_step", checked_step)
+    x, mu, z, steps = sdp._maximize_margin(prob, 500)
+    assert seen["steps"] > steps >= 20 and seen["points"] >= steps

@@ -249,6 +249,26 @@ def test_vs_t_small_smoke():
     assert np.isfinite(res.sat_coeff)
 
 
+def test_vs_t_fits_each_distinct_checkpoint_once():
+    base = synthetic_dataset(120, 6, seed=4)
+    config = ExperimentConfig(
+        optimizer=NagStandard(eta=0.01, mu=0.9),
+        horizon=200,
+        trials=2,
+        subset_sizes=(30,),
+        checkpoints=(10, 50, 150),
+        probes=0,
+        master_seed=7,
+    )
+    res = stability_vs_t(base, config)
+    again = stability_vs_t(base, replace(config, checkpoints=(10, 50, 10, 150, 50)))
+    assert again.checkpoints == res.checkpoints == (10, 50, 150)
+    assert again.fit_region == res.fit_region
+    np.testing.assert_array_equal(again.mean_curve, res.mean_curve)
+    assert again.loglog == res.loglog
+    assert (again.sat_coeff, again.sat_r2) == (res.sat_coeff, res.sat_r2)
+
+
 def test_vs_t_skips_zero_gap_checkpoints(monkeypatch):
     # Until some trial draws the replaced index the coupled runs agree
     # exactly, so a mean gap of 0 is a legitimate outcome; the fits must
