@@ -27,8 +27,8 @@ from .lyapunov import (
     build_p_eps,
     cjy_bound,
     cjy_limit,
-    contraction_rate,
     find_feasible_region,
+    fixed_curvature_rate,
     nag_stability_bound,
     nag_stability_limit,
     sgd_stability_bound,
@@ -174,9 +174,10 @@ def _cmd_lyapunov(args) -> int:
         print("give both --eps and --rho, or neither", file=sys.stderr)
         return EXIT_USAGE
     theta = theta_of(args.kappa)
-    rate = contraction_rate(args.kappa)
+    unit = SectorBounds(1.0, args.kappa)
+    rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(unit), unit), unit)
     print(f"kappa          {args.kappa:g}  (theta={theta:.6g})")
-    print(f"ideal rate     rho={rate.rho:.6g}  (spectral radius {rate.radius:.6g})")
+    print(f"ideal rate     rho={rho:.6g}  (spectral radius {np.sqrt(1.0 - rho):.6g})")
 
     if args.eps is not None:
         cert = verify_contraction(theta, args.eps, args.rho)
@@ -214,8 +215,8 @@ def _cmd_bound(args) -> int:
     bounds = SectorBounds(gamma=args.gamma, beta=args.beta, grad_bound=args.g)
     rho, source = args.rho, "--rho (given)"
     if rho is None:
-        rho = contraction_rate(bounds.kappa).rho
-        source = "contraction_rate (single curvature, not certified)"
+        rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(bounds), bounds), bounds)
+        source = "fixed_curvature_rate (single curvature, not certified)"
     nag_t = nag_stability_bound(args.g, bounds, args.n, args.t, rho=rho)
     nag_inf = nag_stability_limit(args.g, bounds, args.n)
     sgd = sgd_stability_bound(bounds, args.n)

@@ -21,6 +21,13 @@ best rho is about 0.0069), so the region is empty from kappa = 3 on.
 From kappa = 4 on there is a plainer witness: alpha_bar (1 + theta)
 reaches 1 (it is 0.845 at kappa = 3), so the state (1 + theta, 1) has
 V+ >= V for every eps > 0.
+
+fixed_curvature_rate gives the decay of any feedback form
+(optimizers.lure_of) at the slowest curvature in [gamma, beta] held
+fixed over all steps: the length-1 product lower bound on the joint
+spectral radius of the switching model (Jungers, The Joint Spectral
+Radius, 2009).  Its docstring proves that the two endpoints of the
+sector suffice: the radius of A + lam B C is quasiconvex in lam.
 """
 
 from __future__ import annotations
@@ -31,12 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import eig2_general
-from .optimizers import SectorBounds, a_alpha, theta_of
+from .optimizers import LureSystem, NagSmoothQuadratic, SectorBounds, a_alpha, lure_of
 
 __all__ = [
     "LyapunovCertificate",
     "FeasibleRegion",
-    "ContractionRate",
     "StabilityBound",
     "kappa_of_theta",
     "build_p_eps",
@@ -45,9 +51,7 @@ __all__ = [
     "assemble_m_alpha",
     "verify_contraction",
     "find_feasible_region",
-    "contraction_rate",
-    "momentum_rate",
-    "sgd_rate",
+    "fixed_curvature_rate",
     "total_expectation_recurrence",
     "nag_stability_bound",
     "nag_stability_limit",
@@ -264,79 +268,51 @@ def find_feasible_region(
     return FeasibleRegion(theta=theta, eps_grid=eps_grid, rho_grid=rho_grid, worst_eig=worst)
 
 
-class ContractionRate(NamedTuple):
-    """Per-step decay certificate for the slowest difference direction.
+def fixed_curvature_rate(system: LureSystem, bounds: SectorBounds) -> float:
+    """Squared-norm decay 1 - r^2 of a feedback form at its slowest fixed curvature.
 
-    rho is the squared-norm decay 1 - radius^2, gamma the 2x2 transition
-    matrix at the slow edge alpha = 1 - 1/kappa, radius its spectral
-    radius (equal to 1 - 1/sqrt(kappa): the eigenvalues collide there),
-    and rho_asymptotic the large-kappa approximation 2/sqrt(kappa).
-    """
+    On a curvature lam held fixed over all steps the coupled difference
+    moves by A + lam B C; r is the larger spectral radius at lam = gamma
+    and lam = beta, from |.| for a 1x1 state and linalg.eig2_general for
+    a 2x2 one.  Returns 0 when r >= 1.  The rate is not certified: a
+    curvature that switches from step to step can decay more slowly.
 
-    rho: float
-    gamma: np.ndarray
-    radius: float
-    rho_asymptotic: float
+    The two endpoints suffice.  B C has rank one, so by the matrix
+    determinant lemma
 
+        det(zI - A - lam B C) = det(zI - A) - lam C adj(zI - A) B,
 
-def contraction_rate(kappa: float) -> ContractionRate:
-    """Decay rate of the coupled difference at the slow curvature edge.
-
-    The admissible range of the direction parameter is [0, 1 - 1/kappa],
-    and the difference map is least contractive at the upper endpoint.
-    Its trace and determinant there give the spectral radius through the
-    quadratic closed form, and no norm beats rho = 1 - radius^2 per step
-    asymptotically.
+    and the trace and determinant of A + lam B C are affine in lam.  For
+    r > 0 the set {(tr, det) : radius <= r} is the Schur-Cohn triangle
+    |det| <= r^2, r |tr| <= r^2 + det, which is convex (for r = 0 it is
+    the point (0, 0)).  So every sublevel set {lam : radius <= r} is an
+    interval: the radius is quasiconvex in lam, and its maximum over
+    [gamma, beta] lies at an endpoint.  A 1x1 state is the same argument
+    on |a + lam b c|.
 
     Raises:
-        ValueError: if kappa < 1.
+        ValueError: for a state larger than 2x2, a non-scalar input or
+            output, or D != 0.
     """
-    if kappa < 1.0:
-        raise ValueError(f"condition number must be >= 1, got {kappa}")
-    theta = theta_of(kappa)
-    alpha = 1.0 - 1.0 / kappa
-    gamma = np.array([[0.0, -theta], [alpha, (1.0 + theta) * alpha]])
-    radius = eig2_general((1.0 + theta) * alpha, theta * alpha).radius
-    return ContractionRate(
-        rho=float(1.0 - radius * radius),
-        gamma=gamma,
-        radius=float(radius),
-        rho_asymptotic=float(2.0 / np.sqrt(kappa)),
-    )
-
-
-def momentum_rate(eta: float, mu: float, bounds: SectorBounds) -> float:
-    """Squared-norm decay rate for the (eta, mu) lookahead-momentum loop.
-
-    On a quadratic direction with curvature lam the coupled difference
-    map has trace (1+mu) b and determinant mu b, with b = 1 - eta*lam.
-    Its spectral radius is nondecreasing in |b| (sqrt(mu b) for a complex
-    pair, and increasing in |b| on either side of 0 for a real pair), so
-    the worst curvature is an endpoint of the sector and the rate is
-    1 - r^2 with r the larger radius at lam = gamma and lam = beta.
-    Returns 0 if the loop does not contract.
-    """
-    if eta <= 0.0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    if not (0.0 <= mu < 1.0):
-        raise ValueError(f"momentum must lie in [0, 1), got {mu}")
+    if system.state_dim > 2:
+        raise ValueError(f"need a 1x1 or 2x2 state, got {system.state_dim}")
+    if system.input_dim != 1 or system.c.shape[0] != 1:
+        raise ValueError("need a scalar gradient channel")
+    if np.any(system.d != 0.0):
+        raise ValueError("need D = 0")
+    bc = system.b @ system.c
     worst = 0.0
     for lam in (bounds.gamma, bounds.beta):
-        base = 1.0 - eta * float(lam)
-        worst = max(worst, eig2_general((1.0 + mu) * base, mu * base).radius)
+        m = system.a + lam * bc
+        if system.state_dim == 1:
+            radius = abs(float(m[0, 0]))
+        else:
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            radius = eig2_general(m[0, 0] + m[1, 1], det).radius
+        worst = max(worst, radius)
     if worst >= 1.0:
         return 0.0
     return float(1.0 - worst * worst)
-
-
-def sgd_rate(eta: float, bounds: SectorBounds) -> float:
-    """Squared-norm decay rate for plain gradient steps over the sector."""
-    if eta <= 0.0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    r = max(abs(1.0 - eta * bounds.gamma), abs(1.0 - eta * bounds.beta))
-    if r >= 1.0:
-        return 0.0
-    return float(1.0 - r * r)
 
 
 def total_expectation_recurrence(rho: float, c: float, t: int) -> float:
@@ -357,7 +333,7 @@ def total_expectation_recurrence(rho: float, c: float, t: int) -> float:
 
 
 def _check_bound_args(g: float, n: int, t: int | None = None) -> None:
-    if g < 0.0:
+    if not g >= 0.0:
         raise ValueError(f"Lipschitz constant must be >= 0, got {g}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -385,14 +361,14 @@ def nag_stability_bound(
         param = (4 G kappa^{1/4} / (beta sqrt(n))) * sqrt(1 - (1-rho)^T)
         loss  = G * param
 
-    rho defaults to contraction_rate(kappa).rho, the rate at one fixed
-    curvature; no certificate backs it, since switching curvature from
-    step to step can decay more slowly.  Monotone increasing in
-    T, decreasing in n, saturating at nag_stability_limit as T grows.
+    rho defaults to the tuned method's fixed_curvature_rate over bounds;
+    no certificate backs it, since switching curvature from step to step
+    can decay more slowly.  Monotone increasing in T, decreasing in n,
+    saturating at nag_stability_limit as T grows.
     """
     _check_bound_args(g, n, t)
     if rho is None:
-        rho = contraction_rate(bounds.kappa).rho
+        rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(bounds), bounds), bounds)
     if not (0.0 < rho <= 1.0):
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     sat = 1.0 - (1.0 - rho) ** t

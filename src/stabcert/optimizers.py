@@ -4,10 +4,10 @@ Covers plain SGD, heavy ball, Nesterov acceleration in its standard
 (eta, mu) form, and the smooth-quadratic Nesterov variant whose momentum
 weight theta is pinned by the condition number.  SGD and both Nesterov
 forms have a step rule here, the reference that simulate.update_rule
-reproduces row for row.  SGD, heavy ball and the sector-tuned method
-are exposed as a linear system in feedback with the gradient (lure_of),
-which is what the Lyapunov and IQC certification layers consume; heavy
-ball has no step rule because nothing simulates it.
+reproduces row for row.  All four are exposed as a linear system in
+feedback with the gradient (lure_of), which is what the Lyapunov rate
+and the IQC certification layers consume; heavy ball has no step rule
+because nothing simulates it.
 """
 
 from __future__ import annotations
@@ -52,12 +52,14 @@ class SectorBounds:
     grad_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma <= self.beta):
+        if not (0.0 < self.gamma <= self.beta < np.inf):
             raise ValueError(
-                f"need 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}"
+                f"need finite 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}"
             )
-        if self.grad_bound is not None and self.grad_bound <= 0.0:
-            raise ValueError(f"gradient bound must be positive, got {self.grad_bound}")
+        if self.grad_bound is not None and not (0.0 < self.grad_bound < np.inf):
+            raise ValueError(
+                f"gradient bound must be positive and finite, got {self.grad_bound}"
+            )
 
     @property
     def kappa(self) -> float:
@@ -71,8 +73,8 @@ class Sgd:
     eta: float
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.eta}")
+        if not (0.0 < self.eta < np.inf):
+            raise ValueError(f"step size must be positive and finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class HeavyBall:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.eta}")
+        if not (0.0 < self.eta < np.inf):
+            raise ValueError(f"step size must be positive and finite, got {self.eta}")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.mu}")
 
@@ -100,8 +102,8 @@ class NagStandard:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.eta}")
+        if not (0.0 < self.eta < np.inf):
+            raise ValueError(f"step size must be positive and finite, got {self.eta}")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.mu}")
 
@@ -164,10 +166,10 @@ def theta_of(kappa: float) -> float:
     Zero at kappa = 1, strictly increasing, approaches 1 from below.
 
     Raises:
-        ValueError: if kappa < 1.
+        ValueError: if kappa < 1 or is not finite.
     """
-    if kappa < 1.0:
-        raise ValueError(f"condition number must be >= 1, got {kappa}")
+    if not (1.0 <= kappa < np.inf):
+        raise ValueError(f"condition number must be finite and >= 1, got {kappa}")
     rt = np.sqrt(kappa)
     return float((rt - 1.0) / (rt + 1.0))
 
@@ -221,12 +223,15 @@ def a_alpha(theta: float, alpha: float) -> np.ndarray:
 def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
     """Feedback-form matrices (A, B, C, D) for a supported optimizer.
 
-    The gradient enters as u = grad(y) with y = C x + D u.  Supported:
-    Sgd, HeavyBall, NagSmoothQuadratic.  The standard (eta, mu) Nesterov
-    variant is simulation-only here and raises.
+    The gradient enters as u = grad(y) with y = C x + D u, and D = 0 for
+    all four specs.  On a fixed curvature lam the coupled difference
+    therefore moves by the closed loop A + lam B C.  The state of each
+    form maps onto the step rule's (w, v): Sgd x = (w), NagStandard
+    x = (w, v), HeavyBall x = (w_t, w_{t-1}), and NagSmoothQuadratic
+    x = (v_t, v_{t-1}) with w_t = C x.
 
     Raises:
-        TypeError: for unsupported optimizer variants.
+        TypeError: for an unknown optimizer type.
     """
     if isinstance(spec, Sgd):
         return LureSystem(
@@ -241,6 +246,14 @@ def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
             a=np.array([[1.0 + spec.mu, -spec.mu], [1.0, 0.0]]),
             b=np.array([[-spec.eta], [0.0]]),
             c=np.array([[1.0, 0.0]]),
+            d=np.array([[0.0]]),
+        )
+    if isinstance(spec, NagStandard):
+        # State (w, v); the query y = w + mu v, v+ = mu v - eta u, w+ = w + v+.
+        return LureSystem(
+            a=np.array([[1.0, spec.mu], [0.0, spec.mu]]),
+            b=np.array([[-spec.eta], [-spec.eta]]),
+            c=np.array([[1.0, spec.mu]]),
             d=np.array([[0.0]]),
         )
     if isinstance(spec, NagSmoothQuadratic):

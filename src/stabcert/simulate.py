@@ -34,8 +34,8 @@ import numpy as np
 
 from .data import Dataset, effective_sector, neighbor_record, subset_rows
 from .losses import reg_logistic_grad_rows, reg_logistic_losses, row_dots
-from .lyapunov import contraction_rate, momentum_rate, sgd_rate
-from .optimizers import NagSmoothQuadratic, NagStandard, OptimizerSpec, Sgd
+from .lyapunov import fixed_curvature_rate
+from .optimizers import NagSmoothQuadratic, NagStandard, OptimizerSpec, Sgd, lure_of
 
 __all__ = [
     "ExperimentConfig",
@@ -394,14 +394,12 @@ def saturating_fit(steps: np.ndarray, values: np.ndarray, rho: float) -> tuple[f
 
 
 def envelope_rate(optimizer: OptimizerSpec, sector) -> float:
-    """Squared-norm decay rate of the given optimizer over a sector."""
-    if isinstance(optimizer, NagStandard):
-        return momentum_rate(optimizer.eta, optimizer.mu, sector)
-    if isinstance(optimizer, Sgd):
-        return sgd_rate(optimizer.eta, sector)
-    if isinstance(optimizer, NagSmoothQuadratic):
-        return contraction_rate(optimizer.bounds.kappa).rho
-    raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
+    """Squared-norm decay rate of the optimizer's feedback form over a sector.
+
+    lyapunov.fixed_curvature_rate of lure_of(optimizer, sector): the
+    slowest curvature of the data sector held fixed, not certified.
+    """
+    return fixed_curvature_rate(lure_of(optimizer, sector), sector)
 
 
 @dataclass(frozen=True)

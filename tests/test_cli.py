@@ -136,6 +136,22 @@ def test_certify_invalid_sector_exit_64(capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "-G", "nan", "--gamma", "0.1", "--beta", "1", "-n", "10", "-T", "10"],
+     "gradient bound must be positive and finite, got nan"),
+    (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1", "--eta", "nan"],
+     "step size must be positive and finite, got nan"),
+    (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "inf"],
+     "need finite 0 < gamma <= beta, got gamma=0.1, beta=inf"),
+    (["lyapunov", "--kappa", "inf"], "condition number must be finite and >= 1, got inf"),
+], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf"])
+def test_non_finite_inputs_exit_64(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_lyapunov_region_found(capsys):
     rc = main(["lyapunov", "--kappa", "2"])
     assert rc == EXIT_OK
@@ -199,7 +215,7 @@ def test_bound_names_rho_source(capsys):
     base = ["bound", "-G", "2", "--gamma", "0.1", "--beta", "1.0", "-n", "100", "-T", "1000"]
     assert main(base) == EXIT_OK
     text = capsys.readouterr().out
-    assert "rho source     contraction_rate (single curvature, not certified)" in text
+    assert "rho source     fixed_curvature_rate (single curvature, not certified)" in text
     assert main(base + ["--rho", "0.2"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "rho source     --rho (given)" in text

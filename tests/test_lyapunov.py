@@ -10,19 +10,28 @@ from stabcert.lyapunov import (
     build_p_eps,
     cjy_bound,
     cjy_limit,
-    contraction_rate,
     find_feasible_region,
+    fixed_curvature_rate,
     kappa_of_theta,
     lyapunov_value,
-    momentum_rate,
     nag_stability_bound,
     nag_stability_limit,
-    sgd_rate,
     sgd_stability_bound,
     total_expectation_recurrence,
     verify_contraction,
 )
-from stabcert.optimizers import OptimizerState, SectorBounds, nag_sq_step, theta_of
+from stabcert.optimizers import (
+    HeavyBall,
+    LureSystem,
+    NagSmoothQuadratic,
+    NagStandard,
+    OptimizerState,
+    SectorBounds,
+    Sgd,
+    lure_of,
+    nag_sq_step,
+    theta_of,
+)
 
 thetas = st.floats(0.0, 0.95)
 eps_vals = st.floats(1e-6, 10.0)
@@ -288,52 +297,47 @@ def test_find_feasible_region_rejects_empty_grids():
         find_feasible_region(0.3, np.array([0.1]), np.array([]))
 
 
+def _tuned_rate(kappa):
+    unit = SectorBounds(1.0, kappa)
+    return fixed_curvature_rate(lure_of(NagSmoothQuadratic(unit), unit), unit)
+
+
 def test_contraction_rate_values():
-    unit = contraction_rate(1.0)
-    assert unit.rho == pytest.approx(1.0)
-    assert unit.radius == 0.0
+    assert _tuned_rate(1.0) == pytest.approx(1.0)
+    assert np.sqrt(1.0 - _tuned_rate(1.0)) == 0.0
     # radius = 1 - 1/sqrt(kappa) (the eigenvalues collide: zero
     # discriminant for every kappa), so rho = (2*sqrt(kappa) - 1)/kappa.
     for kappa in (2.0, 10.0, 100.0, 1e6):
-        rate = contraction_rate(kappa)
-        assert rate.radius == pytest.approx(1.0 - 1.0 / np.sqrt(kappa), rel=1e-12)
+        rho = _tuned_rate(kappa)
+        assert np.sqrt(1.0 - rho) == pytest.approx(1.0 - 1.0 / np.sqrt(kappa), rel=1e-12)
         want = (2.0 * np.sqrt(kappa) - 1.0) / kappa
-        assert rate.rho == pytest.approx(want, rel=1e-12)
-        assert rate.rho_asymptotic == pytest.approx(2.0 / np.sqrt(kappa), rel=1e-12)
-        # transition matrix at the slow edge alpha = 1 - 1/kappa
-        th = theta_of(kappa)
-        alpha = 1.0 - 1.0 / kappa
-        np.testing.assert_allclose(
-            rate.gamma, [[0.0, -th], [alpha, (1.0 + th) * alpha]]
-        )
-        tr = float(np.trace(rate.gamma))
-        det = float(np.linalg.det(rate.gamma))
-        assert tr == pytest.approx((1.0 + th) * alpha, rel=1e-12)
-        assert det == pytest.approx(th * alpha, rel=1e-12)
+        assert rho == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
-        contraction_rate(0.9)
+        SectorBounds(1.0, 0.9)
 
 
 def test_momentum_rate_frozen_value():
     # Logistic experiment envelope: eta=0.01, mu=0.9 over the sector
     # [1e-3, 1e-3 + 0.25 * max row norm^2] observed in the synthetic set.
     sector = SectorBounds(1e-3, 17.23549271455961)
-    rho = momentum_rate(0.01, 0.9, sector)
+    rho = fixed_curvature_rate(lure_of(NagStandard(0.01, 0.9), sector), sector)
     assert rho == pytest.approx(2.0015227765168842e-4, rel=1e-9)
 
 
-def _momentum_rate_on_grid(eta, mu, bounds, grid=600):
-    # Reference: worst spectral radius over a geometric curvature grid.
-    worst = 0.0
-    for lam in np.geomspace(bounds.gamma, bounds.beta, grid):
-        base = 1.0 - eta * float(lam)
-        worst = max(worst, eig2_general((1.0 + mu) * base, mu * base).radius)
+def _rate_on_grid(system, bounds, grid=600):
+    # Reference: worst spectral radius of the closed loop A + lam B C
+    # over a geometric curvature grid.
+    lam = np.geomspace(bounds.gamma, bounds.beta, grid)[:, None, None]
+    m = system.a + lam * (system.b @ system.c)
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    worst = max(eig2_general(t, d).radius for t, d in zip(tr.tolist(), det.tolist()))
     return 0.0 if worst >= 1.0 else float(1.0 - worst * worst)
 
 
 def test_momentum_rate_matches_curvature_grid():
-    # The radius is nondecreasing in |1 - eta*lam|, so the sector's two
-    # endpoints give the same worst case as a dense scan.
+    # The radius of A + lam B C is quasiconvex in lam, so the sector's
+    # two endpoints give the same worst case as a dense scan.
     rng = np.random.default_rng(12)
     unstable = 0
     for _ in range(300):
@@ -341,29 +345,43 @@ def test_momentum_rate_matches_curvature_grid():
         sector = SectorBounds(gamma, gamma * 10.0 ** rng.uniform(0.0, 4.0))
         eta = 10.0 ** rng.uniform(-3.0, 0.5) / sector.beta
         mu = rng.uniform(0.0, 0.99)
-        got = momentum_rate(eta, mu, sector)
-        want = _momentum_rate_on_grid(eta, mu, sector)
-        assert got == pytest.approx(want, abs=1e-15, rel=1e-12)
-        unstable += got == 0.0
+        for spec in (NagStandard(eta, mu), HeavyBall(eta, mu), NagSmoothQuadratic(sector)):
+            system = lure_of(spec, sector)
+            got = fixed_curvature_rate(system, sector)
+            want = _rate_on_grid(system, sector)
+            assert got == pytest.approx(want, abs=1e-15, rel=1e-12), spec
+            unstable += isinstance(spec, NagStandard) and got == 0.0
     assert 0 < unstable < 300
 
 
 def test_momentum_rate_zero_when_unstable():
     # huge step blows past the sector: no contraction to certify
-    assert momentum_rate(3.0, 0.9, SectorBounds(0.5, 1.0)) == 0.0
+    sector = SectorBounds(0.5, 1.0)
+    assert fixed_curvature_rate(lure_of(NagStandard(3.0, 0.9), sector), sector) == 0.0
     with pytest.raises(ValueError):
-        momentum_rate(-0.1, 0.9, SectorBounds(0.5, 1.0))
+        NagStandard(-0.1, 0.9)
     with pytest.raises(ValueError):
-        momentum_rate(0.1, 1.0, SectorBounds(0.5, 1.0))
+        NagStandard(0.1, 1.0)
 
 
 def test_sgd_rate_closed_form():
     sb = SectorBounds(0.1, 1.0)
     # eta = 1/beta: radius max(|1 - 0.1|, 0) = 0.9
-    assert sgd_rate(1.0, sb) == pytest.approx(1.0 - 0.81, rel=1e-12)
-    assert sgd_rate(3.0, sb) == 0.0  # |1 - 3| = 2 >= 1
+    assert fixed_curvature_rate(lure_of(Sgd(1.0), sb), sb) == pytest.approx(1.0 - 0.81, rel=1e-12)
+    assert fixed_curvature_rate(lure_of(Sgd(3.0), sb), sb) == 0.0  # |1 - 3| = 2 >= 1
     with pytest.raises(ValueError):
-        sgd_rate(0.0, sb)
+        Sgd(0.0)
+
+
+def test_fixed_curvature_rate_rejects_unsupported_forms():
+    sb = SectorBounds(0.1, 1.0)
+    one = np.array([[0.0]])
+    with pytest.raises(ValueError, match="state"):
+        fixed_curvature_rate(LureSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)), one), sb)
+    with pytest.raises(ValueError, match="scalar"):
+        fixed_curvature_rate(LureSystem(np.eye(2), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2))), sb)
+    with pytest.raises(ValueError, match="D = 0"):
+        fixed_curvature_rate(LureSystem(np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))), sb)
 
 
 @given(

@@ -17,6 +17,7 @@ from stabcert.optimizers import (
     sgd_step,
     theta_of,
 )
+from stabcert.simulate import update_rule
 
 kappas = st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -34,6 +35,16 @@ def test_sector_bounds_validation():
         SectorBounds(-1.0, 1.0)
     with pytest.raises(ValueError):
         SectorBounds(0.1, 1.0, grad_bound=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SectorBounds(0.1, bad)
+        with pytest.raises(ValueError, match="finite"):
+            SectorBounds(bad, 1.0)
+        with pytest.raises(ValueError, match="gradient bound"):
+            SectorBounds(0.1, 1.0, grad_bound=bad)
+        for make in (Sgd, lambda eta: HeavyBall(eta, 0.5), lambda eta: NagStandard(eta, 0.5)):
+            with pytest.raises(ValueError, match="step size"):
+                make(bad)
 
 
 def test_theta_endpoints():
@@ -41,6 +52,9 @@ def test_theta_endpoints():
     assert theta_of(4.0) == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
         theta_of(0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="condition number"):
+            theta_of(bad)
 
 
 @given(kappas)
@@ -134,8 +148,14 @@ def test_lure_realizations():
     np.testing.assert_allclose(nag4.b, [[-1.0], [0.0]])
     np.testing.assert_allclose(nag4.c, [[4.0 / 3.0, -1.0 / 3.0]])
 
+    std = lure_of(NagStandard(eta=0.01, mu=0.9), sb)
+    np.testing.assert_allclose(std.a, [[1.0, 0.9], [0.0, 0.9]])
+    np.testing.assert_allclose(std.b, [[-0.01], [-0.01]])
+    np.testing.assert_allclose(std.c, [[1.0, 0.9]])
+    assert np.all(std.d == 0.0)
+
     with pytest.raises(TypeError):
-        lure_of(NagStandard(eta=0.01, mu=0.9), sb)
+        lure_of(object(), sb)
 
 
 def test_lure_matches_step_dynamics():
@@ -155,3 +175,36 @@ def test_lure_matches_step_dynamics():
         z = sys_.a @ z + sys_.b[:, 0] * (h * y)
         state = nag_sq_step(state, h * state.w, sb)
     assert float(sys_.c[0] @ z) == pytest.approx(state.w[0], abs=1e-12)
+
+
+# Feedback state -> the step state (w, v) that update_rule steps.  The
+# NagSmoothQuadratic map (v_t, v_{t-1}) -> (C x, x[0]) is criterion 9's.
+_STEP_STATE = {
+    "sgd": (Sgd(0.7), lambda system, x: (x[0], 0.0)),
+    "nag": (NagStandard(0.4, 0.8), lambda system, x: (x[0], x[1])),
+    "nag-sq": (NagSmoothQuadratic(SectorBounds(0.2, 1.0)),
+               lambda system, x: (float(system.c[0] @ x), x[0])),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_STATE))
+def test_lure_matches_update_rule(name):
+    # The feedback form x+ = A x + B (h C x) and simulate.update_rule's
+    # (query, update) are one optimizer: stepped side by side on a
+    # quadratic direction of curvature h they stay on the mapped state.
+    spec, step_state = _STEP_STATE[name]
+    sb = SectorBounds(0.2, 1.0)
+    system = lure_of(spec, sb)
+    query, update = update_rule(spec)
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(20):
+        h = rng.uniform(sb.gamma, sb.beta)
+        x = rng.normal(size=system.state_dim)
+        w, v = (np.array([[z]]) for z in step_state(system, x))
+        for _ in range(100):
+            x = system.a @ x + system.b[:, 0] * (h * float(system.c[0] @ x))
+            w, v = update(w, v, h * query(w, v))
+            want_w, want_v = step_state(system, x)
+            worst = max(worst, abs(want_w - w[0, 0]), abs(want_v - v[0, 0]))
+    assert worst <= 1e-10

@@ -12,6 +12,7 @@ from stabcert.iqc import (
     sector_multipliers,
     sector_product_multiplier,
 )
+from stabcert.lyapunov import fixed_curvature_rate
 from stabcert.optimizers import (
     HeavyBall,
     NagSmoothQuadratic,
@@ -487,6 +488,23 @@ def test_rate_search_brackets_rho_star_in_few_probes(spec):
                for rho, status in res.tested)
     assert abs(res.rho_star - _bisect_rate(system, sb, tol=tol)) <= tol
     assert len(res.tested) <= 10  # bisection takes 16
+
+
+@pytest.mark.parametrize(
+    "spec, fixed",
+    list(zip(_RATE_SPECS, (0.19, 0.286061, 0.532456))),
+    ids=_RATE_IDS,
+)
+def test_certified_rate_never_beats_a_fixed_curvature(spec, fixed):
+    # A certificate covers every curvature sequence, the fixed ones too,
+    # so rho* cannot exceed the single-curvature rate beyond the search's
+    # tol.  sgd meets it: its LMI rate is exact.
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    tol = 1e-4
+    rate = fixed_curvature_rate(system, sb)
+    assert rate == pytest.approx(fixed, abs=1e-6)
+    assert certify_rate(system, sb, tol=tol).rho_star <= rate + tol
 
 
 def _monotone_margins(root, below, above, band):

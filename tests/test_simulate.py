@@ -14,7 +14,6 @@ from stabcert.data import (
     synthetic_dataset,
 )
 from stabcert.losses import LogisticTask, random_sector_quadratics, reg_logistic_grad
-from stabcert.lyapunov import contraction_rate
 from stabcert.optimizers import (
     HeavyBall,
     NagSmoothQuadratic,
@@ -182,12 +181,17 @@ def test_saturating_fit_recovers_coefficient():
 def test_envelope_rate_dispatch():
     sector = SectorBounds(0.1, 1.0)
     assert envelope_rate(Sgd(1.0), sector) == pytest.approx(1.0 - 0.81)
-    assert envelope_rate(
-        NagSmoothQuadratic(sector), sector
-    ) == pytest.approx(contraction_rate(10.0).rho)
+    # tuned sector's rho = (2 sqrt(kappa) - 1)/kappa at kappa = 10
+    assert envelope_rate(NagSmoothQuadratic(sector), sector) == pytest.approx(
+        (2.0 * np.sqrt(10.0) - 1.0) / 10.0)
     assert envelope_rate(NagStandard(0.01, 0.9), sector) > 0.0
-    with pytest.raises(TypeError):
-        envelope_rate(HeavyBall(0.1, 0.5), sector)
+    # real roots of z^2 - (1.5 - 0.1 lam) z + 0.5, slowest at lam = 0.1
+    assert envelope_rate(HeavyBall(0.1, 0.5), sector) == pytest.approx(
+        1.0 - (0.745 + np.sqrt(0.745**2 - 0.5)) ** 2, rel=1e-12)
+    # tuned for [1, 10] but run on data in [0.1, 1]: the rate is over the
+    # data sector, not the tuned sector's 0.532456
+    tuned = NagSmoothQuadratic(SectorBounds(1.0, 10.0))
+    assert envelope_rate(tuned, sector) == pytest.approx(0.041694, abs=1e-6)
 
 
 def test_config_validation():
