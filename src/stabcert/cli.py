@@ -131,6 +131,10 @@ def _cmd_certify(args) -> int:
         print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
         print(f"status         {rate.status}")
         print(f"rho_star       {rate.rho_star:.6g}")
+        if rate.reference is None:
+            print("reference      none")
+        else:
+            print(f"reference      {rate.reference:.6g}  (one-step, exact)")
         print(f"probes         {len(rate.tested)}")
         above = [rho for rho, status in rate.tested if status != FEASIBLE and rho > rate.rho_star]
         if above:
@@ -174,13 +178,13 @@ def _cmd_lyapunov(args) -> int:
         print("give both --eps and --rho, or neither", file=sys.stderr)
         return EXIT_USAGE
     theta = theta_of(args.kappa)
+    cert = None if args.eps is None else verify_contraction(theta, args.eps, args.rho)
     unit = SectorBounds(1.0, args.kappa)
     rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(unit), unit), unit)
     print(f"kappa          {args.kappa:g}  (theta={theta:.6g})")
     print(f"ideal rate     rho={rho:.6g}  (spectral radius {np.sqrt(1.0 - rho):.6g})")
 
-    if args.eps is not None:
-        cert = verify_contraction(theta, args.eps, args.rho)
+    if cert is not None:
         _print_p_eps(theta, args.eps)
         print(f"pair           eps={cert.eps:.6g} rho={cert.rho:.6g}")
         print(f"worst eig      {cert.worst_eig:.6e} at alpha={cert.worst_alpha:.6g}")

@@ -80,6 +80,8 @@ def synthetic_dataset(
     """
     if n < 1 or dim < 1:
         raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
+    if not np.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     x = rng.normal(size=(n, dim))
@@ -197,8 +199,8 @@ def effective_sector(
     (the origin plus random directions at probe_radius).  That is an
     estimate for bound tables, not a certificate.
     """
-    if lam <= 0.0:
-        raise ValueError(f"regularization must be positive, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"regularization lambda_reg must be positive and finite, got {lam}")
     beta = lam + 0.25 * float(np.sum(data.x**2, axis=1).max())
     rng = np.random.default_rng(seed)
     ws = np.zeros((probes + 1, data.dim))

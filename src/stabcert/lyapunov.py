@@ -28,6 +28,13 @@ fixed over all steps: the length-1 product lower bound on the joint
 spectral radius of the switching model (Jungers, The Joint Spectral
 Radius, 2009).  Its docstring proves that the two endpoints of the
 sector suffice: the radius of A + lam B C is quasiconvex in lam.
+
+one_step_rate gives the exact supremum of the one-step rate-mode sector
+LMI for the same forms: the largest rho at which the two endpoint
+closed loops, divided by sqrt(1 - rho), share a quadratic Lyapunov
+function, decided in closed form by the test of Shorten & Narendra
+(Int. J. Adaptive Control and Signal Processing, 2002).  sdp.certify_rate
+opens its search there.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ __all__ = [
     "verify_contraction",
     "find_feasible_region",
     "fixed_curvature_rate",
+    "one_step_rate",
     "total_expectation_recurrence",
     "nag_stability_bound",
     "nag_stability_limit",
@@ -74,10 +82,10 @@ def build_p_eps(theta: float, eps: float) -> np.ndarray:
     Positive definite for eps > 0 with det = eps exactly.
 
     Raises:
-        ValueError: if eps <= 0.
+        ValueError: unless 0 < eps < inf.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     s = 1.0 + theta
     return np.array([[1.0, -s], [-s, s * s + eps]])
 
@@ -87,15 +95,15 @@ def bound_c_eps(theta: float, eps: float) -> float:
 
     Equals the (1,1) entry of P_eps^{-1}: 1 + (1 + theta)^2 / eps.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     return 1.0 + (1.0 + theta) ** 2 / eps
 
 
 def lyapunov_value(theta: float, eps: float, dw: float, dv: float) -> float:
     """V_eps = (dw - (1+theta) dv)^2 + eps * dv^2."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     resid = dw - (1.0 + theta) * dv
     return float(resid * resid + eps * dv * dv)
 
@@ -174,10 +182,10 @@ def verify_contraction(
     grid_points is accepted for older callers and ignored.
 
     Raises:
-        ValueError: on eps <= 0 or rho outside (0, 1).
+        ValueError: on eps outside (0, inf) or rho outside (0, 1).
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     worst, bar = _worst_eig(theta, eps, rho)
@@ -313,6 +321,87 @@ def fixed_curvature_rate(system: LureSystem, bounds: SectorBounds) -> float:
     if worst >= 1.0:
         return 0.0
     return float(1.0 - worst * worst)
+
+
+def _cayley(m: list, q: float) -> tuple:
+    """(M - qI) adj(M + qI), row-major, for a 2x2 M given as nested lists.
+
+    When M/q is Schur, det(M + qI) > 0 and this is a positive multiple
+    of the Cayley transform (M/q - I)(M/q + I)^-1, which is Hurwitz and
+    has the same quadratic Lyapunov functions as M/q.
+    """
+    (a, b), (c, d) = m
+    return (a - q) * (d + q) - b * c, 2.0 * q * b, 2.0 * q * c, (d - q) * (a + q) - b * c
+
+
+def _has_negative_real_eig(tr: float, det: float) -> bool:
+    """Whether a real 2x2 matrix with this trace and det has a negative real eigenvalue."""
+    return det < 0.0 or (tr < 0.0 and tr * tr >= 4.0 * det)
+
+
+def _common_lyapunov(m1: list, m2: list, q: float) -> bool:
+    """Whether M1/q and M2/q share a P > 0 with (M/q)^T P (M/q) < P.
+
+    Both must be Schur (the Schur-Cohn triangle |det| < q^2,
+    q |tr| < q^2 + det).  Their Cayley transforms H1, H2 are then
+    Hurwitz, with det > 0, and by Shorten & Narendra they share a P
+    exactly when neither H1 H2 nor H1 H2^-1 has a negative real
+    eigenvalue.  H1 adj(H2) is a positive multiple of H1 H2^-1, and
+    both products have det H1 det H2.
+    """
+    qq = q * q
+    for (a, b), (c, d) in (m1, m2):
+        det = a * d - b * c
+        if not (abs(det) < qq and q * abs(a + d) < qq + det):
+            return False
+    a11, a12, a21, a22 = _cayley(m1, q)
+    b11, b12, b21, b22 = _cayley(m2, q)
+    det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
+    product = a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22
+    quotient = a11 * b22 - a12 * b21 - a21 * b12 + a22 * b11
+    return not (_has_negative_real_eig(product, det) or _has_negative_real_eig(quotient, det))
+
+
+def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
+    """Exact supremum of the one-step rate-mode sector LMI, or None.
+
+    Covers 1x1 and 2x2 states with a scalar gradient channel and D = 0;
+    returns None for any other form.  On such a channel the sector
+    product multiplier makes the S-procedure lossless, and A -> A^T P A
+    is convex, so the rate-mode LMI at rho is feasible exactly when the
+    endpoint closed loops A + gamma B C and A + beta B C, divided by
+    q = sqrt(1 - rho), share a quadratic Lyapunov function (CQLF).
+    Feasibility only grows with q, so the supremum is 1 - q*^2 for the
+    smallest such q*.
+
+    For a 1x1 state any P > 0 serves, and the rate is
+    fixed_curvature_rate.  For a 2x2 state q* is bisected to the last
+    bit on the closed-form Shorten-Narendra test (see _common_lyapunov),
+    whose negative-real-eigenvalue decisions come from trace and det
+    (det < 0, or tr < 0 and tr^2 >= 4 det), so no eigenvalue tolerance
+    enters.  Returns 0 when no rho > 0 has a CQLF.
+
+    The equivalence holds for the supremum, not at it.  The LMI is
+    strict, and a strict inequality that holds at some q still holds a
+    little below it, so at rho* itself the LMI fails: every rate below
+    the returned value is certifiable, and it is not.
+    """
+    if (system.state_dim > 2 or system.input_dim != 1 or system.c.shape[0] != 1
+            or np.any(system.d != 0.0)):
+        return None
+    if system.state_dim == 1:
+        return fixed_curvature_rate(system, bounds)
+    bc = system.b @ system.c
+    m1, m2 = ((system.a + lam * bc).tolist() for lam in (bounds.gamma, bounds.beta))
+    if not _common_lyapunov(m1, m2, 1.0):
+        return 0.0
+    lo, hi = 0.0, 1.0  # q* lies in (lo, hi]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _common_lyapunov(m1, m2, mid):
+            hi = mid
+        else:
+            lo = mid
+    return 1.0 - hi * hi
 
 
 def total_expectation_recurrence(rho: float, c: float, t: int) -> float:

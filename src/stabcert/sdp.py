@@ -20,10 +20,13 @@ by weak duality; a negative bound proves infeasibility.
 
 certify_rate finds the largest certifiable decay rate rho*, a
 quasiconvex generalized-eigenvalue problem (Boyd, El Ghaoui, Feron &
-Balakrishnan 1994), by a safeguarded regula falsi on the probe margins
-t*(rho), which are nearly linear near rho*: it stops once a Feasible and
-a non-Feasible probe lie within tol, after at most
-2 + 3 ceil(log2(range / tol)) probes (about 8 in practice).
+Balakrishnan 1994).  It stops once a Feasible and a non-Feasible probe
+lie within tol.  Its first two probes sit 0.4 tol above and below
+lyapunov.one_step_rate, the exact supremum for 1x1 and 2x2 states on a
+scalar channel, and close the bracket for every supported optimizer.
+Where the reference is missing or wrong, a safeguarded regula falsi on
+the probe margins t*(rho), which are nearly linear near rho*, takes
+over, after at most 3 + 3 ceil(log2(range / tol)) probes in all.
 
 LAPACK searches and Jacobi trusts.  Statuses: Feasible (the candidate
 passed verify_certificate and the sector sampling check), Infeasible
@@ -39,6 +42,7 @@ import numpy as np
 
 from .iqc import IqcCertificate, sector_lift, sector_multipliers, sector_product_multiplier
 from .linalg import sym_eigen
+from .lyapunov import one_step_rate
 from .optimizers import LureSystem, SectorBounds
 
 __all__ = [
@@ -137,12 +141,18 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class RateResult:
-    """Outcome of the search for the largest certifiable rho."""
+    """Outcome of the search for the largest certifiable rho.
+
+    reference is lyapunov.one_step_rate of the system (None where that
+    does not apply); the search opens at it when it lies inside the
+    searched range.
+    """
 
     status: str
     rho_star: float
     certificate: IqcCertificate | None
     tested: list = field(default_factory=list)
+    reference: float | None = None
 
 
 @dataclass(frozen=True)
@@ -342,22 +352,21 @@ def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None
     return float((nu + np.abs(stat - nu * diag).sum()) / scale), nu, pair[prob.n_p + 1 :] + nu
 
 
-def _make_cert(system, bounds, prob, x, name, steps, opts) -> IqcCertificate:
+def _make_cert(bounds, prob, x, name, steps, opts) -> IqcCertificate:
     """The certificate of barrier point x, mapped back from the units u/beta.
 
     It is scaled by max(1, beta^2), so that its LMI and P clear -t and t
-    in the caller's units as they do in the solver's.
+    in the caller's units as they do in the solver's.  Its lmi_max_eig
+    and p_min_eig are nan until verify_certificate has measured them.
     """
     beta = bounds.beta
     v = np.zeros(prob.n_p + 4)
     v[prob.free] = x[:-1] * max(1.0, beta * beta)
     lam, tau1, tau2, tau3 = (float(c) for c in v[prob.n_p :] / [1.0, beta, beta, beta * beta])
-    cert = IqcCertificate(
+    return IqcCertificate(
         optimizer=name, gamma=bounds.gamma, beta=beta, p=v[prob.p_index], lam=lam,
-        tau1=tau1, tau2=tau2, rho=prob.rho, lmi_max_eig=0.0, p_min_eig=0.0,
+        tau1=tau1, tau2=tau2, rho=prob.rho, lmi_max_eig=np.nan, p_min_eig=np.nan,
         status=FEASIBLE, solver_seed=opts.seed, tau3=tau3, newton_steps=steps)
-    lmi_top, p_bot = cert.recompute_eigs(system, bounds)
-    return replace(cert, lmi_max_eig=lmi_top, p_min_eig=p_bot)
 
 
 def solve_feasibility(
@@ -392,8 +401,9 @@ def solve_feasibility(
     margin = float(x[-1])
     traces = [RestartTrace(steps, -margin, prob.dim * mu)]
     if margin > 0.0:
-        cert = _make_cert(system, bounds, prob, x, optimizer_name, steps, opts)
+        cert = _make_cert(bounds, prob, x, optimizer_name, steps, opts)
         report = verify_certificate(cert, system, bounds, opts)
+        cert = replace(cert, lmi_max_eig=report.lmi_max_eig, p_min_eig=report.p_min_eig)
         sampled = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,
                                       seed=opts.seed)
         status = FEASIBLE if report.ok and sampled["ok"] else INCONCLUSIVE
@@ -482,19 +492,19 @@ def s_lemma_cross_check(
     rng = np.random.default_rng(seed)
     lo = bounds.gamma if h_low is None else h_low
     hi = bounds.beta if h_high is None else h_high
-    s = system.state_dim
-    x = rng.normal(size=(samples, s))
+    x = rng.normal(size=(samples, system.state_dim))
     h = rng.uniform(lo, hi, size=samples)
     d = float(system.d[0, 0])
-    y = x @ system.c[0]
     denom = 1.0 - h * d
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("feedthrough makes the feedback loop singular")
-    u = h * y / denom
-    x_next = x @ system.a.T + np.outer(u, system.b[:, 0])
-    v_next = np.einsum("ij,jk,ik->i", x_next, cert.p, x_next)
-    v_now = np.einsum("ij,jk,ik->i", x, cert.p, x)
-    sq = np.einsum("ij,ij->i", x, x)
+    # One sample per column: every product below has two operands.
+    xt = x.T
+    u = h * (system.c[0] @ xt) / denom
+    xt_next = system.a @ xt + system.b * u
+    v_next = np.einsum("ij,ij->j", cert.p @ xt_next, xt_next)
+    v_now = np.einsum("ij,ij->j", cert.p @ xt, xt)
+    sq = np.einsum("ij,ij->j", xt, xt)
     vals = (v_next - (1.0 - cert.rho) * v_now + cert.lam * sq) / sq
     worst = float(vals.max())
     return {"ok": bool(worst <= 1e-9), "max_violation": worst, "samples": samples}
@@ -513,22 +523,34 @@ def certify_rate(
 
     Feasibility is monotone in rho (any certificate at rho works for
     smaller rho), so the certifiable rates form an interval (0, rho*).
-    The search keeps a bracket [lo, hi], lo Feasible and hi not, and
-    places each probe at the root of the secant through the margins
+    The search keeps a bracket [lo, hi], lo Feasible and hi not.
+
+    It opens at the reference ref = lyapunov.one_step_rate, the exact
+    supremum for 1x1 and 2x2 states on a scalar channel, when both
+    ref + 0.4 tol and ref - 0.4 tol lie inside (rho_low, rho_high).  It
+    probes ref + 0.4 tol, then (unless that was Feasible) ref - 0.4 tol.
+    Not Feasible then Feasible closes the bracket in these 2 probes, as
+    it does for every supported optimizer.  Any other outcome keeps the
+    probed rhos as bracket ends, and rho_low or rho_high is probed only
+    for an end still missing.  So a wrong reference costs probes, never
+    correctness: rho* is always a verified Feasible probe.
+
+    Then each probe goes to the root of the secant through the margins
     t = -best_violation at lo and hi (regula falsi), clamped into
     [lo + tol/2, hi - tol/2] so that a good estimate closes the bracket
     from either side.  It bisects instead when the secant has no root
     in the bracket (as when hi is Inconclusive with t >= 0), or when the
     last two probes together did not halve the bracket.  So any three
-    probes in a row halve it, and the search stops once hi - lo <= tol
-    after at most 2 + 3 ceil(log2((rho_high - rho_low) / tol)) probes
-    (44 at the defaults; 7 or 8 for the supported optimizers).  Probes are rate-mode solves (no
-    lambda coupling) and count only when Feasible.  If even rho_low is
-    not certifiable the result is Infeasible-at-range.
+    probes in a row halve it, and the search stops once hi - lo <= tol.
+    With w = rho_high - rho_low that takes at most 2 + 3 ceil(log2(w / tol))
+    probes without a reference (44 at the defaults), and one more with a
+    wrong one (45).  Probes are rate-mode solves (no lambda coupling) and
+    count only when Feasible.  If even the lowest probe is not
+    certifiable the result is Infeasible-at-range.
 
     Returns:
         RateResult with rho_star the largest rho found feasible (lo), its
-        certificate, and the list of (rho, status) probes.
+        certificate, the list of (rho, status) probes and the reference.
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
@@ -540,12 +562,24 @@ def certify_rate(
         tested.append((rho, res.status))
         return res
 
-    if (low := probe(rho_low)).status != FEASIBLE:
-        return RateResult("Infeasible-at-range", 0.0, None, tested)
-    if (high := probe(rho_high)).status == FEASIBLE:
-        return RateResult("Certified", rho_high, high.certificate, tested)
-    lo, t_lo, cert = rho_low, -low.best_violation, low.certificate
-    hi, t_hi = rho_high, -high.best_violation
+    ref, gap = one_step_rate(system, bounds), 0.4 * tol
+    low = high = None  # the bracket ends as (rho, probe result)
+    if ref is not None and rho_low < ref - gap and ref + gap < rho_high:
+        for rho in (ref + gap, ref - gap):
+            if (res := probe(rho)).status == FEASIBLE:
+                low = rho, res
+                break
+            high = rho, res
+    if low is None:
+        if (res := probe(rho_low)).status != FEASIBLE:
+            return RateResult("Infeasible-at-range", 0.0, None, tested, ref)
+        low = rho_low, res
+    if high is None:
+        if (res := probe(rho_high)).status == FEASIBLE:
+            return RateResult("Certified", rho_high, res.certificate, tested, ref)
+        high = rho_high, res
+    (lo, res_lo), (hi, res_hi) = low, high
+    t_lo, cert, t_hi = -res_lo.best_violation, res_lo.certificate, -res_hi.best_violation
     widths = [hi - lo]  # the bracket width before each probe
     while hi - lo > tol:
         if t_hi < 0.0 < t_lo and not (len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]):
@@ -558,4 +592,4 @@ def certify_rate(
         else:
             hi, t_hi = rho, -res.best_violation
         widths.append(hi - lo)
-    return RateResult("Certified", lo, cert, tested)
+    return RateResult("Certified", lo, cert, tested, ref)

@@ -91,8 +91,10 @@ def test_certify_rate_mode(capsys):
     # sgd at eta = 1/beta contracts V by (1 - gamma/beta)^2 at the slow edge
     rho_star = float(line.split()[1])
     assert rho_star == pytest.approx(1 - (1 - 0.1) ** 2, abs=5e-3)
+    # the search opens at the exact one-step rate and closes in two probes
+    assert "reference      0.19  (one-step, exact)" in text
     probes = next(l for l in text.splitlines() if l.startswith("probes"))
-    assert 3 <= int(probes.split()[1]) <= 10
+    assert int(probes.split()[1]) == 2
     bracket = next(l for l in text.splitlines() if l.startswith("bracket"))
     low, high = (float(v) for v in bracket.split(None, 1)[1].strip("[]").split(","))
     assert low == rho_star
@@ -124,6 +126,7 @@ def test_certify_rate_options(monkeypatch, capsys):
     assert main(base + ["--seed", "9"]) == EXIT_NEGATIVE
     assert main(base) == EXIT_NEGATIVE
     assert seen == [SolverOptions(seed=9), SolverOptions()]
+    assert capsys.readouterr().out.count("reference      none\n") == 2
     with pytest.raises(SystemExit) as exc:
         main(base + ["--restarts", "3"])
     assert exc.value.code == EXIT_USAGE
@@ -144,7 +147,15 @@ def test_certify_invalid_sector_exit_64(capsys):
     (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "inf"],
      "need finite 0 < gamma <= beta, got gamma=0.1, beta=inf"),
     (["lyapunov", "--kappa", "inf"], "condition number must be finite and >= 1, got inf"),
-], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf"])
+    (["lyapunov", "--kappa", "2", "--eps", "nan", "--rho", "0.05"],
+     "eps must be positive and finite, got nan"),
+    (["lyapunov", "--kappa", "2", "--eps", "inf", "--rho", "0.05"],
+     "eps must be positive and finite, got inf"),
+    (["simulate", "vs-t", "--lambda-reg", "nan"],
+     "regularization lambda_reg must be positive and finite, got nan"),
+    (["simulate", "vs-t", "--separation", "nan"], "separation must be finite, got nan"),
+], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
+        "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan"])
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

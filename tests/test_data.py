@@ -170,3 +170,15 @@ def test_effective_sector_gradient_estimate():
     # deterministic in the seed
     again = effective_sector(data, lam)
     assert again.grad_bound == sector.grad_bound
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_effective_sector_rejects_bad_regularization(value):
+    with pytest.raises(ValueError, match="lambda_reg must be positive and finite"):
+        effective_sector(synthetic_dataset(20, 3, seed=1), value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_synthetic_dataset_rejects_non_finite_separation(value):
+    with pytest.raises(ValueError, match="separation must be finite"):
+        synthetic_dataset(20, 3, separation=value)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import lyapunov
 from stabcert.linalg import eig2_general
 from stabcert.lyapunov import (
     assemble_m_alpha,
@@ -16,6 +17,7 @@ from stabcert.lyapunov import (
     lyapunov_value,
     nag_stability_bound,
     nag_stability_limit,
+    one_step_rate,
     sgd_stability_bound,
     total_expectation_recurrence,
     verify_contraction,
@@ -451,3 +453,102 @@ def test_cjy_bound_and_limit():
     # decay factor 1 - 1/sqrt(100) = 0.9
     assert cjy_bound(sb, 50, 1) == pytest.approx(lim * 0.1, rel=1e-12)
     assert cjy_bound(sb, 50, 10**6) == pytest.approx(lim, rel=1e-12)
+
+
+_UNIT = SectorBounds(0.1, 1.0)
+
+
+def _nag_sq(kappa):
+    sb = SectorBounds(1.0, kappa)
+    return lure_of(NagSmoothQuadratic(sb), sb), sb
+
+
+@pytest.mark.parametrize("system, sb, exact", [
+    (lure_of(Sgd(1.0), _UNIT), _UNIT, 0.19),
+    (lure_of(HeavyBall(eta=1.0, mu=0.3), _UNIT), _UNIT, 0.121240647),
+    (lure_of(HeavyBall(eta=0.5, mu=0.5), _UNIT), _UNIT, 0.0644766639),
+    (lure_of(NagStandard(eta=1.0, mu=0.5), _UNIT), _UNIT, 7.0 / 79.0),
+    (*_nag_sq(10.0), 0.4 * (np.sqrt(10.0) - 3.0)),
+    (*_nag_sq(4.0), 0.5),
+    (*_nag_sq(2.0), 2.0 * (np.sqrt(2.0) - 1.0)),
+], ids=["sgd", "heavyball-1-0.3", "heavyball-0.5-0.5", "nag-standard", "nag-sq-10", "nag-sq-4",
+        "nag-sq-2"])
+def test_one_step_rate_values(system, sb, exact):
+    # sgd and nag-sq have closed forms, and NagStandard(1, 0.5) lands on
+    # 7/79.  The heavyball pins are frozen values; test_sdp checks that
+    # the SDP certifies every pin 0.4 tol below it and not 0.4 tol above.
+    assert one_step_rate(system, sb) == pytest.approx(exact, abs=1e-9)
+
+
+def test_one_step_rate_nag_sq_region_ends_at_kappa_star():
+    kappa_star = 6.0 + 4.0 * np.sqrt(2.0)
+    assert one_step_rate(*_nag_sq(kappa_star - 1e-6)) > 0.0
+    assert one_step_rate(*_nag_sq(kappa_star + 1e-6)) == 0.0
+    assert one_step_rate(*_nag_sq(12.0)) == 0.0
+
+
+@given(eta=st.floats(0.05, 3.0), mu=st.floats(0.0, 0.95), gamma=st.floats(0.01, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_one_step_rate_never_beats_a_fixed_curvature(eta, mu, gamma):
+    # A common Lyapunov function makes both endpoint loops contract, so
+    # the one-step rate is at most the fixed-curvature one; for a 1x1
+    # state they are equal.
+    sb = SectorBounds(gamma, 1.0)
+    for spec in (HeavyBall(eta, mu), NagStandard(eta, mu)):
+        system = lure_of(spec, sb)
+        rate = one_step_rate(system, sb)
+        assert 0.0 <= rate <= fixed_curvature_rate(system, sb) + 1e-12
+    system = lure_of(Sgd(eta), sb)
+    assert one_step_rate(system, sb) == fixed_curvature_rate(system, sb)
+
+
+def test_one_step_rate_is_none_for_unsupported_forms():
+    one = np.array([[0.0]])
+    assert one_step_rate(LureSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)), one), _UNIT) is None
+    assert one_step_rate(
+        LureSystem(np.eye(2), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2))), _UNIT) is None
+    assert one_step_rate(
+        LureSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1))), _UNIT) is None
+
+
+def _grid_decrement(m1, m2):
+    # The smallest, over a grid of P > 0 (every orientation, eigenvalue
+    # ratios 1e-4 to 1e4), of the largest eigenvalue of M^T P M - P per
+    # unit trace P, worst of the two matrices.  Negative means that grid
+    # point is a common quadratic Lyapunov function.
+    theta = np.linspace(0.0, np.pi, 180, endpoint=False)[:, None]
+    ratio = np.exp(np.linspace(np.log(1e-4), np.log(1e4), 161))[None, :]
+    c, s = np.cos(theta), np.sin(theta)
+    p00, p01, p11 = c * c + ratio * s * s, c * s * (1.0 - ratio), s * s + ratio * c * c
+    worst = np.full(p00.shape, -np.inf)
+    for (a, b), (g, d) in (m1, m2):
+        q00 = a * a * p00 + 2.0 * a * g * p01 + g * g * p11 - p00
+        q01 = a * b * p00 + (a * d + b * g) * p01 + g * d * p11 - p01
+        q11 = b * b * p00 + 2.0 * b * d * p01 + d * d * p11 - p11
+        top = 0.5 * (q00 + q11) + np.sqrt(0.25 * (q00 - q11) ** 2 + q01 * q01)
+        worst = np.maximum(worst, top / (p00 + p11))
+    return float(worst.min())
+
+
+def test_common_lyapunov_test_agrees_with_a_search_over_p():
+    # General 2x2 pairs, not rank-one differences as on a scalar channel:
+    # a grid point that contracts both proves a common P exists, and a
+    # pair accepted with room to spare (at q = 0.98) has one on the grid.
+    # Some pairs fail only the H1 H2^-1 condition, so both conditions count.
+    rng = np.random.default_rng(1)
+    quotient_only = 0
+    for _ in range(300):
+        m1, m2 = (0.7 * rng.normal(size=(2, 2))).tolist(), (0.7 * rng.normal(size=(2, 2))).tolist()
+        found = _grid_decrement(m1, m2) < -1e-9
+        if found:
+            assert lyapunov._common_lyapunov(m1, m2, 1.0)
+        if lyapunov._common_lyapunov(m1, m2, 0.98):
+            assert found
+        schur = all(max(abs(np.linalg.eigvals(m))) < 1.0 for m in (m1, m2))
+        a11, a12, a21, a22 = lyapunov._cayley(m1, 1.0)
+        b11, b12, b21, b22 = lyapunov._cayley(m2, 1.0)
+        det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
+        product = a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22
+        if schur and not lyapunov._has_negative_real_eig(product, det):
+            quotient_only += not lyapunov._common_lyapunov(m1, m2, 1.0)
+    assert quotient_only > 0

@@ -1,6 +1,6 @@
 """The README's examples must run as printed.
 
-The Python API block is executed, and the console blocks of two CLI
+The Python API block is executed, and the console blocks of five CLI
 examples are compared line for line with what cli.main prints.
 """
 
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stabcert.cli import EXIT_OK, main
+from stabcert.cli import EXIT_NEGATIVE, EXIT_OK, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -44,10 +44,14 @@ def test_python_api_block_runs(capsys):
 
 
 @pytest.mark.parametrize("command", [
+    "stabcert certify --optimizer sgd --gamma 0.1 --beta 1 --out cert.json",
+    "stabcert certify --optimizer sgd --gamma 0.1 --beta 1 --eta 3",
     "stabcert lyapunov --kappa 2 --eps 1.0 --rho 0.05",
     "stabcert bound -G 1 --gamma 0.1 --beta 1 -n 1000 -T 2000",
+    "stabcert certify --optimizer sgd --gamma 0.1 --beta 1 --rate",
 ])
-def test_console_example_matches_cli(command, capsys):
+def test_console_example_matches_cli(command, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # for the files the examples write
     want = _console_output(command)
-    assert main(command.split()[1:]) == EXIT_OK
+    assert main(command.split()[1:]) == (EXIT_NEGATIVE if "--eta 3" in command else EXIT_OK)
     assert capsys.readouterr().out.splitlines() == want

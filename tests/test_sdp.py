@@ -12,10 +12,11 @@ from stabcert.iqc import (
     sector_multipliers,
     sector_product_multiplier,
 )
-from stabcert.lyapunov import fixed_curvature_rate
+from stabcert.lyapunov import fixed_curvature_rate, one_step_rate
 from stabcert.optimizers import (
     HeavyBall,
     NagSmoothQuadratic,
+    NagStandard,
     SectorBounds,
     Sgd,
     lure_of,
@@ -546,7 +547,9 @@ def test_rate_search_survives_pathological_margins(monkeypatch, root, below, abo
     rejected = [rho for rho, status in res.tested if status != FEASIBLE]
     assert min(rejected) - res.rho_star <= tol
     assert all(rho > root for rho in rejected)
-    # the worst case stated in certify_rate's docstring
+    # the worst case without a reference, stated in certify_rate's
+    # docstring: sgd's reference 0.19, wrong for these margins, leaves a
+    # bracket too narrow to need the one probe more it may cost
     assert len(res.tested) <= 2 + 3 * math.ceil(math.log2((rho_high - rho_low) / tol))
 
 
@@ -563,6 +566,102 @@ def test_rate_search_step_margin_halves_like_bisection(monkeypatch, status, marg
     res = certify_rate(lure_of(Sgd(1.0), sb), sb)
     assert 0.3 - 1e-4 <= res.rho_star <= 0.3
     assert len(res.tested) <= 2 + math.ceil(math.log2((0.999 - 1e-4) / 1e-4))
+
+
+_REFERENCE_CASES = {
+    # name: (spec for a sector, the sector at unit scale)
+    "sgd": (lambda sb: Sgd(1.0 / sb.beta), (0.1, 1.0)),
+    "heavyball-1-0.3": (lambda sb: HeavyBall(1.0 / sb.beta, 0.3), (0.1, 1.0)),
+    "heavyball-0.5-0.5": (lambda sb: HeavyBall(0.5 / sb.beta, 0.5), (0.1, 1.0)),
+    "nag-standard": (lambda sb: NagStandard(1.0 / sb.beta, 0.5), (0.1, 1.0)),
+    "nag-sq-10": (NagSmoothQuadratic, (0.1, 1.0)),
+    "nag-sq-4": (NagSmoothQuadratic, (0.25, 1.0)),
+    "nag-sq-2": (NagSmoothQuadratic, (0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("scale", [0.04, 1.0, 25.0])
+@pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+def test_rate_search_closes_at_the_reference_in_two_probes(name, scale):
+    # The SDP rejects ref + 0.4 tol and certifies ref - 0.4 tol, in any
+    # units of the sector, so rho* lies in [ref - tol, ref] after 2 probes.
+    make, (gamma, beta) = _REFERENCE_CASES[name]
+    sb = SectorBounds(scale * gamma, scale * beta)
+    system = lure_of(make(sb), sb)
+    tol = 1e-4
+    ref = one_step_rate(system, sb)
+    res = certify_rate(system, sb, tol=tol)
+    assert res.reference == ref
+    assert [status for rho, status in res.tested] == [INFEASIBLE, FEASIBLE]
+    assert [rho for rho, status in res.tested] == [ref + 0.4 * tol, ref - 0.4 * tol]
+    assert res.status == "Certified" and res.certificate.rho == res.rho_star
+    assert ref - tol <= res.rho_star <= ref
+
+
+@pytest.mark.parametrize("spec", _RATE_SPECS[:2], ids=_RATE_IDS[:2])
+@pytest.mark.parametrize("wrong", [
+    lambda ref: ref + 0.05, lambda ref: ref - 0.05, lambda ref: 0.0, lambda ref: None,
+], ids=["above", "below", "zero", "none"])
+def test_rate_search_survives_a_wrong_reference(monkeypatch, spec, wrong):
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    ref = one_step_rate(system, sb)
+    monkeypatch.setattr(sdp, "one_step_rate", lambda system, bounds: wrong(ref))
+    tol, rho_low, rho_high = 1e-4, 1e-4, 0.999
+    res = certify_rate(system, sb, tol=tol)
+    assert res.reference == wrong(ref)
+    assert res.status == "Certified" and res.certificate.rho == res.rho_star
+    assert ref - tol <= res.rho_star <= ref
+    assert all(status == FEASIBLE for rho, status in res.tested if rho <= res.rho_star)
+    assert any(status != FEASIBLE and res.rho_star < rho <= res.rho_star + tol
+               for rho, status in res.tested)
+    # the worst case with a wrong reference, stated in certify_rate's docstring
+    assert len(res.tested) <= 3 + 3 * math.ceil(math.log2((rho_high - rho_low) / tol))
+
+
+def test_feasible_solve_runs_jacobi_once(monkeypatch):
+    # The certificate's eigenvalues are the ones verify_certificate measured.
+    recompute = IqcCertificate.recompute_eigs
+    calls = []
+
+    def counted(cert, system, bounds):
+        calls.append(cert.rho)
+        return recompute(cert, system, bounds)
+
+    monkeypatch.setattr(IqcCertificate, "recompute_eigs", counted)
+    sb = SectorBounds(0.1, 1.0)
+    for spec in _RATE_SPECS:
+        system = lure_of(spec, sb)
+        calls.clear()
+        cert = solve_feasibility(system, sb).certificate
+        assert len(calls) == 1
+        assert (cert.lmi_max_eig, cert.p_min_eig) == recompute(cert, system, sb)
+
+
+def _sampled_three_operand(cert, system, sb, samples=10_000, seed=0):
+    # s_lemma_cross_check as first written, with three-operand einsums
+    # and np.outer on the same draws.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(samples, system.state_dim))
+    h = rng.uniform(sb.gamma, sb.beta, size=samples)
+    u = h * (x @ system.c[0]) / (1.0 - h * float(system.d[0, 0]))
+    x_next = x @ system.a.T + np.outer(u, system.b[:, 0])
+    v_next = np.einsum("ij,jk,ik->i", x_next, cert.p, x_next)
+    v_now = np.einsum("ij,jk,ik->i", x, cert.p, x)
+    sq = np.einsum("ij,ij->i", x, x)
+    return float(((v_next - (1.0 - cert.rho) * v_now + cert.lam * sq) / sq).max())
+
+
+@pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
+@pytest.mark.parametrize("rho, with_lam", [(0.0, True), (0.05, False)])
+def test_sampling_check_matches_the_three_operand_forms(spec, rho, with_lam):
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    cert = solve_feasibility(system, sb, rho=rho, with_lam=with_lam).certificate
+    for seed in (0, 7):
+        got = s_lemma_cross_check(cert, system, sb, seed=seed)["max_violation"]
+        assert got == pytest.approx(_sampled_three_operand(cert, system, sb, seed=seed),
+                                    rel=1e-12, abs=1e-15)
 
 
 def _parent_newton_step(prob, vals, vecs, mu):
