@@ -130,19 +130,20 @@ def _cmd_certify(args) -> int:
         print(f"optimizer      {args.optimizer}")
         print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
         print(f"status         {rate.status}")
-        print(f"rho_star       {rate.rho_star:.6g}")
+        certified = rate.status == "Certified"
+        print(f"rho_star       {rate.rho_star:.6g}" if certified else "rho_star       none")
         if rate.reference is None:
             print("reference      none")
         else:
             print(f"reference      {rate.reference:.6g}  (one-step, exact)")
         print(f"probes         {len(rate.tested)}")
         above = [rho for rho, status in rate.tested if status != FEASIBLE and rho > rate.rho_star]
-        if above:
+        if certified and above:
             print(f"bracket        [{rate.rho_star:.6g}, {min(above):.6g}]")
         if rate.certificate is not None and args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(certificate_to_json(rate.certificate) + "\n")
-        return EXIT_OK if rate.status == "Certified" else EXIT_NEGATIVE
+        return EXIT_OK if certified else EXIT_NEGATIVE
 
     result = solve_feasibility(system, bounds, args.optimizer, options=opts)
     print(f"optimizer      {args.optimizer}")

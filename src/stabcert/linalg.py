@@ -1,24 +1,23 @@
-"""Small dense symmetric eigensolver and closed-form 2x2 eigenvalues.
+"""Small dense symmetric eigenvalues and closed-form 2x2 eigenvalues.
 
 Everything downstream that claims a certificate valid must be able to
-check it without trusting LAPACK, so the eigensolver here is a plain
-cyclic Jacobi iteration written against numpy arrays only.  Matrices in
-this project are tiny (dimension <= 8), where Jacobi is both accurate
-and fast enough.  eig2_general solves a general 2x2 characteristic
-quadratic from its trace and determinant.
+check it without trusting LAPACK, so eigvals_sym is a plain cyclic
+Jacobi iteration written against numpy arrays only.  It returns the
+eigenvalues alone, not an eigendecomposition: every check reads only
+extreme eigenvalues.  Matrices in this project are tiny (dimension
+<= 8), where Jacobi is both accurate and fast enough.  eig2_general
+solves a general 2x2 characteristic quadratic from its trace and
+determinant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "Spectrum",
     "Eig2",
-    "sym_eigen",
     "eigvals_sym",
     "eig2_general",
 ]
@@ -26,20 +25,6 @@ __all__ = [
 # Relative off-diagonal mass at which the Jacobi sweep stops.
 _JACOBI_RTOL = 1e-14
 _MAX_SWEEPS = 60
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a real symmetric matrix.
-
-    Attributes:
-        values: eigenvalues in ascending order, shape (n,).
-        vectors: orthonormal eigenvectors as columns, vectors[:, k]
-            pairs with values[k].
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -52,31 +37,30 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def sym_eigen(m: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def eigvals_sym(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix by cyclic Jacobi.
 
     Rotations are applied in row-cyclic order until the off-diagonal
-    Frobenius mass drops below 1e-14 times the matrix norm.  Ascending
-    eigenvalue order, orthonormal columns.
+    Frobenius mass drops below 1e-14 times the matrix norm; the rotated
+    diagonal, sorted, is the spectrum.  No eigenvectors are accumulated.
 
     Args:
         m: real symmetric array, shape (n, n).
 
     Returns:
-        Spectrum with sorted values and matching vectors.
+        The eigenvalues in ascending order, shape (n,).
 
     Raises:
         ValueError: if m is not square symmetric.
     """
     a = _check_symmetric(m)
     n = a.shape[0]
-    v = np.eye(n)
     if n == 1:
-        return Spectrum(values=a[0].copy(), vectors=v)
+        return a[0].copy()
 
     norm = np.linalg.norm(a)
     if norm == 0.0:
-        return Spectrum(values=np.zeros(n), vectors=v)
+        return np.zeros(n)
     tol = _JACOBI_RTOL * norm
 
     for _ in range(_MAX_SWEEPS):
@@ -100,20 +84,10 @@ def sym_eigen(m: np.ndarray) -> Spectrum:
                 rot_q = s * a[p, :] + c * a[q, :]
                 a[p, :], a[q, :] = rot_p, rot_q
                 a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(values=w[order], vectors=v[:, order])
-
-
-def eigvals_sym(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (Jacobi, no vectors kept)."""
-    return sym_eigen(m).values
+    return np.sort(np.diag(a), kind="stable")
 
 
 class Eig2(NamedTuple):

@@ -23,10 +23,10 @@ quasiconvex generalized-eigenvalue problem (Boyd, El Ghaoui, Feron &
 Balakrishnan 1994).  It stops once a Feasible and a non-Feasible probe
 lie within tol.  Its first two probes sit 0.4 tol above and below
 lyapunov.one_step_rate, the exact supremum for 1x1 and 2x2 states on a
-scalar channel, and close the bracket for every supported optimizer.
-Where the reference is missing or wrong, a safeguarded regula falsi on
-the probe margins t*(rho), which are nearly linear near rho*, takes
-over, after at most 3 + 3 ceil(log2(range / tol)) probes in all.
+scalar channel, clamped into the searched range, and close the bracket
+for every supported optimizer.
+Where the reference is missing or wrong, bisection takes over, after
+at most 3 + ceil(log2(range / tol)) probes in all.
 
 LAPACK searches and Jacobi trusts.  Statuses: Feasible (the candidate
 passed verify_certificate and the sector sampling check), Infeasible
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .iqc import IqcCertificate, sector_lift, sector_multipliers, sector_product_multiplier
-from .linalg import sym_eigen
+from .linalg import eigvals_sym
 from .lyapunov import one_step_rate
 from .optimizers import LureSystem, SectorBounds
 
@@ -456,8 +456,8 @@ def verify_infeasibility(
     """
     opts = options or SolverOptions()
     prob = _unit_problem(system, bounds, witness.rho, witness.with_lam)
-    z1_bot = float(sym_eigen(witness.z1).values[0])
-    z2_bot = float(sym_eigen(witness.z2).values[0])
+    z1_bot = float(eigvals_sym(witness.z1)[0])
+    z2_bot = float(eigvals_sym(witness.z2)[0])
     bound, _, tau_slacks = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
     ok = (z1_bot >= 0.0 and z2_bot >= 0.0 and bool(np.all(tau_slacks >= 0.0))
           and bound <= -opts.infeasible_margin)
@@ -526,27 +526,31 @@ def certify_rate(
     The search keeps a bracket [lo, hi], lo Feasible and hi not.
 
     It opens at the reference ref = lyapunov.one_step_rate, the exact
-    supremum for 1x1 and 2x2 states on a scalar channel, when both
-    ref + 0.4 tol and ref - 0.4 tol lie inside (rho_low, rho_high).  It
-    probes ref + 0.4 tol, then (unless that was Feasible) ref - 0.4 tol.
-    Not Feasible then Feasible closes the bracket in these 2 probes, as
-    it does for every supported optimizer.  Any other outcome keeps the
-    probed rhos as bracket ends, and rho_low or rho_high is probed only
-    for an end still missing.  So a wrong reference costs probes, never
-    correctness: rho* is always a verified Feasible probe.
+    supremum for 1x1 and 2x2 states on a scalar channel.  It probes
+    ref + 0.4 tol, then (unless that was Feasible) ref - 0.4 tol, each
+    clamped into [rho_low, rho_high].  Not Feasible then Feasible closes
+    the bracket in these 2 probes, as it does for every supported
+    optimizer, also where ref lies within 0.4 tol of an end.  Any other
+    outcome keeps the probed rhos as bracket ends, and rho_low or
+    rho_high is probed only for an end still missing.  No rho is solved
+    twice.  So a wrong reference costs probes, never correctness: rho*
+    is always a verified Feasible probe.
 
-    Then each probe goes to the root of the secant through the margins
-    t = -best_violation at lo and hi (regula falsi), clamped into
-    [lo + tol/2, hi - tol/2] so that a good estimate closes the bracket
-    from either side.  It bisects instead when the secant has no root
-    in the bracket (as when hi is Inconclusive with t >= 0), or when the
-    last two probes together did not halve the bracket.  So any three
-    probes in a row halve it, and the search stops once hi - lo <= tol.
-    With w = rho_high - rho_low that takes at most 2 + 3 ceil(log2(w / tol))
-    probes without a reference (44 at the defaults), and one more with a
-    wrong one (45).  Probes are rate-mode solves (no lambda coupling) and
-    count only when Feasible.  If even the lowest probe is not
-    certifiable the result is Infeasible-at-range.
+    Then each probe bisects the bracket, until hi - lo <= tol.  With
+    w = rho_high - rho_low, a search without a reference whose end probes
+    bracket rho* takes exactly 2 + ceil(log2(w / tol)) probes (16 at the
+    defaults); a wrong reference costs at most one more (17).  Probes
+    are rate-mode solves (no lambda coupling) and count only when
+    Feasible.  If even the lowest probe is not certifiable the result is
+    Infeasible-at-range.
+
+    hi is the smallest non-Feasible probe, which can be Infeasible or
+    Inconclusive.  Near rho* the margin shrinks like rho* - rho (about
+    0.1 (rho* - rho) for heavyball on [0.1, 1]), and the barrier stops at
+    a duality gap of _GAP_TOL = 1e-7, so probes within a few 1e-7 below
+    the exact rate come back Inconclusive.  Below a tol of about 5e-7, hi
+    can be such a probe, and rho* can then lie more than tol below the
+    exact rate.
 
     Returns:
         RateResult with rho_star the largest rho found feasible (lo), its
@@ -555,41 +559,35 @@ def certify_rate(
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
     opts = options or SolverOptions()
-    tested = []
+    tested, seen = [], {}  # seen: each probed rho's result, solved once
 
     def probe(rho: float) -> FeasibilityResult:
-        res = solve_feasibility(system, bounds, optimizer_name, rho, False, opts)
-        tested.append((rho, res.status))
-        return res
+        if rho not in seen:
+            seen[rho] = solve_feasibility(system, bounds, optimizer_name, rho, False, opts)
+            tested.append((rho, seen[rho].status))
+        return seen[rho]
 
     ref, gap = one_step_rate(system, bounds), 0.4 * tol
-    low = high = None  # the bracket ends as (rho, probe result)
-    if ref is not None and rho_low < ref - gap and ref + gap < rho_high:
-        for rho in (ref + gap, ref - gap):
+    lo = hi = cert = None  # the bracket ends, and the certificate at lo
+    if ref is not None:
+        for rho in (min(max(ref + gap, rho_low), rho_high),
+                    min(max(ref - gap, rho_low), rho_high)):
             if (res := probe(rho)).status == FEASIBLE:
-                low = rho, res
+                lo, cert = rho, res.certificate
                 break
-            high = rho, res
-    if low is None:
+            hi = rho
+    if lo is None:
         if (res := probe(rho_low)).status != FEASIBLE:
             return RateResult("Infeasible-at-range", 0.0, None, tested, ref)
-        low = rho_low, res
-    if high is None:
+        lo, cert = rho_low, res.certificate
+    if hi is None:
         if (res := probe(rho_high)).status == FEASIBLE:
             return RateResult("Certified", rho_high, res.certificate, tested, ref)
-        high = rho_high, res
-    (lo, res_lo), (hi, res_hi) = low, high
-    t_lo, cert, t_hi = -res_lo.best_violation, res_lo.certificate, -res_hi.best_violation
-    widths = [hi - lo]  # the bracket width before each probe
+        hi = rho_high
     while hi - lo > tol:
-        if t_hi < 0.0 < t_lo and not (len(widths) >= 3 and widths[-1] > 0.5 * widths[-3]):
-            rho = lo + (hi - lo) * t_lo / (t_lo - t_hi)
-            rho = min(max(rho, lo + 0.5 * tol), hi - 0.5 * tol)
-        else:
-            rho = 0.5 * (lo + hi)
+        rho = 0.5 * (lo + hi)
         if (res := probe(rho)).status == FEASIBLE:
-            lo, t_lo, cert = rho, -res.best_violation, res.certificate
+            lo, cert = rho, res.certificate
         else:
-            hi, t_hi = rho, -res.best_violation
-        widths.append(hi - lo)
+            hi = rho
     return RateResult("Certified", lo, cert, tested, ref)

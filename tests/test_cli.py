@@ -101,6 +101,20 @@ def test_certify_rate_mode(capsys):
     assert rho_star < 0.19 < high <= rho_star + 1e-4
 
 
+def test_certify_rate_infeasible_at_range_prints_no_rate(capsys):
+    # kappa 12 lies past nag-sq's kappa*, so its one-step rate is 0 and
+    # the lowest probe already fails: no rate is certified or bracketed.
+    rc = main([
+        "certify", "--optimizer", "nag-sq", "--gamma", "1", "--beta", "12", "--rate",
+    ])
+    assert rc == EXIT_NEGATIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert "status         Infeasible-at-range" in lines
+    assert "rho_star       none" in lines
+    assert "probes         1" in lines
+    assert not any(line.startswith("bracket") for line in lines)
+
+
 def test_certify_rate_honours_seed(tmp_path, capsys):
     out = tmp_path / "f.json"
     rc = main([

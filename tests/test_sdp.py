@@ -464,7 +464,7 @@ _RATE_IDS = ["sgd", "heavyball", "nag-sq"]
 
 
 def _bisect_rate(system, sb, rho_low=1e-4, rho_high=0.999, tol=1e-4):
-    # The plain bisection the rate search replaced, kept as an oracle.
+    # Plain bisection that never reads the reference, kept as an oracle.
     def feasible(rho):
         return solve_feasibility(system, sb, rho=rho, with_lam=False).status == FEASIBLE
 
@@ -547,16 +547,16 @@ def test_rate_search_survives_pathological_margins(monkeypatch, root, below, abo
     rejected = [rho for rho, status in res.tested if status != FEASIBLE]
     assert min(rejected) - res.rho_star <= tol
     assert all(rho > root for rho in rejected)
-    # the worst case without a reference, stated in certify_rate's
-    # docstring: sgd's reference 0.19, wrong for these margins, leaves a
-    # bracket too narrow to need the one probe more it may cost
-    assert len(res.tested) <= 2 + 3 * math.ceil(math.log2((rho_high - rho_low) / tol))
+    # the count without a reference, stated in certify_rate's docstring:
+    # sgd's reference 0.19, wrong for these margins, leaves a bracket too
+    # narrow to need the one probe more it may cost
+    assert len(res.tested) <= 2 + math.ceil(math.log2((rho_high - rho_low) / tol))
 
 
 @pytest.mark.parametrize("status, margin", [(INFEASIBLE, -1.0), (INCONCLUSIVE, 1.0)])
 def test_rate_search_step_margin_halves_like_bisection(monkeypatch, status, margin):
-    # A margin that only has a sign puts every secant root at the midpoint;
-    # an Inconclusive hi with the same margin as lo leaves no secant at all.
+    # The search reads only the statuses, so a margin that only has a sign,
+    # or an Inconclusive hi with the same margin as lo, still bisects.
     def solve(system, bounds, name, rho, with_lam, options):
         return (FeasibilityResult(FEASIBLE, rho, -1.0) if rho <= 0.3
                 else FeasibilityResult(status, None, -margin))
@@ -598,6 +598,29 @@ def test_rate_search_closes_at_the_reference_in_two_probes(name, scale):
     assert ref - tol <= res.rho_star <= ref
 
 
+@pytest.mark.parametrize("gamma, beta, first", [
+    (1.0, 15000.0, INFEASIBLE),  # ref 1.3e-4: ref - 0.4 tol lies below rho_low
+    (0.9681, 1.0, INFEASIBLE),   # ref 0.99898: ref + 0.4 tol lies above rho_high
+    (0.9685, 1.0, FEASIBLE),     # ref 0.99901: past rho_high, which is certified
+], ids=["near-rho-low", "near-rho-high", "past-rho-high"])
+def test_rate_search_clamps_the_reference_probes_into_the_range(gamma, beta, first):
+    # A reference within 0.4 tol of an end still closes the bracket at
+    # once: the opening probes are clamped into [rho_low, rho_high].
+    sb = SectorBounds(gamma, beta)
+    system = lure_of(Sgd(1.0 / beta), sb)
+    tol, rho_low, rho_high = 1e-4, 1e-4, 0.999
+    ref = one_step_rate(system, sb)
+    res = certify_rate(system, sb, rho_low=rho_low, rho_high=rho_high, tol=tol)
+    clamp = lambda rho: min(max(rho, rho_low), rho_high)
+    assert res.status == "Certified" and res.certificate.rho == res.rho_star
+    if first == FEASIBLE:
+        assert res.tested == [(rho_high, FEASIBLE)] and res.rho_star == rho_high
+    else:
+        assert res.tested == [(clamp(ref + 0.4 * tol), INFEASIBLE),
+                              (clamp(ref - 0.4 * tol), FEASIBLE)]
+        assert ref - tol <= res.rho_star <= ref
+
+
 @pytest.mark.parametrize("spec", _RATE_SPECS[:2], ids=_RATE_IDS[:2])
 @pytest.mark.parametrize("wrong", [
     lambda ref: ref + 0.05, lambda ref: ref - 0.05, lambda ref: 0.0, lambda ref: None,
@@ -616,7 +639,29 @@ def test_rate_search_survives_a_wrong_reference(monkeypatch, spec, wrong):
     assert any(status != FEASIBLE and res.rho_star < rho <= res.rho_star + tol
                for rho, status in res.tested)
     # the worst case with a wrong reference, stated in certify_rate's docstring
-    assert len(res.tested) <= 3 + 3 * math.ceil(math.log2((rho_high - rho_low) / tol))
+    assert len(res.tested) <= 3 + math.ceil(math.log2((rho_high - rho_low) / tol))
+
+
+@pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
+def test_rate_search_without_a_reference_bisects(monkeypatch, spec):
+    # No reference: the end probes, then only midpoints of the bracket,
+    # 2 + ceil(log2(w / tol)) probes in all, as certify_rate states.
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    ref = one_step_rate(system, sb)
+    monkeypatch.setattr(sdp, "one_step_rate", lambda system, bounds: None)
+    tol, rho_low, rho_high = 1e-4, 1e-4, 0.999
+    res = certify_rate(system, sb, tol=tol)
+    assert res.reference is None
+    assert res.status == "Certified" and res.certificate.rho == res.rho_star
+    assert [rho for rho, status in res.tested[:2]] == [rho_low, rho_high]
+    lo, hi = rho_low, rho_high
+    for rho, status in res.tested[2:]:
+        assert rho == 0.5 * (lo + hi)
+        lo, hi = (rho, hi) if status == FEASIBLE else (lo, rho)
+    assert res.rho_star == lo and hi - lo <= tol
+    assert len(res.tested) == 2 + math.ceil(math.log2((rho_high - rho_low) / tol)) == 16
+    assert ref - tol <= res.rho_star <= ref
 
 
 def test_feasible_solve_runs_jacobi_once(monkeypatch):
