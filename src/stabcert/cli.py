@@ -137,9 +137,11 @@ def _cmd_certify(args) -> int:
         else:
             print(f"reference      {rate.reference:.6g}  (one-step, exact)")
         print(f"probes         {len(rate.tested)}")
-        above = [rho for rho, status in rate.tested if status != FEASIBLE and rho > rate.rho_star]
-        if certified and above:
-            print(f"bracket        [{rate.rho_star:.6g}, {min(above):.6g}]")
+        if certified:
+            above = [rho for rho, status in rate.tested
+                     if status != FEASIBLE and rho > rate.rho_star]
+            if above:
+                print(f"bracket        [{rate.rho_star:.6g}, {min(above):.6g}]")
         if rate.certificate is not None and args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(certificate_to_json(rate.certificate) + "\n")

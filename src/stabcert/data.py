@@ -68,9 +68,7 @@ class Dataset:
         return self.x[i].copy(), float(self.y[i])
 
 
-def synthetic_dataset(
-    n: int, dim: int, separation: float = 1.0, seed: int = 0, name: str = "synthetic"
-) -> Dataset:
+def synthetic_dataset(n: int, dim: int, separation: float = 1.0, seed: int = 0) -> Dataset:
     """Two-cluster Gaussian data with labels +/-1.
 
     Labels are fair coin flips; features are standard normal with the
@@ -93,7 +91,7 @@ def synthetic_dataset(
         row[0] += separation * label
         return row, label
 
-    return Dataset(x=x, y=y, name=name, sampler=draw)
+    return Dataset(x=x, y=y, name="synthetic", sampler=draw)
 
 
 def ingest_csv(path: str | Path) -> Dataset:
@@ -187,25 +185,22 @@ def make_neighbor(
     return Dataset(x=x, y=y, name=f"{data.name}~{j}", sampler=data.sampler)
 
 
-def effective_sector(
-    data: Dataset, lam: float, probe_radius: float = 1.0, probes: int = 8, seed: int = 0
-) -> SectorBounds:
+def effective_sector(data: Dataset, lam: float) -> SectorBounds:
     """Curvature sector of the regularized logistic objective on data.
 
     The per-sample Hessian is s(1-s) x x^T + lam I with s(1-s) <= 1/4,
     so the spectrum lives in [lam, lam + max_i ||x_i||^2 / 4].  The
     returned sector also carries a gradient-norm figure G: the max of
-    per-sample gradient norms over a seeded probe grid of weight vectors
-    (the origin plus random directions at probe_radius).  That is an
+    per-sample gradient norms over a probe grid of weight vectors drawn
+    with seed 0: the origin plus 8 random unit vectors.  That is an
     estimate for bound tables, not a certificate.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"regularization lambda_reg must be positive and finite, got {lam}")
     beta = lam + 0.25 * float(np.sum(data.x**2, axis=1).max())
-    rng = np.random.default_rng(seed)
-    ws = np.zeros((probes + 1, data.dim))
-    raw = rng.normal(size=(probes, data.dim))
-    ws[1:] = probe_radius * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    raw = np.random.default_rng(0).normal(size=(8, data.dim))
+    ws = np.zeros((9, data.dim))
+    ws[1:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     worst = 0.0
     for w in ws:
         margins = data.y * (data.x @ w)

@@ -156,12 +156,11 @@ class QuadraticTask:
 
 
 def random_sector_quadratics(
-    n: int, dim: int, bounds: SectorBounds, rng: np.random.Generator,
-    center_scale: float = 1.0,
+    n: int, dim: int, bounds: SectorBounds, rng: np.random.Generator
 ) -> QuadraticTask:
     """Draw a task of quadratics whose Hessian spectra lie in the sector."""
     hs = np.zeros((n, dim, dim))
-    cs = center_scale * rng.normal(size=(n, dim))
+    cs = rng.normal(size=(n, dim))
     for i in range(n):
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         lam = rng.uniform(bounds.gamma, bounds.beta, size=dim)

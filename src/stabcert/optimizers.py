@@ -3,11 +3,11 @@
 Covers plain SGD, heavy ball, Nesterov acceleration in its standard
 (eta, mu) form, and the smooth-quadratic Nesterov variant whose momentum
 weight theta is pinned by the condition number.  SGD and both Nesterov
-forms have a step rule here, the reference that simulate.update_rule
-reproduces row for row.  All four are exposed as a linear system in
-feedback with the gradient (lure_of), which is what the Lyapunov rate
-and the IQC certification layers consume; heavy ball has no step rule
-because nothing simulates it.
+forms have a step rule here, and step_rule picks a spec's, which the
+coupled runs of simulate step on (rows, dim) states.  All four are
+exposed as a linear system in feedback with the gradient (lure_of),
+which is what the Lyapunov rate and the IQC certification layers
+consume; heavy ball has no step rule because nothing simulates it.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ __all__ = [
     "nag_sq_step",
     "a_alpha",
     "lure_of",
+    "step_rule",
 ]
 
 GradFn = Callable[[np.ndarray], np.ndarray]
+StepFn = Callable[["OptimizerState", GradFn], "OptimizerState"]
 
 
 @dataclass(frozen=True)
@@ -268,3 +270,25 @@ def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
             d=np.array([[0.0]]),
         )
     raise TypeError(f"no feedback form for optimizer {type(spec).__name__}")
+
+
+def step_rule(spec: OptimizerSpec) -> StepFn:
+    """The spec's step as step(state, grad_at) -> the next state.
+
+    grad_at maps a query point to the gradient there.  Each branch calls
+    nag_step, sgd_step or nag_sq_step, so a state of (rows, dim) arrays
+    steps every row as that row stepped alone.
+
+    Raises:
+        TypeError: for an optimizer without a step rule.
+    """
+    if isinstance(spec, NagStandard):
+        eta, mu = spec.eta, spec.mu
+        return lambda state, grad_at: nag_step(state, grad_at, eta, mu)
+    if isinstance(spec, Sgd):
+        eta = spec.eta
+        return lambda state, grad_at: sgd_step(state, grad_at(state.w), eta)
+    if isinstance(spec, NagSmoothQuadratic):
+        bounds = spec.bounds
+        return lambda state, grad_at: nag_sq_step(state, grad_at(state.w), bounds)
+    raise TypeError(f"unsupported optimizer {type(spec).__name__}")

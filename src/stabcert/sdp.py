@@ -143,13 +143,14 @@ class FeasibilityResult:
 class RateResult:
     """Outcome of the search for the largest certifiable rho.
 
-    reference is lyapunov.one_step_rate of the system (None where that
-    does not apply); the search opens at it when it lies inside the
-    searched range.
+    rho_star is the largest rho certified, None when the status is
+    Infeasible-at-range.  reference is lyapunov.one_step_rate of the
+    system (None where that does not apply); the search opens at it when
+    it lies inside the searched range.
     """
 
     status: str
-    rho_star: float
+    rho_star: float | None
     certificate: IqcCertificate | None
     tested: list = field(default_factory=list)
     reference: float | None = None
@@ -470,13 +471,11 @@ def s_lemma_cross_check(
     bounds: SectorBounds,
     samples: int = 10_000,
     seed: int = 0,
-    h_low: float | None = None,
-    h_high: float | None = None,
 ) -> dict:
     """Sample sector responses and test the decrement the LMI promises.
 
-    Draws random states x and curvatures h in [h_low, h_high] (defaults
-    to the sector), sets u = h * y for y = C x + D u, and evaluates
+    Draws random states x and curvatures h in the sector [gamma, beta]
+    of bounds, sets u = h * y for y = C x + D u, and evaluates
 
         (V(A x + B u) - (1 - rho) V(x) + lambda ||x||^2) / ||x||^2,
 
@@ -484,16 +483,14 @@ def s_lemma_cross_check(
     is sound.  Returns the max over samples as max_violation, a margin
     comparable with t*: for z = (x, u) the decrement is z^T LMI z minus
     the nonnegative sector terms, and ||z||^2 >= ||x||^2, so it is at
-    most lmi_max_eig when that is negative.  Drawing h outside the
-    sector should, and does, break valid certificates.
+    most lmi_max_eig when that is negative.  Passing bounds wider than
+    the certificate's sector should, and does, break valid certificates.
     """
     if system.input_dim != 1:
         raise ValueError("sampling check implemented for scalar input channels")
     rng = np.random.default_rng(seed)
-    lo = bounds.gamma if h_low is None else h_low
-    hi = bounds.beta if h_high is None else h_high
     x = rng.normal(size=(samples, system.state_dim))
-    h = rng.uniform(lo, hi, size=samples)
+    h = rng.uniform(bounds.gamma, bounds.beta, size=samples)
     d = float(system.d[0, 0])
     denom = 1.0 - h * d
     if np.any(np.abs(denom) < 1e-12):
@@ -555,6 +552,7 @@ def certify_rate(
     Returns:
         RateResult with rho_star the largest rho found feasible (lo), its
         certificate, the list of (rho, status) probes and the reference.
+        rho_star and the certificate are None when Infeasible-at-range.
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
@@ -578,7 +576,7 @@ def certify_rate(
             hi = rho
     if lo is None:
         if (res := probe(rho_low)).status != FEASIBLE:
-            return RateResult("Infeasible-at-range", 0.0, None, tested, ref)
+            return RateResult("Infeasible-at-range", None, None, tested, ref)
         lo, cert = rho_low, res.certificate
     if hi is None:
         if (res := probe(rho_high)).status == FEASIBLE:

@@ -19,23 +19,23 @@ runs = trials times the number of sizes, and each step makes one row
 gather and one row-wise logistic gradient.  stability_vs_n steps its
 sizes together and stability_vs_t its one size.  The gap is recorded
 only at the checkpoints and the horizon.  The seed roles are unchanged,
-and every row is bitwise equal to its run stepped alone.  update_rule
-holds the one step of each optimizer, shared by the drivers and
-coupled_run.
+and every row is bitwise equal to its run stepped alone.  The drivers
+and coupled_run step through optimizers.step_rule, so each optimizer's
+arithmetic is written once, in optimizers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, effective_sector, neighbor_record, subset_rows
 from .losses import reg_logistic_grad_rows, reg_logistic_losses, row_dots
 from .lyapunov import fixed_curvature_rate
-from .optimizers import NagSmoothQuadratic, NagStandard, OptimizerSpec, Sgd, lure_of
+from .optimizers import NagStandard, OptimizerSpec, OptimizerState, lure_of, step_rule
 
 __all__ = [
     "ExperimentConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "FitResult",
     "VsNResult",
     "VsTResult",
-    "update_rule",
     "coupled_run",
     "envelope_rate",
     "stability_vs_n",
@@ -80,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("checkpoints must not exceed the horizon")
         if self.neighbor_mode not in ("resample", "flip"):
             raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
+        if self.probes < 0:
+            raise ValueError(f"probes must be >= 0, got {self.probes}")
 
 
 @dataclass
@@ -109,53 +110,6 @@ class CoupledTrace:
         return self.loss_gap.get(step)
 
 
-def update_rule(optimizer: OptimizerSpec) -> tuple[Callable, Callable]:
-    """The optimizer's step as a (query, update) pair on (rows, dim) arrays.
-
-    Each row of w and v is one run.  query(w, v) is the point where the
-    gradient is taken; update(w, v, g) returns the next (w, v).  The
-    arithmetic is that of optimizers.nag_step, sgd_step and nag_sq_step,
-    operation for operation, so every row is bitwise equal to that
-    run stepped alone.
-
-    Raises:
-        TypeError: for an optimizer without a coupled rule.
-    """
-    if isinstance(optimizer, NagStandard):
-        eta, mu = optimizer.eta, optimizer.mu
-
-        def query(w, v):
-            return w + mu * v
-
-        def update(w, v, g):
-            v = mu * v - eta * g
-            return w + v, v
-
-    elif isinstance(optimizer, Sgd):
-        eta = optimizer.eta
-
-        def query(w, v):
-            return w
-
-        def update(w, v, g):
-            return w - eta * g, v
-
-    elif isinstance(optimizer, NagSmoothQuadratic):
-        theta = optimizer.theta
-        beta = optimizer.bounds.beta
-
-        def query(w, v):
-            return w
-
-        def update(w, v, g):
-            v_next = w - g / beta
-            return (1.0 + theta) * v_next - theta * v, v_next
-
-    else:
-        raise TypeError(f"unsupported optimizer {type(optimizer).__name__}")
-    return query, update
-
-
 def coupled_run(
     task_a,
     task_b,
@@ -180,11 +134,11 @@ def coupled_run(
         raise ValueError("coupled tasks must have equal sample counts")
     if not (0 <= j < n):
         raise ValueError(f"replaced index must lie in [0, {n}), got {j}")
-    query, update = update_rule(optimizer)
+    step = step_rule(optimizer)
     idx = index_rng.integers(0, n, size=horizon)
     # Row 0 runs on task_a, row 1 on task_b.
-    w = np.zeros((2, task_a.dim))
-    v = np.zeros_like(w)
+    shape = (2, task_a.dim)
+    state = OptimizerState(w=np.zeros(shape), v=np.zeros(shape))
 
     cps = set(int(c) for c in checkpoints)
     cps.add(horizon)
@@ -194,14 +148,19 @@ def coupled_run(
     max_grad = 0.0
     with_probes = probe_x is not None and probe_y is not None
 
+    def grad_at(p: np.ndarray) -> np.ndarray:
+        # i is the step's index, set in the loop below.
+        nonlocal max_grad
+        g = np.stack((task_a.grad(p[0], i), task_b.grad(p[1], i)))
+        max_grad = max(max_grad, float(np.linalg.norm(g[0])), float(np.linalg.norm(g[1])))
+        return g
+
     for t in range(horizon):
         i = int(idx[t])
         if i == j:
-            snapshots.append((t, w[0].copy(), w[1].copy()))
-        p = query(w, v)
-        g = np.stack((task_a.grad(p[0], i), task_b.grad(p[1], i)))
-        w, v = update(w, v, g)
-        max_grad = max(max_grad, float(np.linalg.norm(g[0])), float(np.linalg.norm(g[1])))
+            snapshots.append((t, state.w[0].copy(), state.w[1].copy()))
+        state = step(state, grad_at)
+        w = state.w
         param_diff[t] = np.linalg.norm(w[0] - w[1])
         if with_probes and (t + 1) in cps:
             gaps = np.abs(
@@ -309,25 +268,30 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig) -> list:
 
     steps = np.array(sorted({int(c) for c in config.checkpoints} | {horizon}))
     column = {int(s): c for c, s in enumerate(steps)}
-    query, update = update_rule(config.optimizer)
-    w = np.zeros((2 * runs, base.dim))
-    v = np.zeros_like(w)
+    step = step_rule(config.optimizer)
+    shape = (2 * runs, base.dim)
+    state = OptimizerState(w=np.zeros(shape), v=np.zeros(shape))
     gaps = np.empty((steps.size, runs))
     # sqrt is correctly rounded and monotone, so one sqrt of the largest
     # squared norm is bitwise the largest norm.
     grad_sq = np.zeros(runs)
-    for t in range(horizon):
-        rows = ids[:, pos[t]].ravel()
-        p = query(w, v)
+
+    def grad_at(p: np.ndarray) -> np.ndarray:
+        # rows is the step's gather, set in the loop below.
+        nonlocal grad_sq
         g = reg_logistic_grad_rows(p, table[rows], labels[rows], lam)
-        w, v = update(w, v, g)
         sq = row_dots(g, g)
         grad_sq = np.fmax(grad_sq, np.fmax(sq[:runs], sq[runs:]))
+        return g
+
+    for t in range(horizon):
+        rows = ids[:, pos[t]].ravel()
+        state = step(state, grad_at)
         c = column.get(t + 1)
         if c is not None:
-            d = w[:runs] - w[runs:]
+            d = state.w[:runs] - state.w[runs:]
             gaps[c] = np.sqrt(row_dots(d, d))
-    max_grad = np.sqrt(grad_sq)
+    w, max_grad = state.w, np.sqrt(grad_sq)
 
     loss_gap = None
     if config.probes > 0:

@@ -133,7 +133,7 @@ def test_certify_rate_options(monkeypatch, capsys):
 
     def spy(system, bounds, name, options=None):
         seen.append(options)
-        return RateResult("Infeasible-at-range", 0.0, None, [])
+        return RateResult("Infeasible-at-range", None, None, [])
 
     monkeypatch.setattr(cli, "certify_rate", spy)
     base = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0", "--rate"]
@@ -168,8 +168,11 @@ def test_certify_invalid_sector_exit_64(capsys):
     (["simulate", "vs-t", "--lambda-reg", "nan"],
      "regularization lambda_reg must be positive and finite, got nan"),
     (["simulate", "vs-t", "--separation", "nan"], "separation must be finite, got nan"),
+    (["simulate", "vs-n", "--probes", "-3", "--trials", "2", "--horizon", "200",
+      "--sizes", "50,100,200", "--checkpoints", "100"], "probes must be >= 0, got -3"),
 ], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
-        "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan"])
+        "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
+        "simulate-probes-negative"])
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

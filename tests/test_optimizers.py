@@ -15,9 +15,9 @@ from stabcert.optimizers import (
     nag_sq_step,
     nag_step,
     sgd_step,
+    step_rule,
     theta_of,
 )
-from stabcert.simulate import update_rule
 
 kappas = st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -177,7 +177,7 @@ def test_lure_matches_step_dynamics():
     assert float(sys_.c[0] @ z) == pytest.approx(state.w[0], abs=1e-12)
 
 
-# Feedback state -> the step state (w, v) that update_rule steps.  The
+# Feedback state -> the step state (w, v) that step_rule steps.  The
 # NagSmoothQuadratic map (v_t, v_{t-1}) -> (C x, x[0]) is criterion 9's.
 _STEP_STATE = {
     "sgd": (Sgd(0.7), lambda system, x: (x[0], 0.0)),
@@ -188,23 +188,24 @@ _STEP_STATE = {
 
 
 @pytest.mark.parametrize("name", list(_STEP_STATE))
-def test_lure_matches_update_rule(name):
-    # The feedback form x+ = A x + B (h C x) and simulate.update_rule's
-    # (query, update) are one optimizer: stepped side by side on a
+def test_lure_matches_step_functions(name):
+    # The feedback form x+ = A x + B (h C x) and the step function that
+    # step_rule picks are one optimizer: stepped side by side on a
     # quadratic direction of curvature h they stay on the mapped state.
     spec, step_state = _STEP_STATE[name]
     sb = SectorBounds(0.2, 1.0)
     system = lure_of(spec, sb)
-    query, update = update_rule(spec)
+    step = step_rule(spec)
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(20):
         h = rng.uniform(sb.gamma, sb.beta)
         x = rng.normal(size=system.state_dim)
         w, v = (np.array([[z]]) for z in step_state(system, x))
+        state = OptimizerState(w=w, v=v)
         for _ in range(100):
             x = system.a @ x + system.b[:, 0] * (h * float(system.c[0] @ x))
-            w, v = update(w, v, h * query(w, v))
+            state = step(state, lambda p: h * p)
             want_w, want_v = step_state(system, x)
-            worst = max(worst, abs(want_w - w[0, 0]), abs(want_v - v[0, 0]))
+            worst = max(worst, abs(want_w - state.w[0, 0]), abs(want_v - state.v[0, 0]))
     assert worst <= 1e-10

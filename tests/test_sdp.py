@@ -211,9 +211,7 @@ def test_sampling_check_detects_out_of_sector_responses():
     cert = solve_feasibility(system, sb, "sgd", options=FAST).certificate
     inside = s_lemma_cross_check(cert, system, sb)
     assert inside["ok"]
-    outside = s_lemma_cross_check(
-        cert, system, sb, h_low=2.0 * sb.beta, h_high=3.0 * sb.beta
-    )
+    outside = s_lemma_cross_check(cert, system, SectorBounds(2.0 * sb.beta, 3.0 * sb.beta))
     assert not outside["ok"]
     assert outside["max_violation"] > 0.0
 
@@ -434,7 +432,10 @@ def test_verdicts_do_not_depend_on_sector_units(name):
             verdicts.add(solve_feasibility(system, sb, name).status)
             rates.append(certify_rate(system, sb, name, tol=tol).rho_star)
         assert len(verdicts) == 1, f"kappa={kappa}: {verdicts}"
-        assert max(rates) - min(rates) <= tol, f"kappa={kappa}: {rates}"
+        if None in rates:  # Infeasible-at-range in one unit, so in every unit
+            assert rates == [None] * 3, f"kappa={kappa}: {rates}"
+        else:
+            assert max(rates) - min(rates) <= tol, f"kappa={kappa}: {rates}"
 
 
 def test_certify_rate_sgd_is_exact():
@@ -619,6 +620,16 @@ def test_rate_search_clamps_the_reference_probes_into_the_range(gamma, beta, fir
         assert res.tested == [(clamp(ref + 0.4 * tol), INFEASIBLE),
                               (clamp(ref - 0.4 * tol), FEASIBLE)]
         assert ref - tol <= res.rho_star <= ref
+
+
+def test_rate_search_infeasible_at_range_has_no_rate():
+    # kappa 12 lies past nag-sq's kappa*: the lowest probe already fails,
+    # rho = 0 was never probed, so no rate is reported.
+    sb = SectorBounds(1.0, 12.0)
+    res = certify_rate(lure_of(NagSmoothQuadratic(sb), sb), sb, "nag-sq")
+    assert res.status == "Infeasible-at-range"
+    assert res.rho_star is None and res.certificate is None
+    assert [rho for rho, status in res.tested] == [1e-4]
 
 
 @pytest.mark.parametrize("spec", _RATE_SPECS[:2], ids=_RATE_IDS[:2])

@@ -24,6 +24,7 @@ from stabcert.optimizers import (
     nag_sq_step,
     nag_step,
     sgd_step,
+    step_rule,
 )
 from stabcert.simulate import (
     ExperimentConfig,
@@ -207,6 +208,9 @@ def test_config_validation():
         ExperimentConfig(checkpoints=(0, 10, 50))
     with pytest.raises(ValueError):
         ExperimentConfig(neighbor_mode="clone")
+    with pytest.raises(ValueError, match="probes must be >= 0, got -3"):
+        ExperimentConfig(probes=-3)
+    assert ExperimentConfig(probes=0).probes == 0
 
 
 def test_vs_n_small_smoke():
@@ -586,8 +590,22 @@ def test_coupled_run_equals_step_functions(kind):
                 else:
                     states[arm] = nag_sq_step(state, tk.grad(state.w, i), opt.bounds)
             assert trace.param_diff[t] == np.linalg.norm(states[0].w - states[1].w)
-    with pytest.raises(TypeError, match="unsupported"):
-        simulate.update_rule(HeavyBall(0.1, 0.5))
+
+
+def test_unsupported_optimizer_raises_type_error():
+    # Heavy ball has a feedback form but no step rule, so every path
+    # that steps it refuses it by name.
+    spec = HeavyBall(0.1, 0.5)
+    with pytest.raises(TypeError, match="unsupported optimizer HeavyBall"):
+        step_rule(spec)
+    task, other = _tiny_tasks(seed=3)
+    with pytest.raises(TypeError, match="unsupported optimizer HeavyBall"):
+        coupled_run(task, other, 2, spec, 10, np.random.default_rng(0))
+    config = ExperimentConfig(
+        optimizer=spec, horizon=10, trials=1, subset_sizes=(10,), checkpoints=(), probes=0,
+    )
+    with pytest.raises(TypeError, match="unsupported optimizer HeavyBall"):
+        stability_vs_n(synthetic_dataset(20, 3, seed=0), config)
 
 
 def test_lockstep_rejects_oversized_subset():
