@@ -174,9 +174,6 @@ def _print_p_eps(theta: float, eps: float) -> None:
 
 
 def _cmd_lyapunov(args) -> int:
-    if args.kappa < 1.0:
-        print("kappa must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if (args.eps is None) != (args.rho is None):
         print("give both --eps and --rho, or neither", file=sys.stderr)
         return EXIT_USAGE

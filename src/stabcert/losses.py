@@ -107,13 +107,6 @@ class LogisticTask:
     def grad(self, w: np.ndarray, i: int) -> np.ndarray:
         return reg_logistic_grad(w, self.x[i], self.y[i], self.lam)[1]
 
-    def loss(self, w: np.ndarray, i: int) -> float:
-        return reg_logistic_loss(w, self.x[i], self.y[i], self.lam)
-
-    def losses_at(self, w: np.ndarray, probe_x: np.ndarray, probe_y: np.ndarray) -> np.ndarray:
-        """Vector of regularized losses over a probe set."""
-        return reg_logistic_losses(w, probe_x, probe_y, self.lam)
-
     def replaced(self, j: int, x_new: np.ndarray, y_new: float) -> "LogisticTask":
         x = self.x.copy()
         y = self.y.copy()
@@ -143,9 +136,6 @@ class QuadraticTask:
     def loss(self, w: np.ndarray, i: int) -> float:
         r = w - self.centers[i]
         return 0.5 * float(r @ self.hessians[i] @ r)
-
-    def losses_at(self, w, probe_x, probe_y):
-        raise NotImplementedError("quadratic tasks carry no probe losses")
 
     def replaced(self, j: int, hessian: np.ndarray, center: np.ndarray) -> "QuadraticTask":
         h = self.hessians.copy()

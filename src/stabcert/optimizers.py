@@ -182,7 +182,7 @@ def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerSt
     grad is the gradient already evaluated at state.w.
     """
     w = state.w - eta * np.asarray(grad, dtype=float)
-    return OptimizerState(w=w, v=state.v.copy(), t=state.t + 1)
+    return OptimizerState(w=w, v=state.v, t=state.t + 1)
 
 
 def nag_step(state: OptimizerState, grad_at: GradFn, eta: float, mu: float) -> OptimizerState:

@@ -27,7 +27,7 @@ arithmetic is written once, in optimizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,26 +88,14 @@ class CoupledTrace:
     """Record of one coupled run.
 
     param_diff[t] is ||w - w'|| after step t+1; hits marks steps where
-    the replaced index was drawn; loss_gap maps checkpoint step numbers
-    to the worst probe-loss difference (empty without probes);
-    hit_snapshots holds (t, w, w') taken just before each hit step so
-    jump bounds can be audited after the fact.
+    the replaced index was drawn; hit_snapshots holds (t, w, w') taken
+    just before each hit step so jump bounds can be audited after the
+    fact.
     """
 
     param_diff: np.ndarray
     hits: np.ndarray
-    loss_gap: dict
     hit_snapshots: list
-    max_grad_norm: float
-
-    @property
-    def final_param_diff(self) -> float:
-        return float(self.param_diff[-1])
-
-    @property
-    def final_loss_gap(self) -> float | None:
-        step = len(self.param_diff)
-        return self.loss_gap.get(step)
 
 
 def coupled_run(
@@ -117,17 +105,13 @@ def coupled_run(
     optimizer: OptimizerSpec,
     horizon: int,
     index_rng: np.random.Generator,
-    checkpoints: tuple = (),
-    probe_x: np.ndarray | None = None,
-    probe_y: np.ndarray | None = None,
 ) -> CoupledTrace:
     """Run the optimizer on two tasks coupled through one index stream.
 
     task_a and task_b must hold the same number of samples and differ
     only at index j.  Both runs start from zero.  The index sequence is
     drawn up front from index_rng, one uniform index per step, and
-    shared by the two runs.  Probe losses are evaluated at checkpoint
-    steps and at the final step when a probe set is supplied.
+    shared by the two runs.
     """
     n = task_a.n_samples
     if task_b.n_samples != n:
@@ -140,41 +124,21 @@ def coupled_run(
     shape = (2, task_a.dim)
     state = OptimizerState(w=np.zeros(shape), v=np.zeros(shape))
 
-    cps = set(int(c) for c in checkpoints)
-    cps.add(horizon)
     param_diff = np.zeros(horizon)
-    loss_gap: dict = {}
     snapshots: list = []
-    max_grad = 0.0
-    with_probes = probe_x is not None and probe_y is not None
 
     def grad_at(p: np.ndarray) -> np.ndarray:
         # i is the step's index, set in the loop below.
-        nonlocal max_grad
-        g = np.stack((task_a.grad(p[0], i), task_b.grad(p[1], i)))
-        max_grad = max(max_grad, float(np.linalg.norm(g[0])), float(np.linalg.norm(g[1])))
-        return g
+        return np.stack((task_a.grad(p[0], i), task_b.grad(p[1], i)))
 
     for t in range(horizon):
         i = int(idx[t])
         if i == j:
             snapshots.append((t, state.w[0].copy(), state.w[1].copy()))
         state = step(state, grad_at)
-        w = state.w
-        param_diff[t] = np.linalg.norm(w[0] - w[1])
-        if with_probes and (t + 1) in cps:
-            gaps = np.abs(
-                task_a.losses_at(w[0], probe_x, probe_y) - task_b.losses_at(w[1], probe_x, probe_y)
-            )
-            loss_gap[t + 1] = float(gaps.max())
+        param_diff[t] = np.linalg.norm(state.w[0] - state.w[1])
 
-    return CoupledTrace(
-        param_diff=param_diff,
-        hits=idx == j,
-        loss_gap=loss_gap,
-        hit_snapshots=snapshots,
-        max_grad_norm=max_grad,
-    )
+    return CoupledTrace(param_diff=param_diff, hits=idx == j, hit_snapshots=snapshots)
 
 
 def _seeded(config: ExperimentConfig, n: int, trial: int, *role: int) -> np.random.Generator:
@@ -443,7 +407,8 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     if cps.size < 3:
         raise ValueError("need at least three checkpoints for the growth fits, counting "
                          f"repeats once; got {cps.size} distinct")
-    runs = _lockstep(base, (n,), config)[0]
+    # VsTResult carries no loss gap, so no probes are drawn or scored.
+    runs = _lockstep(base, (n,), replace(config, probes=0))[0]
     curves = runs.param_diff[:, np.searchsorted(runs.steps, cps)]
     mean_curve = curves.mean(axis=0)
 

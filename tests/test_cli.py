@@ -161,6 +161,7 @@ def test_certify_invalid_sector_exit_64(capsys):
     (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "inf"],
      "need finite 0 < gamma <= beta, got gamma=0.1, beta=inf"),
     (["lyapunov", "--kappa", "inf"], "condition number must be finite and >= 1, got inf"),
+    (["lyapunov", "--kappa", "0.5"], "condition number must be finite and >= 1, got 0.5"),
     (["lyapunov", "--kappa", "2", "--eps", "nan", "--rho", "0.05"],
      "eps must be positive and finite, got nan"),
     (["lyapunov", "--kappa", "2", "--eps", "inf", "--rho", "0.05"],
@@ -171,7 +172,7 @@ def test_certify_invalid_sector_exit_64(capsys):
     (["simulate", "vs-n", "--probes", "-3", "--trials", "2", "--horizon", "200",
       "--sizes", "50,100,200", "--checkpoints", "100"], "probes must be >= 0, got -3"),
 ], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
-        "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
+        "lyapunov-kappa-below-1", "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
         "simulate-probes-negative"])
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == EXIT_USAGE

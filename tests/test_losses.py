@@ -62,10 +62,6 @@ def test_logistic_task_accessors():
     np.testing.assert_allclose(
         task.grad(w, 1), reg_logistic_grad(w, x[1], y[1], 0.01)[1]
     )
-    assert task.loss(w, 2) == pytest.approx(reg_logistic_loss(w, x[2], y[2], 0.01))
-    probes = task.losses_at(w, x, y)
-    assert probes.shape == (3,)
-    assert probes[0] == pytest.approx(task.loss(w, 0))
 
 
 def test_logistic_replaced_touches_one_record():
@@ -94,8 +90,6 @@ def test_quadratic_task_grad_and_loss():
     got = task.grad(w, 1)
     want = _central_diff(lambda v: task.loss(v, 1), w)
     np.testing.assert_allclose(got, want, atol=1e-6)
-    with pytest.raises(NotImplementedError):
-        task.losses_at(w, None, None)
 
 
 def test_quadratic_replaced():
