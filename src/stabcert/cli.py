@@ -7,13 +7,14 @@ Subcommands: certify (LMI feasibility for an optimizer/sector), lyapunov
 
 Exit codes: 0 success, 2 certification negative (Infeasible,
 Inconclusive, or an empty region), 64 usage errors, 66 unreadable or
-malformed input data.
+malformed input data, 73 an output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,8 +145,7 @@ def _cmd_certify(args) -> int:
             if above:
                 print(f"bracket        [{rate.rho_star:.6g}, {min(above):.6g}]")
         if rate.certificate is not None and args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(certificate_to_json(rate.certificate) + "\n")
+            _write(args.out, certificate_to_json(rate.certificate) + "\n")
         return EXIT_OK if certified else EXIT_NEGATIVE
 
     result = solve_feasibility(system, bounds, args.optimizer, options=opts)
@@ -163,8 +164,7 @@ def _cmd_certify(args) -> int:
         print(f"lambda         {cert.lam:.3e}")
         print(f"sampled slack  {result.sampled['max_violation']:.3e}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(certificate_to_json(cert) + "\n")
+            _write(args.out, certificate_to_json(cert) + "\n")
     return EXIT_OK if result.status == FEASIBLE else EXIT_NEGATIVE
 
 
@@ -239,17 +239,19 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-class _DataError(Exception):
-    """Input data unreadable or malformed (exit 66)."""
+class _Failure(Exception):
+    """A failure that main reports in one line; args are (message, exit code)."""
 
 
 def _load_dataset(args):
-    if args.data:
-        try:
-            return ingest_csv(args.data)
-        except ValueError as exc:
-            raise _DataError(str(exc)) from exc
-    return synthetic_dataset(args.n_base, args.dim, args.separation, seed=args.seed)
+    if not args.data:
+        return synthetic_dataset(args.n_base, args.dim, args.separation, seed=args.seed)
+    try:
+        return ingest_csv(args.data)
+    except OSError as exc:
+        raise _Failure(f"cannot read input: {exc}", EXIT_NOINPUT) from exc
+    except ValueError as exc:
+        raise _Failure(f"bad input data: {exc}", EXIT_NOINPUT) from exc
 
 
 def _sim_config(args) -> ExperimentConfig:
@@ -272,17 +274,22 @@ def _sim_config(args) -> ExperimentConfig:
     )
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Failure(f"cannot write output: {exc}", EXIT_CANTCREAT) from exc
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    _write(path, buf.getvalue())
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _timed_experiment(run, base, config: ExperimentConfig, sizes: int) -> tuple:
@@ -317,7 +324,8 @@ def _cmd_simulate(args) -> int:
         if result.fit is not None:
             print(f"log-log slope  {result.fit.slope:.4f}  (r2={result.fit.r2:.4f})")
         else:
-            print("log-log slope  n/a (need at least 3 subset sizes)")
+            why = "need at least 3 subset sizes" if len(result.sizes) < 3 else "a mean gap is 0"
+            print(f"log-log slope  n/a ({why})")
         _print_timing(timing)
         rows = [
             [n, f"{result.mean_param_diff[i]:.10g}",
@@ -395,12 +403,10 @@ def main(argv: list | None = None) -> int:
             return _cmd_bound(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
-    except FileNotFoundError as exc:
-        print(f"stabcert: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except _DataError as exc:
-        print(f"stabcert: bad input data: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
+    except _Failure as exc:
+        message, code = exc.args
+        print(f"stabcert: {message}", file=sys.stderr)
+        return code
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"stabcert: {exc}", file=sys.stderr)
         return EXIT_USAGE

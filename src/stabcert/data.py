@@ -102,7 +102,7 @@ def ingest_csv(path: str | Path) -> Dataset:
     zero-variance columns become all zeros.
 
     Raises:
-        FileNotFoundError: missing file.
+        OSError: a path that cannot be read (missing file, a directory).
         ValueError: non-numeric cells, bad labels, or single-class data.
     """
     path = Path(path)

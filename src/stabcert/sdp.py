@@ -31,12 +31,14 @@ at most 3 + ceil(log2(range / tol)) probes in all.
 LAPACK searches and Jacobi trusts.  Statuses: Feasible (the candidate
 passed verify_certificate and the sector sampling check), Infeasible
 (the dual witness passed verify_infeasibility), Inconclusive (neither,
-as when t* lies within the margins of zero).
+as when t* lies within the margins of zero).  The margins of the checks
+are module constants, so no caller can loosen what a verdict means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,42 +62,40 @@ INCONCLUSIVE = "Inconclusive"
 _GAP_TOL = 1e-7
 _CENTERED = 1e-10
 
+# The margins a verdict must clear, applied by verify_certificate,
+# s_lemma_cross_check and verify_infeasibility.
+_LMI_MARGIN = 1e-8
+_P_MARGIN = 1e-8
+_LAMBDA_FLOOR = 1e-6
+_SAMPLED_SLACK = 1e-9
+_WITNESS_MARGIN = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for solve_feasibility.
+    """Knobs for solve_feasibility; the margins a verdict must clear are
+    the module constants _LMI_MARGIN, _P_MARGIN, _LAMBDA_FLOOR,
+    _SAMPLED_SLACK and _WITNESS_MARGIN, not options.
 
-    feas_margin: the LMI must clear lambda_max <= -feas_margin.
-    p_tol: P must clear lambda_min >= p_tol.
-    lambda_min: floor for the decay-coupling variable lambda.
     max_iters: cap on the Newton steps of one solve.
-    infeasible_margin: a witness must bound t* at or below -infeasible_margin.
-    check_samples: sample count for the randomized certificate check.
-    seed: seed of that check, stored in the certificate.
+    seed: seed of the sector sampling check, stored in the certificate.
+    check_samples: sample count of that check, a class constant.
     restarts, patience: accepted for older callers and ignored.
 
     Raises:
-        ValueError: naming the first field out of range.
+        ValueError: naming the first field below 1.
     """
 
-    feas_margin: float = 1e-8
-    p_tol: float = 1e-8
-    lambda_min: float = 1e-6
     restarts: int = 16
     max_iters: int = 500
     patience: int = 2000
-    infeasible_margin: float = 1e-8
-    check_samples: int = 10_000
     seed: int = 0
+    check_samples: ClassVar[int] = 10_000
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "max_iters", "patience", "check_samples"):
+        for name in ("restarts", "max_iters", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SolverOptions.{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("feas_margin", "p_tol", "lambda_min", "infeasible_margin"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(
-                    f"SolverOptions.{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,6 @@ class CertificateCheck:
     ok: bool
     lmi_max_eig: float
     p_min_eig: float
-    lam: float
-    tau1: float
-    tau2: float
-    tau3: float = 0.0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -403,17 +399,16 @@ def solve_feasibility(
     traces = [RestartTrace(steps, -margin, prob.dim * mu)]
     if margin > 0.0:
         cert = _make_cert(bounds, prob, x, optimizer_name, steps, opts)
-        report = verify_certificate(cert, system, bounds, opts)
+        report = verify_certificate(cert, system, bounds)
         cert = replace(cert, lmi_max_eig=report.lmi_max_eig, p_min_eig=report.p_min_eig)
-        sampled = s_lemma_cross_check(cert, system, bounds, samples=opts.check_samples,
-                                      seed=opts.seed)
+        sampled = s_lemma_cross_check(cert, system, bounds, seed=opts.seed)
         status = FEASIBLE if report.ok and sampled["ok"] else INCONCLUSIVE
         return FeasibilityResult(status, cert if status == FEASIBLE else None, -margin, traces,
                                  sampled=sampled)
     d, s = prob.d, prob.s
     z1, z2 = z[:d, :d].copy(), z[d : d + s, d : d + s].copy()
     witness = InfeasibilityWitness(z1, z2, _dual_bound(prob, z1, z2)[1], rho, with_lam)
-    check = verify_infeasibility(witness, system, bounds, opts)
+    check = verify_infeasibility(witness, system, bounds)
     return FeasibilityResult(INFEASIBLE if check.ok else INCONCLUSIVE, None, -margin, traces,
                              witness, witness_check=check)
 
@@ -427,41 +422,39 @@ def verify_certificate(
     """Independently recheck a certificate's eigenvalue conditions.
 
     Rebuilds the LMI from the stored variables and tests, with the
-    package's own eigensolver, that the LMI clears -feas_margin, P
-    clears p_tol, the multipliers are nonnegative, and lambda respects
-    its floor (when the certificate carries one).  The result is truthy
-    exactly when all conditions hold.
+    package's own eigensolver, that the LMI clears -_LMI_MARGIN, P
+    clears _P_MARGIN, the multipliers are nonnegative, and lambda
+    respects _LAMBDA_FLOOR (when the certificate carries one).  The
+    result is truthy exactly when all conditions hold.  options is
+    accepted for older callers and ignored.
     """
-    opts = options or SolverOptions()
     lmi_top, p_bot = cert.recompute_eigs(system, bounds)
-    lam_ok = cert.lam >= opts.lambda_min or cert.lam == 0.0
-    ok = (lmi_top <= -opts.feas_margin and p_bot >= opts.p_tol and lam_ok
+    lam_ok = cert.lam >= _LAMBDA_FLOOR or cert.lam == 0.0
+    ok = (lmi_top <= -_LMI_MARGIN and p_bot >= _P_MARGIN and lam_ok
           and cert.tau1 >= 0.0 and cert.tau2 >= 0.0 and cert.tau3 >= 0.0)
-    return CertificateCheck(bool(ok), lmi_top, p_bot, cert.lam, cert.tau1, cert.tau2, cert.tau3)
+    return CertificateCheck(bool(ok), lmi_top, p_bot)
 
 
 def verify_infeasibility(
     witness: InfeasibilityWitness,
     system: LureSystem,
     bounds: SectorBounds,
-    options: SolverOptions | None = None,
 ) -> InfeasibilityCheck:
     """Independently recheck that a dual witness proves the LMI infeasible.
 
     Rebuilds the affine map in the units u/beta and tests that Z1 and Z2
     are positive semidefinite (by the package's own Jacobi eigensolver),
     that every tau slack is nonnegative, and that the bound of
-    _dual_bound, residuals included, is <= -infeasible_margin.
+    _dual_bound, residuals included, is <= -_WITNESS_MARGIN.
     Then no P > 0, tau >= 0, lambda >= 0 make the LMI negative
     semidefinite.  Truthy exactly when all conditions hold.
     """
-    opts = options or SolverOptions()
     prob = _unit_problem(system, bounds, witness.rho, witness.with_lam)
     z1_bot = float(eigvals_sym(witness.z1)[0])
     z2_bot = float(eigvals_sym(witness.z2)[0])
     bound, _, tau_slacks = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
     ok = (z1_bot >= 0.0 and z2_bot >= 0.0 and bool(np.all(tau_slacks >= 0.0))
-          and bound <= -opts.infeasible_margin)
+          and bound <= -_WITNESS_MARGIN)
     return InfeasibilityCheck(bool(ok), z1_bot, z2_bot, bound)
 
 
@@ -469,7 +462,7 @@ def s_lemma_cross_check(
     cert: IqcCertificate,
     system: LureSystem,
     bounds: SectorBounds,
-    samples: int = 10_000,
+    samples: int = SolverOptions.check_samples,
     seed: int = 0,
 ) -> dict:
     """Sample sector responses and test the decrement the LMI promises.
@@ -479,12 +472,13 @@ def s_lemma_cross_check(
 
         (V(A x + B u) - (1 - rho) V(x) + lambda ||x||^2) / ||x||^2,
 
-    which must be <= 0 for every in-sector response if the certificate
-    is sound.  Returns the max over samples as max_violation, a margin
-    comparable with t*: for z = (x, u) the decrement is z^T LMI z minus
-    the nonnegative sector terms, and ||z||^2 >= ||x||^2, so it is at
-    most lmi_max_eig when that is negative.  Passing bounds wider than
-    the certificate's sector should, and does, break valid certificates.
+    which must be <= 0 (ok allows _SAMPLED_SLACK) for every in-sector
+    response if the certificate is sound.  Returns the max over samples
+    as max_violation, a margin comparable with t*: for z = (x, u) the
+    decrement is z^T LMI z minus the nonnegative sector terms, and
+    ||z||^2 >= ||x||^2, so it is at most lmi_max_eig when that is
+    negative.  Passing bounds wider than the certificate's sector
+    should, and does, break valid certificates.
     """
     if system.input_dim != 1:
         raise ValueError("sampling check implemented for scalar input channels")
@@ -504,7 +498,7 @@ def s_lemma_cross_check(
     sq = np.einsum("ij,ij->j", xt, xt)
     vals = (v_next - (1.0 - cert.rho) * v_now + cert.lam * sq) / sq
     worst = float(vals.max())
-    return {"ok": bool(worst <= 1e-9), "max_violation": worst, "samples": samples}
+    return {"ok": bool(worst <= _SAMPLED_SLACK), "max_violation": worst, "samples": samples}
 
 
 def certify_rate(
@@ -556,12 +550,11 @@ def certify_rate(
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
-    opts = options or SolverOptions()
     tested, seen = [], {}  # seen: each probed rho's result, solved once
 
     def probe(rho: float) -> FeasibilityResult:
         if rho not in seen:
-            seen[rho] = solve_feasibility(system, bounds, optimizer_name, rho, False, opts)
+            seen[rho] = solve_feasibility(system, bounds, optimizer_name, rho, False, options)
             tested.append((rho, seen[rho].status))
         return seen[rho]
 

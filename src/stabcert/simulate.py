@@ -75,8 +75,6 @@ class ExperimentConfig:
             raise ValueError("need at least one subset size")
         if self.checkpoints and min(self.checkpoints) < 1:
             raise ValueError(f"checkpoints must be >= 1, got {min(self.checkpoints)}")
-        if self.checkpoints and max(self.checkpoints) > self.horizon:
-            raise ValueError("checkpoints must not exceed the horizon")
         if self.neighbor_mode not in ("resample", "flip"):
             raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
         if self.probes < 0:
@@ -334,8 +332,8 @@ def envelope_rate(optimizer: OptimizerSpec, sector) -> float:
 class VsNResult:
     """Stability versus sample count, with the log-log fit.
 
-    fit is None when fewer than 3 subset sizes were run; a slope from
-    1 or 2 points says nothing.
+    fit is None unless at least 3 subset sizes ran, each with a positive
+    mean gap: 1 or 2 points give no slope, and a gap of 0 no logarithm.
     """
 
     sizes: tuple
@@ -353,14 +351,13 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
     from the seed roles, so the per-size averages estimate stability of
     the subsampled learning problem rather than of one fixed subset.
     """
-    runs = _lockstep(base, config.subset_sizes, config)
+    runs = _lockstep(base, config.subset_sizes, replace(config, checkpoints=()))
     finals = np.array([r.param_diff[:, -1] for r in runs])
     grads = np.array([r.max_grad for r in runs])
     gaps = np.array([r.loss_gap for r in runs]) if config.probes > 0 else None
     means = finals.mean(axis=1)
-    fit = None
-    if len(config.subset_sizes) >= 3:
-        fit = fit_loglog_slope(np.asarray(config.subset_sizes, dtype=float), means)
+    sizes = np.asarray(config.subset_sizes, dtype=float)
+    fit = fit_loglog_slope(sizes, means) if sizes.size >= 3 and np.all(means > 0.0) else None
     return VsNResult(
         sizes=tuple(config.subset_sizes),
         mean_param_diff=means,
@@ -399,11 +396,13 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     those only the ones with a positive mean gap; fit_region lists them.
 
     Raises:
-        ValueError: on fewer than 3 distinct checkpoints, or fewer than 3
-            left to fit.
+        ValueError: on a checkpoint past the horizon, fewer than 3
+            distinct checkpoints, or fewer than 3 left to fit.
     """
     n = int(config.subset_sizes[0])
     cps = np.array(list(dict.fromkeys(int(c) for c in config.checkpoints)), dtype=int)
+    if max(cps, default=0) > config.horizon:
+        raise ValueError("checkpoints must not exceed the horizon")
     if cps.size < 3:
         raise ValueError("need at least three checkpoints for the growth fits, counting "
                          f"repeats once; got {cps.size} distinct")

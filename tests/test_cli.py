@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from stabcert import cli, sdp, simulate
-from stabcert.cli import EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
+from stabcert.cli import EXIT_CANTCREAT, EXIT_NEGATIVE, EXIT_NOINPUT, EXIT_OK, EXIT_USAGE, main
 from stabcert.iqc import certificate_from_json
 from stabcert.sdp import RateResult, SolverOptions
 
@@ -51,6 +51,21 @@ def test_certify_feasible_writes_certificate(tmp_path, capsys):
     assert cert.status == "Feasible"
     assert cert.lmi_max_eig < 0.0
     assert cert.p.shape == (1, 1)
+
+
+def test_certify_unwritable_out_exit_73(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for out in (tmp_path / "missing" / "x.json", blocker / "x.json"):
+        rc = main([
+            "certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0",
+            "--out", str(out),
+        ])
+        assert rc == EXIT_CANTCREAT
+        captured = capsys.readouterr()
+        assert "status         Feasible" in captured.out
+        assert "cannot write output" in captured.err
+        assert "cannot read" not in captured.err
 
 
 def test_certify_negative_exit_2(capsys):
@@ -305,6 +320,19 @@ def test_simulate_vs_n_two_sizes_reports_no_fit(tmp_path, capsys):
     assert report["slope"] is None and report["r2"] is None
 
 
+def test_simulate_vs_n_zero_mean_gap_reports_no_fit(capsys):
+    # At 50 steps two of the four default sizes have a mean gap of 0.
+    rc = main(["simulate", "vs-n", "--trials", "2", "--horizon", "50", "--checkpoints", "10"])
+    assert rc == EXIT_OK
+    assert "log-log slope  n/a (a mean gap is 0)" in capsys.readouterr().out
+
+
+def test_simulate_vs_n_ignores_default_checkpoints(capsys):
+    # The default checkpoints run past a 500-step horizon; vs-n reads none.
+    assert main(["simulate", "vs-n", "--horizon", "500", "--trials", "2"]) == EXIT_OK
+    assert "log-log slope" in capsys.readouterr().out
+
+
 def test_simulate_vs_t_csv_and_json(tmp_path, capsys):
     out_csv = tmp_path / "vst.csv"
     out_json = tmp_path / "vst.json"
@@ -370,6 +398,31 @@ def test_simulate_missing_file_exit_66(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_simulate_unreadable_data_exit_66(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for data in (tmp_path, blocker / "x.csv"):
+        rc = main([
+            "simulate", "vs-n", "--data", str(data),
+            "--sizes", "10,20", "--checkpoints", "40", "--horizon", "40",
+        ])
+        assert rc == EXIT_NOINPUT
+        assert "cannot read input" in capsys.readouterr().err
+
+
+def test_simulate_unwritable_out_exit_73(tmp_path, capsys):
+    for flag in ("--out", "--json"):
+        rc = main([
+            "simulate", "vs-t", *TINY_SIM,
+            "--sizes", "10", "--checkpoints", "20,40,60", "--probes", "0",
+            flag, str(tmp_path),
+        ])
+        assert rc == EXIT_CANTCREAT
+        captured = capsys.readouterr()
+        assert "saturating fit" in captured.out
+        assert "cannot write output" in captured.err
+
+
 def test_simulate_malformed_csv_exit_66(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,label\nfoo,1\n", encoding="utf-8")
@@ -399,7 +452,7 @@ def test_simulate_bad_sizes_exit_64(capsys):
 
 def test_simulate_checkpoint_past_horizon_exit_64(capsys):
     rc = main([
-        "simulate", "vs-n", *TINY_SIM,
+        "simulate", "vs-t", *TINY_SIM,
         "--sizes", "10,20", "--checkpoints", "500",
     ])
     assert rc == EXIT_USAGE

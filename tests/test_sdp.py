@@ -36,7 +36,7 @@ from stabcert.sdp import (
     verify_infeasibility,
 )
 
-FAST = SolverOptions(restarts=4, max_iters=8000, patience=800)
+FAST = SolverOptions(max_iters=8000)
 
 
 def test_sgd_unit_step_is_feasible():
@@ -141,14 +141,24 @@ def test_subgradient_matches_entrywise_formula(spec):
         ("restarts", 0),
         ("max_iters", 0),
         ("patience", 0),
-        ("check_samples", 0),
-        ("feas_margin", -1e-9),
-        ("infeasible_margin", float("nan")),
     ],
 )
 def test_solver_options_validates_fields(name, value):
     with pytest.raises(ValueError, match=f"SolverOptions.{name} "):
         SolverOptions(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("feas_margin", 0.0), ("p_tol", 0.0), ("lambda_min", 0.0), ("infeasible_margin", 0.0),
+     ("check_samples", 10)],
+)
+def test_solver_options_cannot_loosen_the_verdict_rules(name, value):
+    # The margins a verdict must clear and the sampling check's size are
+    # fixed, not options.
+    with pytest.raises(TypeError):
+        SolverOptions(**{name: value})
+    assert SolverOptions().check_samples == 10_000
 
 
 def test_verify_certificate_rejects_corruption():
@@ -279,7 +289,7 @@ def test_infeasible_status_for_stalled_positive_residual():
         system,
         sb,
         "sgd",
-        options=SolverOptions(restarts=4, max_iters=12_000, patience=900),
+        options=SolverOptions(max_iters=12_000),
     )
     assert res.status == INFEASIBLE
     assert res.best_violation > 1e-4
@@ -322,7 +332,7 @@ def test_projection_bounds_multiplier_drift():
             lure_of(Sgd(1.0), sb),
             sb,
             "sgd",
-            options=SolverOptions(seed=7, restarts=6, max_iters=20_000, patience=1200),
+            options=SolverOptions(seed=7, max_iters=20_000),
         )
         neg = solve_feasibility(lure_of(Sgd(3.0), sb), sb, "sgd")
     assert rate.status == "Certified"
@@ -341,7 +351,7 @@ def test_nag_product_multiplier_certifies_kappa_10():
     cert = res.certificate
     assert cert.tau3 > 0.0
     check = verify_certificate(cert, system, sb)
-    assert check.ok and check.tau3 == cert.tau3
+    assert check.ok
     without = dataclasses.replace(cert, tau3=0.0)
     assert not verify_certificate(without, system, sb)
 
@@ -354,7 +364,6 @@ def test_verify_certificate_rejects_negative_tau3():
     bad = dataclasses.replace(good, tau3=-1e-3)
     check = verify_certificate(bad, system, sb)
     assert not check
-    assert check.tau3 == -1e-3
 
 
 @pytest.mark.parametrize("kappa", [2.0, 4.0, 10.0])

@@ -171,15 +171,22 @@ def test_envelope_rate_dispatch():
     assert envelope_rate(tuned, sector) == pytest.approx(0.041694, abs=1e-6)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         ExperimentConfig(horizon=0)
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(subset_sizes=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(checkpoints=(4000,), horizon=2000)
+
+    # vs-t rejects a checkpoint past the horizon before any step runs.
+    def no_stepping(*args):
+        raise AssertionError("stepped despite a checkpoint past the horizon")
+
+    monkeypatch.setattr(simulate, "_lockstep", no_stepping)
+    with pytest.raises(ValueError, match="checkpoints must not exceed the horizon"):
+        stability_vs_t(synthetic_dataset(30, 4, seed=0),
+                       ExperimentConfig(checkpoints=(10, 50, 4000), horizon=2000))
     with pytest.raises(ValueError, match="checkpoints must be >= 1"):
         ExperimentConfig(checkpoints=(0, 10, 50))
     with pytest.raises(ValueError):
@@ -325,6 +332,28 @@ def test_vs_n_below_three_sizes_has_no_fit():
         probes=0,
     )
     assert stability_vs_n(base, two).fit is None
+
+
+def test_vs_n_zero_mean_gap_has_no_fit():
+    # At 50 steps no trial of sizes 100 and 200 draws its replaced index,
+    # so their mean gap is exactly 0 and has no logarithm.
+    base = synthetic_dataset(600, 64, separation=1.0, seed=23)
+    res = stability_vs_n(base, ExperimentConfig(trials=2, horizon=50, checkpoints=(10,)))
+    assert res.sizes == (50, 100, 200, 400)
+    assert list(res.mean_param_diff > 0.0) == [True, False, False, True]
+    assert res.fit is None
+
+
+def test_vs_n_ignores_checkpoints():
+    # vs-n records only the horizon, so checkpoints past it are not an error
+    # and do not change a single gap.
+    base = synthetic_dataset(60, 5, seed=1)
+    config = ExperimentConfig(optimizer=Sgd(eta=0.05), horizon=40, trials=2,
+                              subset_sizes=(10, 20, 30), checkpoints=(), probes=3)
+    plain = stability_vs_n(base, config)
+    past = stability_vs_n(base, replace(config, checkpoints=(10, 500)))
+    np.testing.assert_array_equal(past.trial_param_diff, plain.trial_param_diff)
+    np.testing.assert_array_equal(past.trial_loss_gap, plain.trial_loss_gap)
 
 
 def test_vs_t_needs_three_checkpoints():
