@@ -19,5 +19,7 @@ from .optimizers import (  # noqa: F401
     NagStandard,
     SectorBounds,
     Sgd,
+    TripleMomentum,
+    TwoStep,
     theta_of,
 )

@@ -1,17 +1,19 @@
 """First-order optimizer models and their feedback-system forms.
 
-Covers plain SGD, heavy ball, Nesterov acceleration in its standard
-(eta, mu) form, and the smooth-quadratic Nesterov variant whose momentum
-weight theta is pinned by the condition number.  SGD and both Nesterov
-forms have a step rule here, and step_rule picks a spec's, which the
-coupled runs of simulate step on (rows, dim) states.  All four are
-exposed as a linear system in feedback with the gradient (lure_of),
-which is what the Lyapunov rate and the IQC certification layers
-consume; heavy ball has no step rule because nothing simulates it.
+Gradient descent, heavy ball, standard Nesterov and triple momentum are
+one two-step family (Lessard, Recht & Packard 2016), TwoStep:
+xi+ = xi + mu (xi - xi_prev) - eta grad(xi + nu (xi - xi_prev)).  The
+smooth-quadratic Nesterov variant, whose momentum weight theta is pinned
+by the condition number, keeps its own spec because its step stores the
+query point.  step_rule gives a spec's step, which the coupled runs of
+simulate take on (rows, dim) states, and lure_of its linear system in
+feedback with the gradient, which the Lyapunov rate and the IQC layers
+consume.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -19,9 +21,11 @@ import numpy as np
 
 __all__ = [
     "SectorBounds",
+    "TwoStep",
     "Sgd",
     "HeavyBall",
     "NagStandard",
+    "TripleMomentum",
     "NagSmoothQuadratic",
     "OptimizerSpec",
     "OptimizerState",
@@ -69,45 +73,49 @@ class SectorBounds:
 
 
 @dataclass(frozen=True)
-class Sgd:
-    """Plain stochastic gradient descent with step size eta."""
+class TwoStep:
+    """The two-step family with step size eta, momentum mu and lookahead nu.
+
+        xi+ = xi + mu (xi - xi_prev) - eta grad(xi + nu (xi - xi_prev))
+    """
 
     eta: float
+    mu: float = 0.0
+    nu: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eta < np.inf):
             raise ValueError(f"step size must be positive and finite, got {self.eta}")
+        for name, value in (("momentum", self.mu), ("lookahead", self.nu)):
+            if not (0.0 <= value < 1.0):
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
-@dataclass(frozen=True)
-class HeavyBall:
+def Sgd(eta: float) -> TwoStep:
+    """Plain stochastic gradient descent: w+ = w - eta*grad(w)."""
+    return TwoStep(eta)
+
+
+def HeavyBall(eta: float, mu: float) -> TwoStep:
     """Polyak momentum: w+ = w - eta*grad(w) + mu*(w - w_prev)."""
-
-    eta: float
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eta < np.inf):
-            raise ValueError(f"step size must be positive and finite, got {self.eta}")
-        if not (0.0 <= self.mu < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.mu}")
+    return TwoStep(eta, mu, 0.0)
 
 
-@dataclass(frozen=True)
-class NagStandard:
+def NagStandard(eta: float, mu: float) -> TwoStep:
     """Nesterov acceleration with lookahead gradient.
 
     v+ = mu*v - eta*grad(w + mu*v); w+ = w + v+.
     """
+    return TwoStep(eta, mu, mu)
 
-    eta: float
-    mu: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eta < np.inf):
-            raise ValueError(f"step size must be positive and finite, got {self.eta}")
-        if not (0.0 <= self.mu < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.mu}")
+def TripleMomentum(bounds: SectorBounds) -> TwoStep:
+    """Van Scoy, Freeman & Lynch (2018), tuned for a [gamma, beta] sector.
+
+    With r = 1 - 1/sqrt(kappa); its fixed-curvature rate is 1 - r^2.
+    """
+    r = 1.0 - 1.0 / math.sqrt(bounds.kappa)
+    return TwoStep((1.0 + r) / bounds.beta, r * r / (2.0 - r), r * r / ((1.0 + r) * (2.0 - r)))
 
 
 @dataclass(frozen=True)
@@ -128,12 +136,16 @@ class NagSmoothQuadratic:
         return theta_of(self.bounds.kappa)
 
 
-OptimizerSpec = Union[Sgd, HeavyBall, NagStandard, NagSmoothQuadratic]
+OptimizerSpec = Union[TwoStep, NagSmoothQuadratic]
 
 
 @dataclass
 class OptimizerState:
-    """Mutable iterate pair; v doubles as momentum or auxiliary sequence."""
+    """Mutable iterate pair.
+
+    For a TwoStep v is the velocity w_t - w_{t-1}; for NagSmoothQuadratic
+    it is the auxiliary sequence.
+    """
 
     w: np.ndarray
     v: np.ndarray
@@ -185,9 +197,17 @@ def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerSt
     return OptimizerState(w=w, v=state.v, t=state.t + 1)
 
 
-def nag_step(state: OptimizerState, grad_at: GradFn, eta: float, mu: float) -> OptimizerState:
-    """Standard Nesterov step; grad_at is called at the lookahead w + mu*v."""
-    v = mu * state.v - eta * grad_at(state.w + mu * state.v)
+def nag_step(
+    state: OptimizerState, grad_at: GradFn, eta: float, mu: float, nu: float | None = None
+) -> OptimizerState:
+    """One step of the two-step family on the state (w_t, v_t = w_t - w_{t-1}).
+
+    v+ = mu*v - eta*grad_at(w + nu*v); w+ = w + v+.  The lookahead nu
+    defaults to mu, the standard Nesterov step; mu = nu = 0 is sgd_step.
+    """
+    if nu is None:
+        nu = mu
+    v = mu * state.v - eta * grad_at(state.w + nu * state.v)
     return OptimizerState(w=state.w + v, v=v, t=state.t + 1)
 
 
@@ -225,69 +245,43 @@ def a_alpha(theta: float, alpha: float) -> np.ndarray:
 def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
     """Feedback-form matrices (A, B, C, D) for a supported optimizer.
 
-    The gradient enters as u = grad(y) with y = C x + D u, and D = 0 for
-    all four specs.  On a fixed curvature lam the coupled difference
-    therefore moves by the closed loop A + lam B C.  The state of each
-    form maps onto the step rule's (w, v): Sgd x = (w), NagStandard
-    x = (w, v), HeavyBall x = (w_t, w_{t-1}), and NagSmoothQuadratic
-    x = (v_t, v_{t-1}) with w_t = C x.
+    The gradient enters as u = grad(y) with y = C x + D u, and D = 0.  On
+    a fixed curvature lam the coupled difference therefore moves by the
+    closed loop A + lam B C.  A TwoStep has the state
+    x = (xi_t, xi_{t-1}), with A = [[1+mu, -mu], [1, 0]], B = [[-eta], [0]]
+    and C = [[1+nu, -nu]]; at mu = nu = 0, where xi_{t-1} neither moves
+    nor is read, it is the 1x1 form x = (w).  NagSmoothQuadratic is the
+    member TwoStep(1/beta, theta, theta) on x = (v_t, v_{t-1}), whose
+    query point w_t = C x is what its step rule stores as w.
 
     Raises:
         TypeError: for an unknown optimizer type.
     """
-    if isinstance(spec, Sgd):
-        return LureSystem(
-            a=np.array([[1.0]]),
-            b=np.array([[-spec.eta]]),
-            c=np.array([[1.0]]),
-            d=np.array([[0.0]]),
-        )
-    if isinstance(spec, HeavyBall):
-        # State (w_t, w_{t-1}); u = grad(w_t).
-        return LureSystem(
-            a=np.array([[1.0 + spec.mu, -spec.mu], [1.0, 0.0]]),
-            b=np.array([[-spec.eta], [0.0]]),
-            c=np.array([[1.0, 0.0]]),
-            d=np.array([[0.0]]),
-        )
-    if isinstance(spec, NagStandard):
-        # State (w, v); the query y = w + mu v, v+ = mu v - eta u, w+ = w + v+.
-        return LureSystem(
-            a=np.array([[1.0, spec.mu], [0.0, spec.mu]]),
-            b=np.array([[-spec.eta], [-spec.eta]]),
-            c=np.array([[1.0, spec.mu]]),
-            d=np.array([[0.0]]),
-        )
     if isinstance(spec, NagSmoothQuadratic):
-        # State (v_t, v_{t-1}); the query point is w_t = (1+theta) v_t - theta v_{t-1},
-        # so y = C x recovers w and v+ = w - grad(w)/beta drives the first coordinate.
-        theta = spec.theta
-        beta = spec.bounds.beta
-        return LureSystem(
-            a=np.array([[1.0 + theta, -theta], [1.0, 0.0]]),
-            b=np.array([[-1.0 / beta], [0.0]]),
-            c=np.array([[1.0 + theta, -theta]]),
-            d=np.array([[0.0]]),
-        )
-    raise TypeError(f"no feedback form for optimizer {type(spec).__name__}")
+        spec = TwoStep(1.0 / spec.bounds.beta, spec.theta, spec.theta)
+    if not isinstance(spec, TwoStep):
+        raise TypeError(f"no feedback form for optimizer {type(spec).__name__}")
+    eta, mu, nu = spec.eta, spec.mu, spec.nu
+    if mu == nu == 0.0:
+        a, b, c = [[1.0]], [[-eta]], [[1.0]]
+    else:
+        a, b, c = [[1.0 + mu, -mu], [1.0, 0.0]], [[-eta], [0.0]], [[1.0 + nu, -nu]]
+    return LureSystem(a=np.array(a), b=np.array(b), c=np.array(c), d=np.array([[0.0]]))
 
 
 def step_rule(spec: OptimizerSpec) -> StepFn:
     """The spec's step as step(state, grad_at) -> the next state.
 
-    grad_at maps a query point to the gradient there.  Each branch calls
-    nag_step, sgd_step or nag_sq_step, so a state of (rows, dim) arrays
-    steps every row as that row stepped alone.
+    grad_at maps a query point to the gradient there.  A TwoStep steps
+    through nag_step and NagSmoothQuadratic through nag_sq_step, so a
+    state of (rows, dim) arrays steps every row as that row stepped alone.
 
     Raises:
-        TypeError: for an optimizer without a step rule.
+        TypeError: for an unknown optimizer type.
     """
-    if isinstance(spec, NagStandard):
-        eta, mu = spec.eta, spec.mu
-        return lambda state, grad_at: nag_step(state, grad_at, eta, mu)
-    if isinstance(spec, Sgd):
-        eta = spec.eta
-        return lambda state, grad_at: sgd_step(state, grad_at(state.w), eta)
+    if isinstance(spec, TwoStep):
+        eta, mu, nu = spec.eta, spec.mu, spec.nu
+        return lambda state, grad_at: nag_step(state, grad_at, eta, mu, nu)
     if isinstance(spec, NagSmoothQuadratic):
         bounds = spec.bounds
         return lambda state, grad_at: nag_sq_step(state, grad_at(state.w), bounds)

@@ -73,8 +73,6 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.subset_sizes:
             raise ValueError("need at least one subset size")
-        if self.checkpoints and min(self.checkpoints) < 1:
-            raise ValueError(f"checkpoints must be >= 1, got {min(self.checkpoints)}")
         if self.neighbor_mode not in ("resample", "flip"):
             raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
         if self.probes < 0:
@@ -396,11 +394,13 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     those only the ones with a positive mean gap; fit_region lists them.
 
     Raises:
-        ValueError: on a checkpoint past the horizon, fewer than 3
-            distinct checkpoints, or fewer than 3 left to fit.
+        ValueError: on a checkpoint below 1 or past the horizon, fewer
+            than 3 distinct checkpoints, or fewer than 3 left to fit.
     """
     n = int(config.subset_sizes[0])
     cps = np.array(list(dict.fromkeys(int(c) for c in config.checkpoints)), dtype=int)
+    if min(cps, default=1) < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {min(cps)}")
     if max(cps, default=0) > config.horizon:
         raise ValueError("checkpoints must not exceed the horizon")
     if cps.size < 3:

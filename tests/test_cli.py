@@ -333,6 +333,13 @@ def test_simulate_vs_n_ignores_default_checkpoints(capsys):
     assert "log-log slope" in capsys.readouterr().out
 
 
+def test_simulate_vs_n_ignores_checkpoint_below_one(capsys):
+    # A checkpoint below 1 is a vs-t error only; vs-n reads no checkpoint.
+    rc = main(["simulate", "vs-n", *TINY_SIM, "--sizes", "10,20,30", "--checkpoints", "0"])
+    assert rc == EXIT_OK
+    assert "log-log slope" in capsys.readouterr().out
+
+
 def test_simulate_vs_t_csv_and_json(tmp_path, capsys):
     out_csv = tmp_path / "vst.csv"
     out_json = tmp_path / "vst.json"

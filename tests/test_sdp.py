@@ -19,6 +19,7 @@ from stabcert.optimizers import (
     NagStandard,
     SectorBounds,
     Sgd,
+    TripleMomentum,
     lure_of,
 )
 from stabcert import sdp
@@ -605,6 +606,29 @@ def test_rate_search_closes_at_the_reference_in_two_probes(name, scale):
     assert [status for rho, status in res.tested] == [INFEASIBLE, FEASIBLE]
     assert [rho for rho, status in res.tested] == [ref + 0.4 * tol, ref - 0.4 * tol]
     assert res.status == "Certified" and res.certificate.rho == res.rho_star
+    assert ref - tol <= res.rho_star <= ref
+
+
+@pytest.mark.parametrize("kappa, reference", [
+    (2.0, 0.863266), (4.0, 0.491801), (10.0, None), (25.0, None),
+])
+def test_triple_momentum_fast_at_a_fixed_curvature_unstable_when_it_switches(kappa, reference):
+    # Triple momentum's fixed-curvature rate is 1 - (1 - 1/sqrt kappa)^2,
+    # the fastest of the family, yet the one-step LMI certifies a rate
+    # only up to kappa 4: from kappa 10 on no rate in the range is
+    # certified.
+    sb = SectorBounds(1.0, kappa)
+    system = lure_of(TripleMomentum(sb), sb)
+    exact = 1.0 - (1.0 - 1.0 / math.sqrt(kappa)) ** 2
+    assert fixed_curvature_rate(system, sb) == pytest.approx(exact, rel=1e-12)
+    tol = 1e-4
+    res = certify_rate(system, sb, tol=tol)
+    if reference is None:
+        assert res.status == "Infeasible-at-range" and res.rho_star is None
+        return
+    ref = one_step_rate(system, sb)
+    assert ref == pytest.approx(reference, abs=1e-6)
+    assert res.status == "Certified" and len(res.tested) == 2
     assert ref - tol <= res.rho_star <= ref
 
 

@@ -100,10 +100,6 @@ def test_coupled_run_validation():
     task, other = _tiny_tasks()
     with pytest.raises(ValueError, match="replaced index"):
         coupled_run(task, other, 99, Sgd(0.1), 10, np.random.default_rng(0))
-    with pytest.raises(TypeError, match="unsupported"):
-        coupled_run(
-            task, other, 0, HeavyBall(0.1, 0.5), 10, np.random.default_rng(0)
-        )
     short = LogisticTask(x=task.x[:4], y=task.y[:4], lam=task.lam)
     with pytest.raises(ValueError, match="equal sample counts"):
         coupled_run(task, short, 0, Sgd(0.1), 10, np.random.default_rng(0))
@@ -188,7 +184,7 @@ def test_config_validation(monkeypatch):
         stability_vs_t(synthetic_dataset(30, 4, seed=0),
                        ExperimentConfig(checkpoints=(10, 50, 4000), horizon=2000))
     with pytest.raises(ValueError, match="checkpoints must be >= 1"):
-        ExperimentConfig(checkpoints=(0, 10, 50))
+        stability_vs_t(synthetic_dataset(30, 4, seed=0), ExperimentConfig(checkpoints=(0, 10, 50)))
     with pytest.raises(ValueError):
         ExperimentConfig(neighbor_mode="clone")
     with pytest.raises(ValueError, match="probes must be >= 0, got -3"):
@@ -415,12 +411,12 @@ def _oracle_trial(base, n, trial, config):
                 return seen[-1]
 
             state = states[arm]
-            if isinstance(opt, NagStandard):
-                states[arm] = nag_step(state, grad, opt.eta, opt.mu)
-            elif isinstance(opt, Sgd):
+            if isinstance(opt, NagSmoothQuadratic):
+                states[arm] = nag_sq_step(state, grad(state.w), opt.bounds)
+            elif opt.mu == 0.0:
                 states[arm] = sgd_step(state, grad(state.w), opt.eta)
             else:
-                states[arm] = nag_sq_step(state, grad(state.w), opt.bounds)
+                states[arm] = nag_step(state, grad, opt.eta, opt.mu, opt.nu)
             max_grad = max(max_grad, float(np.linalg.norm(seen[0])))
         diffs[t] = np.linalg.norm(states[0].w - states[1].w)
     gap = None
@@ -462,6 +458,8 @@ SIZES, CHECKPOINTS = (10, 25, 40), (20, 40, 60, 80)
         pytest.param("nag_sq", "resample", "synthetic", 0, SIZES, CHECKPOINTS,
                      id="nag_sq-resample-synthetic-0"),
         pytest.param("nag_sq", "flip", "csv", 4, SIZES, CHECKPOINTS, id="nag_sq-flip-csv-4"),
+        pytest.param("heavyball", "resample", "synthetic", 2, SIZES, CHECKPOINTS,
+                     id="heavyball-resample-synthetic-2"),
         pytest.param("nag", "resample", "csv", 2, (25, 10, 40), CHECKPOINTS,
                      id="nag-resample-csv-2-sizes-unsorted"),
         pytest.param("sgd", "resample", "synthetic", 3, SIZES, (60, 20, 80, 40),
@@ -478,6 +476,7 @@ def test_lockstep_drivers_equal_per_trial_oracle(
         "nag": NagStandard(eta=0.05, mu=0.8),
         "sgd": Sgd(eta=0.1),
         "nag_sq": NagSmoothQuadratic(effective_sector(base, lam)),
+        "heavyball": HeavyBall(eta=0.05, mu=0.8),
     }[opt_name]
     config = ExperimentConfig(
         optimizer=optimizer,
@@ -543,35 +542,40 @@ def test_coupled_run_equals_step_functions(kind):
         task = random_sector_quadratics(10, 4, sb, np.random.default_rng(12))
         other = task.replaced(2, np.eye(4) * 0.5, np.ones(4))
     horizon = 40
-    for opt in (NagStandard(0.05, 0.8), Sgd(0.1), NagSmoothQuadratic(sb)):
+    for opt in (NagStandard(0.05, 0.8), Sgd(0.1), HeavyBall(0.05, 0.8), NagSmoothQuadratic(sb)):
         trace = coupled_run(task, other, 2, opt, horizon, np.random.default_rng(4))
         idx = np.random.default_rng(4).integers(0, task.n_samples, size=horizon)
         states = [OptimizerState.zeros(task.dim), OptimizerState.zeros(task.dim)]
         for t, i in enumerate(idx):
             for arm, tk in enumerate((task, other)):
                 state = states[arm]
-                if isinstance(opt, NagStandard):
-                    states[arm] = nag_step(state, lambda w: tk.grad(w, i), opt.eta, opt.mu)
-                elif isinstance(opt, Sgd):
+                if isinstance(opt, NagSmoothQuadratic):
+                    states[arm] = nag_sq_step(state, tk.grad(state.w, i), opt.bounds)
+                elif opt.mu == 0.0:
                     states[arm] = sgd_step(state, tk.grad(state.w, i), opt.eta)
                 else:
-                    states[arm] = nag_sq_step(state, tk.grad(state.w, i), opt.bounds)
+                    states[arm] = nag_step(state, lambda w: tk.grad(w, i), opt.eta, opt.mu,
+                                           opt.nu)
             assert trace.param_diff[t] == np.linalg.norm(states[0].w - states[1].w)
 
 
+class _Adam:
+    """An optimizer type without a step rule."""
+
+
 def test_unsupported_optimizer_raises_type_error():
-    # Heavy ball has a feedback form but no step rule, so every path
-    # that steps it refuses it by name.
-    spec = HeavyBall(0.1, 0.5)
-    with pytest.raises(TypeError, match="unsupported optimizer HeavyBall"):
+    # An optimizer without a step rule is refused by name on every path
+    # that steps it.
+    spec = _Adam()
+    with pytest.raises(TypeError, match="unsupported optimizer _Adam"):
         step_rule(spec)
     task, other = _tiny_tasks(seed=3)
-    with pytest.raises(TypeError, match="unsupported optimizer HeavyBall"):
+    with pytest.raises(TypeError, match="unsupported optimizer _Adam"):
         coupled_run(task, other, 2, spec, 10, np.random.default_rng(0))
     config = ExperimentConfig(
         optimizer=spec, horizon=10, trials=1, subset_sizes=(10,), checkpoints=(), probes=0,
     )
-    with pytest.raises(TypeError, match="unsupported optimizer HeavyBall"):
+    with pytest.raises(TypeError, match="unsupported optimizer _Adam"):
         stability_vs_n(synthetic_dataset(20, 3, seed=0), config)
 
 
