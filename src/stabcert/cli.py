@@ -324,7 +324,12 @@ def _cmd_simulate(args) -> int:
         if result.fit is not None:
             print(f"log-log slope  {result.fit.slope:.4f}  (r2={result.fit.r2:.4f})")
         else:
-            why = "need at least 3 subset sizes" if len(result.sizes) < 3 else "a mean gap is 0"
+            if len(result.sizes) < 3:
+                why = "need at least 3 subset sizes"
+            elif not np.all(np.isfinite(result.mean_param_diff)):
+                why = "a mean gap is not finite: the run diverged"
+            else:
+                why = "a mean gap is 0"
             print(f"log-log slope  n/a ({why})")
         _print_timing(timing)
         rows = [

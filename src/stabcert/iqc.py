@@ -1,18 +1,25 @@
-"""Sector quadratic constraints and the certificate LMI.
+"""The sector quadratic constraint and the certificate LMI.
 
 A gradient of a [gamma, beta]-sector function, acting on differences
-y = w - w' and u = grad(w) - grad(w'), satisfies three pointwise
-quadratic inequalities: strong monotonicity (u^T y >= gamma ||y||^2),
-inverse smoothness (u^T y >= ||u||^2 / beta), and the sector product
-form (u - gamma y)^T (beta y - u) >= 0 of Lessard, Recht & Packard
-(SIAM J. Optim. 2016).  The product form is not a nonnegative
-combination of the first two; on a scalar channel it alone makes the
-S-procedure lossless.  Folding nonnegative multiples of all three into
-the Lyapunov decrement condition for a feedback system gives one linear
-matrix inequality in (P, lambda, tau1, tau2, tau3); a negative
-semidefinite solution is a machine-checkable stability certificate.
-sdp.s_lemma_cross_check samples in-sector responses to check a solved
-certificate's decrement directly.
+y = w - w' and u = grad(w) - grad(w'), satisfies the sector product form
+(u - gamma y)^T (beta y - u) >= 0 of Lessard, Recht & Packard (SIAM J.
+Optim. 2016).  Folding a nonnegative multiple tau of it into the
+Lyapunov decrement condition of a feedback system gives one linear
+matrix inequality in (P, lambda, tau); a negative semidefinite solution
+is a machine-checkable stability certificate.
+
+One multiplier loses nothing on the scalar channel of a LureSystem.
+Strong monotonicity (u y >= gamma y^2) and co-coercivity
+(u y >= u^2 / beta) follow from the product form there, since for
+y != 0 it says u / y lies in [gamma, beta].  For gamma < beta the product
+form is strictly positive at u = (gamma + beta) y / 2, so by the strict
+S-lemma (Polik & Terlaky, SIAM Review 2007) the decrement holds on every
+in-sector pair exactly when some tau >= 0 certifies it.  So a certificate
+that also weighs the two implied inequalities exists exactly when one
+with tau alone does.  At gamma = beta
+the product form is -(u - gamma y)^2, which is nowhere positive, and
+the lemma does not apply.  sdp.s_lemma_cross_check samples in-sector
+responses to check a solved certificate's decrement directly.
 """
 
 from __future__ import annotations
@@ -27,24 +34,12 @@ from .optimizers import LureSystem, SectorBounds
 
 __all__ = [
     "IqcCertificate",
-    "sector_multipliers",
     "sector_product_multiplier",
     "sector_lift",
     "assemble_lmi",
     "certificate_to_json",
     "certificate_from_json",
 ]
-
-
-def sector_multipliers(bounds: SectorBounds) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplier matrices for strong monotonicity and co-coercivity on (y, u).
-
-    Pi1 encodes u^T y - gamma ||y||^2 >= 0 and Pi2 encodes
-    u^T y - ||u||^2 / beta >= 0, both as [y u] quadratic forms.
-    """
-    pi1 = np.array([[-bounds.gamma, 0.5], [0.5, 0.0]])
-    pi2 = np.array([[0.0, 0.5], [0.5, -1.0 / bounds.beta]])
-    return pi1, pi2
 
 
 def sector_product_multiplier(bounds: SectorBounds) -> np.ndarray:
@@ -58,13 +53,11 @@ def sector_product_multiplier(bounds: SectorBounds) -> np.ndarray:
 
 
 def sector_lift(system: LureSystem) -> np.ndarray:
-    """The map J = [[C, D], [0, I]] from z = (x, u) to the pair (y, u)."""
+    """The map J = [[C, 0], [0, 1]] from z = (x, u) to the pair (y, u)."""
     s = system.state_dim
-    m = system.input_dim
-    j = np.zeros((2 * m, s + m))
-    j[:m, :s] = system.c
-    j[:m, s:] = system.d
-    j[m:, s:] = np.eye(m)
+    j = np.zeros((2, s + 1))
+    j[0, :s] = system.c
+    j[1, s] = 1.0
     return j
 
 
@@ -73,36 +66,28 @@ def assemble_lmi(
     bounds: SectorBounds,
     p: np.ndarray,
     lam: float,
-    tau1: float,
-    tau2: float,
+    tau: float,
     rho: float = 0.0,
-    tau3: float = 0.0,
 ) -> np.ndarray:
     """Certificate LMI in the joint variable z = (x, u).
 
-    Returns the symmetric (s+m) x (s+m) matrix
+    Returns the symmetric (s+1) x (s+1) matrix
 
-        [F^T P F - (1-rho) blkdiag(P, 0)] + lam * blkdiag(I, 0)
-            + J^T (tau1 Pi1 + tau2 Pi2 + tau3 Pi3) J,
+        [F^T P F - (1-rho) blkdiag(P, 0)] + lam * blkdiag(I, 0) + tau J^T Pi3 J,
 
-    with F = [A B] and J = [[C, D], [0, I]].  Negative semidefiniteness
+    with F = [A B] and J = [[C, 0], [0, 1]].  Negative semidefiniteness
     certifies V(x+) <= (1-rho) V(x) - lam ||x||^2 whenever u is a sector
-    gradient response to y = C x + D u.  Affine in
-    (p, lam, tau1, tau2, tau3); tau3 follows rho so that positional
-    callers of the two-multiplier form keep working.
+    gradient response to y = C x.  Affine in (p, lam, tau).
     """
     p = np.asarray(p, dtype=float)
     s = system.state_dim
-    m = system.input_dim
     if p.shape != (s, s):
         raise ValueError(f"P must be {s}x{s}, got {p.shape}")
     f = np.hstack([system.a, system.b])
-    lifted = np.zeros((s + m, s + m))
+    lifted = np.zeros((s + 1, s + 1))
     lifted[:s, :s] = (1.0 - rho) * p - lam * np.eye(s)
     j = sector_lift(system)
-    pi1, pi2 = sector_multipliers(bounds)
-    pi3 = sector_product_multiplier(bounds)
-    return f.T @ p @ f - lifted + j.T @ (tau1 * pi1 + tau2 * pi2 + tau3 * pi3) @ j
+    return f.T @ p @ f - lifted + tau * (j.T @ sector_product_multiplier(bounds) @ j)
 
 
 @dataclass(frozen=True)
@@ -114,21 +99,17 @@ class IqcCertificate:
     beta: float
     p: np.ndarray
     lam: float
-    tau1: float
-    tau2: float
+    tau: float
     rho: float
     lmi_max_eig: float
     p_min_eig: float
     status: str
     solver_seed: int
-    tau3: float = 0.0
     newton_steps: int = 0
 
     def recompute_eigs(self, system: LureSystem, bounds: SectorBounds) -> tuple[float, float]:
         """Re-derive (lmi_max_eig, p_min_eig) from the stored variables."""
-        lmi = assemble_lmi(
-            system, bounds, self.p, self.lam, self.tau1, self.tau2, self.rho, self.tau3
-        )
+        lmi = assemble_lmi(system, bounds, self.p, self.lam, self.tau, self.rho)
         return float(eigvals_sym(lmi)[-1]), float(eigvals_sym(self.p)[0])
 
 
@@ -140,9 +121,7 @@ def certificate_to_json(cert: IqcCertificate) -> str:
         "beta": cert.beta,
         "P": [float(x) for x in np.asarray(cert.p).reshape(-1)],
         "lambda": cert.lam,
-        "tau1": cert.tau1,
-        "tau2": cert.tau2,
-        "tau3": cert.tau3,
+        "tau": cert.tau,
         "rho": cert.rho,
         "lmi_max_eig": cert.lmi_max_eig,
         "p_min_eig": cert.p_min_eig,
@@ -156,10 +135,7 @@ def certificate_to_json(cert: IqcCertificate) -> str:
 def certificate_from_json(text: str) -> IqcCertificate:
     """Inverse of certificate_to_json.
 
-    A document without "tau3" (written before the sector product
-    multiplier existed) reads as tau3 = 0.0, which is the LMI it
-    certified; one without "newton_steps" (written before the barrier
-    solver) reads as 0 steps.
+    A document without "newton_steps" reads as 0 steps.
     """
     raw = json.loads(text)
     flat = np.asarray(raw["P"], dtype=float)
@@ -172,13 +148,11 @@ def certificate_from_json(text: str) -> IqcCertificate:
         beta=float(raw["beta"]),
         p=flat.reshape(side, side),
         lam=float(raw["lambda"]),
-        tau1=float(raw["tau1"]),
-        tau2=float(raw["tau2"]),
+        tau=float(raw["tau"]),
         rho=float(raw.get("rho", 0.0)),
         lmi_max_eig=float(raw["lmi_max_eig"]),
         p_min_eig=float(raw["p_min_eig"]),
         status=str(raw["status"]),
         solver_seed=int(raw["solver_seed"]),
-        tau3=float(raw.get("tau3", 0.0)),
         newton_steps=int(raw.get("newton_steps", 0)),
     )

@@ -44,9 +44,12 @@ def reg_logistic_grad(
     sigmoid saturates cleanly, so for strongly positive margins the data
     terms vanish and only the regularizer remains.
     """
-    m = y * np.dot(w, x)
-    loss = float(np.logaddexp(0.0, -m) + 0.5 * lam * np.dot(w, w))
-    return loss, -y * sigmoid(-m) * x + lam * w
+    return reg_logistic_loss(w, x, y, lam), _reg_logistic_gradient(w, x, y, lam)
+
+
+def _reg_logistic_gradient(w: np.ndarray, x: np.ndarray, y: float, lam: float) -> np.ndarray:
+    """The gradient of reg_logistic_grad, without its loss."""
+    return -y * sigmoid(-(y * np.dot(w, x))) * x + lam * w
 
 
 def reg_logistic_loss(w: np.ndarray, x: np.ndarray, y: float, lam: float) -> float:
@@ -105,7 +108,7 @@ class LogisticTask:
         return self.x.shape[1]
 
     def grad(self, w: np.ndarray, i: int) -> np.ndarray:
-        return reg_logistic_grad(w, self.x[i], self.y[i], self.lam)[1]
+        return _reg_logistic_gradient(w, self.x[i], self.y[i], self.lam)
 
     def replaced(self, j: int, x_new: np.ndarray, y_new: float) -> "LogisticTask":
         x = self.x.copy()

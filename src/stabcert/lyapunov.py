@@ -53,14 +53,11 @@ __all__ = [
     "StabilityBound",
     "kappa_of_theta",
     "build_p_eps",
-    "bound_c_eps",
-    "lyapunov_value",
     "assemble_m_alpha",
     "verify_contraction",
     "find_feasible_region",
     "fixed_curvature_rate",
     "one_step_rate",
-    "total_expectation_recurrence",
     "nag_stability_bound",
     "nag_stability_limit",
     "sgd_stability_bound",
@@ -88,24 +85,6 @@ def build_p_eps(theta: float, eps: float) -> np.ndarray:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     s = 1.0 + theta
     return np.array([[1.0, -s], [-s, s * s + eps]])
-
-
-def bound_c_eps(theta: float, eps: float) -> float:
-    """Smallest C with ||dw||^2 <= C * V_eps(dw, dv) for all states.
-
-    Equals the (1,1) entry of P_eps^{-1}: 1 + (1 + theta)^2 / eps.
-    """
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    return 1.0 + (1.0 + theta) ** 2 / eps
-
-
-def lyapunov_value(theta: float, eps: float, dw: float, dv: float) -> float:
-    """V_eps = (dw - (1+theta) dv)^2 + eps * dv^2."""
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    resid = dw - (1.0 + theta) * dv
-    return float(resid * resid + eps * dv * dv)
 
 
 def assemble_m_alpha(p: np.ndarray, theta: float, rho: float, alpha: float) -> np.ndarray:
@@ -299,15 +278,10 @@ def fixed_curvature_rate(system: LureSystem, bounds: SectorBounds) -> float:
     on |a + lam b c|.
 
     Raises:
-        ValueError: for a state larger than 2x2, a non-scalar input or
-            output, or D != 0.
+        ValueError: for a state larger than 2x2.
     """
     if system.state_dim > 2:
         raise ValueError(f"need a 1x1 or 2x2 state, got {system.state_dim}")
-    if system.input_dim != 1 or system.c.shape[0] != 1:
-        raise ValueError("need a scalar gradient channel")
-    if np.any(system.d != 0.0):
-        raise ValueError("need D = 0")
     bc = system.b @ system.c
     worst = 0.0
     for lam in (bounds.gamma, bounds.beta):
@@ -365,9 +339,9 @@ def _common_lyapunov(m1: list, m2: list, q: float) -> bool:
 def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
     """Exact supremum of the one-step rate-mode sector LMI, or None.
 
-    Covers 1x1 and 2x2 states with a scalar gradient channel and D = 0;
-    returns None for any other form.  On such a channel the sector
-    product multiplier makes the S-procedure lossless, and A -> A^T P A
+    Covers 1x1 and 2x2 states and returns None for larger ones.  On the
+    scalar gradient channel of every LureSystem the sector product
+    multiplier makes the S-procedure lossless, and A -> A^T P A
     is convex, so the rate-mode LMI at rho is feasible exactly when the
     endpoint closed loops A + gamma B C and A + beta B C, divided by
     q = sqrt(1 - rho), share a quadratic Lyapunov function (CQLF).
@@ -386,8 +360,7 @@ def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
     little below it, so at rho* itself the LMI fails: every rate below
     the returned value is certifiable, and it is not.
     """
-    if (system.state_dim > 2 or system.input_dim != 1 or system.c.shape[0] != 1
-            or np.any(system.d != 0.0)):
+    if system.state_dim > 2:
         return None
     if system.state_dim == 1:
         return fixed_curvature_rate(system, bounds)
@@ -402,23 +375,6 @@ def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
         else:
             lo = mid
     return 1.0 - hi * hi
-
-
-def total_expectation_recurrence(rho: float, c: float, t: int) -> float:
-    """Closed form of a_t = (1-rho) a_{t-1} + c with a_0 = 0.
-
-    Returns c * (1 - (1-rho)^t) / rho, the value after t steps.
-
-    Raises:
-        ValueError: on rho outside (0, 1], negative c, or negative t.
-    """
-    if not (0.0 < rho <= 1.0):
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if c < 0.0:
-        raise ValueError(f"per-step increment must be >= 0, got {c}")
-    if t < 0:
-        raise ValueError(f"step count must be >= 0, got {t}")
-    return float(c * (1.0 - (1.0 - rho) ** t) / rho)
 
 
 def _check_bound_args(g: float, n: int, t: int | None = None) -> None:

@@ -158,20 +158,29 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class LureSystem:
-    """Linear system x+ = A x + B u, y = C x + D u in feedback with a gradient."""
+    """Linear system x+ = A x + B u, y = C x in feedback with a gradient u.
+
+    The gradient channel is scalar: A is s x s, B is s x 1 and C is 1 x s.
+    Every optimizer here has this form, and the sector product multiplier
+    of iqc is exact on it.
+
+    Raises:
+        ValueError: when the shapes do not fit together.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = self.state_dim
+        shapes = (self.a.shape, self.b.shape, self.c.shape)
+        if shapes != ((s, s), (s, 1), (1, s)):
+            raise ValueError(f"need A s x s, B s x 1 and C 1 x s, got shapes {shapes}")
 
     @property
     def state_dim(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.b.shape[1]
 
 
 def theta_of(kappa: float) -> float:
@@ -243,11 +252,11 @@ def a_alpha(theta: float, alpha: float) -> np.ndarray:
 
 
 def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
-    """Feedback-form matrices (A, B, C, D) for a supported optimizer.
+    """Feedback-form matrices (A, B, C) for a supported optimizer.
 
-    The gradient enters as u = grad(y) with y = C x + D u, and D = 0.  On
-    a fixed curvature lam the coupled difference therefore moves by the
-    closed loop A + lam B C.  A TwoStep has the state
+    The gradient enters as u = grad(y) with y = C x, so on a fixed
+    curvature lam the coupled difference moves by the closed loop
+    A + lam B C.  A TwoStep has the state
     x = (xi_t, xi_{t-1}), with A = [[1+mu, -mu], [1, 0]], B = [[-eta], [0]]
     and C = [[1+nu, -nu]]; at mu = nu = 0, where xi_{t-1} neither moves
     nor is read, it is the 1x1 form x = (w).  NagSmoothQuadratic is the
@@ -266,7 +275,7 @@ def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
         a, b, c = [[1.0]], [[-eta]], [[1.0]]
     else:
         a, b, c = [[1.0 + mu, -mu], [1.0, 0.0]], [[-eta], [0.0]], [[1.0 + nu, -nu]]
-    return LureSystem(a=np.array(a), b=np.array(b), c=np.array(c), d=np.array([[0.0]]))
+    return LureSystem(a=np.array(a), b=np.array(b), c=np.array(c))
 
 
 def step_rule(spec: OptimizerSpec) -> StepFn:

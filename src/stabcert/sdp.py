@@ -1,14 +1,18 @@
 """Barrier interior-point decision of the certificate LMI, with a dual witness.
 
-The decision vector v = (vech P, lambda, tau1, tau2, tau3) enters the
-certificate LMI (see iqc) affinely, LMI(v) = sum_k v_k L_k, with the
-basis L_k built once per problem.  A solve maximizes the margin t in
+The decision vector v = (vech P, lambda, tau) enters the certificate LMI
+(see iqc) affinely, LMI(v) = sum_k v_k L_k, with the basis L_k built
+once per problem.  tau weighs the sector product form, the one
+multiplier: for gamma < beta it implies strong monotonicity and
+co-coercivity and is strictly positive somewhere, so by the strict
+S-lemma multipliers for those two would decide no LMI differently (see
+iqc).  A solve maximizes the margin t in
 
-    -LMI(v) >= t I,  P >= t I,  tau >= 0,  lambda >= t,  trace P + sum tau = 1
+    -LMI(v) >= t I,  P >= t I,  tau >= 0,  lambda >= t,  trace P + tau = 1
 
 (lambda held at 0 in rate-only searches).  The LMI is homogeneous, so
-t* > 0 exactly when a certificate exists; normalizing the multipliers
-with P keeps them bounded (at gamma = beta the LMI improves along a
+t* > 0 exactly when a certificate exists; normalizing the multiplier
+with P keeps it bounded (at gamma = beta the LMI improves along the
 multiplier direction forever).  The constraints are one block-diagonal
 LMI F(x) >= 0 in x = (v, t), solved by the primal barrier method of
 Vandenberghe & Boyd (SIAM Review 1996): Newton steps on
@@ -42,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .iqc import IqcCertificate, sector_lift, sector_multipliers, sector_product_multiplier
+from .iqc import IqcCertificate, sector_lift, sector_product_multiplier
 from .linalg import eigvals_sym
 from .lyapunov import one_step_rate
 from .optimizers import LureSystem, SectorBounds
@@ -110,7 +114,7 @@ class RestartTrace:
 @dataclass(frozen=True)
 class InfeasibilityWitness:
     """A dual point in the solver's units u/beta: z1 pairs with -LMI(v) >= t I,
-    z2 with P >= t I and nu with trace P + sum tau = 1, for the LMI at rho
+    z2 with P >= t I and nu with trace P + tau = 1, for the LMI at rho
     and with_lam."""
 
     z1: np.ndarray
@@ -184,13 +188,13 @@ class InfeasibilityCheck:
 class _Problem:
     """The affine LMI map of one system/sector, built once.
 
-    A decision vector v is (vech P, lam, tau1, tau2, tau3), with vech in
+    A decision vector v is (vech P, lam, tau), with vech in
     row-major upper-triangle order.  Row k of `basis` is vec(L_k), so
     LMI(v) = (v @ basis) reshaped to (d, d).  Row k of `p_basis` is the
     k-th symmetric unit matrix E_k of P, and P itself is the gather
     v[p_index].  The barrier works on x = (v[free], t), and F(x) =
     sum_k x_k blocks[k] is the block diagonal of -LMI(v) - t I, P - t I,
-    the three taus and, with the lambda term, lam - t.  Row k of `flat`
+    tau and, with the lambda term, lam - t.  Row k of `flat`
     is vec(blocks[k]), so F(x) = (x @ flat) reshaped to (dim, dim).
     """
 
@@ -203,7 +207,7 @@ class _Problem:
         self.vech = np.triu_indices(s)
         self.n_p = n_p = self.vech[0].size
         # 1 where v holds a diagonal entry of P, so v . trace_mask = trace(P).
-        self.trace_mask = np.zeros(n_p + 4)
+        self.trace_mask = np.zeros(n_p + 2)
         self.trace_mask[np.flatnonzero(self.vech[0] == self.vech[1])] = 1.0
         units = np.zeros((n_p, s, s))
         units[np.arange(n_p), self.vech[0], self.vech[1]] = 1.0
@@ -213,42 +217,39 @@ class _Problem:
         lam_term = np.zeros((d, d))
         lam_term[:s, :s] = np.eye(s)
         j = sector_lift(system)
-        pis = (*sector_multipliers(bounds), sector_product_multiplier(bounds))
-        terms = [*p_terms, lam_term, *(j.T @ pi @ j for pi in pis)]
+        terms = [*p_terms, lam_term, j.T @ sector_product_multiplier(bounds) @ j]
         self.basis = np.array(terms).reshape(len(terms), d * d)
         self.p_basis = units.reshape(n_p, s * s)
         self.p_index = np.zeros((s, s), dtype=int)
         self.p_index[self.vech] = self.p_index[self.vech[::-1]] = np.arange(n_p)
 
-        self.free = np.flatnonzero(np.r_[np.ones(n_p), with_lam, np.ones(3)])
+        self.free = np.flatnonzero(np.r_[np.ones(n_p), with_lam, 1.0])
         n = self.free.size + 1
-        self.dim = big = d + s + 3 + with_lam
+        self.dim = big = d + s + 1 + with_lam
         blocks = np.zeros((n, big, big))
         blocks[:-1, :d, :d] = -self.basis[self.free].reshape(-1, d, d)
         blocks[:n_p, d : d + s, d : d + s] = units
-        diag = np.arange(d + s, big)
-        blocks[n - 4 + np.arange(3), diag[:3], diag[:3]] = 1.0
+        blocks[-2, d + s, d + s] = 1.0
         if with_lam:
-            blocks[[n_p, -1], diag[3], diag[3]] = 1.0, -1.0
+            blocks[[n_p, -1], d + s + 1, d + s + 1] = 1.0, -1.0
         blocks[-1, np.arange(d + s), np.arange(d + s)] = -1.0
         self.blocks = blocks
         self.flat = blocks.reshape(n, big * big)
         self.eq = np.r_[self.trace_mask[self.free], 0.0]
-        self.eq[-4:-1] = 1.0  # eq . x = trace P + sum tau
+        self.eq[-2] = 1.0  # eq . x = trace P + tau
 
-    def lmi(self, p: np.ndarray, lam: float, tau1: float, tau2: float,
-            tau3: float) -> np.ndarray:
-        v = np.concatenate([p[self.vech], [lam, tau1, tau2, tau3]])
+    def lmi(self, p: np.ndarray, lam: float, tau: float) -> np.ndarray:
+        v = np.concatenate([p[self.vech], [lam, tau]])
         return (v @ self.basis).reshape(self.d, self.d)
 
 
 def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float,
                   with_lam: bool) -> _Problem:
     """The problem in the units u/beta: with T = blkdiag(I, beta), T LMI T is
-    the LMI of (A, beta B, C, beta D) on [gamma/beta, 1] at multipliers
-    (beta tau1, beta tau2, beta^2 tau3), so both decide the same question."""
+    the LMI of (A, beta B, C) on [gamma/beta, 1] at the multiplier
+    beta^2 tau, so both decide the same question."""
     beta = bounds.beta
-    scaled = LureSystem(system.a, beta * system.b, system.c, beta * system.d)
+    scaled = LureSystem(system.a, beta * system.b, system.c)
     return _Problem(scaled, SectorBounds(bounds.gamma / beta, 1.0), rho, with_lam)
 
 
@@ -284,7 +285,7 @@ def _newton_step(prob: _Problem, vals: np.ndarray, vecs: np.ndarray, mu: float,
 
 
 def _maximize_margin(prob: _Problem, max_steps: int):
-    """Follow the central path of max t s.t. F(x) >= 0, trace P + sum tau = 1.
+    """Follow the central path of max t s.t. F(x) >= 0, trace P + tau = 1.
 
     Stages center by damped Newton steps of 1/(1 + lambda), lambda the
     Newton decrement, which stay inside the Dikin ellipsoid of the
@@ -298,7 +299,7 @@ def _maximize_margin(prob: _Problem, max_steps: int):
         last Newton step, and the Newton steps taken in all.
     """
     n, dim = prob.flat.shape[0], prob.dim
-    x = prob.eq / (prob.s + 3)  # P = I and tau = 1, scaled onto the normalization
+    x = prob.eq / (prob.s + 1)  # P = I and tau = 1, scaled onto the normalization
     x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0] - 1.0
     vals, vecs = _barrier(prob, x)
     kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
@@ -328,16 +329,16 @@ def _maximize_margin(prob: _Problem, max_steps: int):
 
 
 def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None = None):
-    """Weak-duality bound on t* from (Z1, Z2, nu); also nu and the tau slacks.
+    """Weak-duality bound on t* from (Z1, Z2, nu); also nu and the tau slack.
 
-    For Z1, Z2 >= 0 and any v with trace P + sum tau = 1 and margin t >= 0,
+    For Z1, Z2 >= 0 and any v with trace P + tau = 1 and margin t >= 0,
 
         0 <= <Z1, -LMI(v) - t I> + <Z2, P - t I> + <Z1, L_lam> (lam - t)
-           = nu + sum_k r_k v_k - sum_i tau_i (<Z1, L_tau_i> + nu) - t * scale,
+           = nu + sum_k r_k v_k - tau (<Z1, L_tau> + nu) - t * scale,
 
     with r_k = <Z2, E_k> - <Z1, L_k> - nu [E_k diagonal] the residual of
     P's k-th stationarity equation and scale = tr Z1 + tr Z2 + <Z1, L_lam>.
-    If every tau slack <Z1, L_tau_i> + nu is >= 0, then |P_ij| <= 1 gives
+    If the tau slack <Z1, L_tau> + nu is >= 0, then |P_ij| <= 1 gives
     t <= (nu + sum |r_k|) / scale.  nu defaults to the smallest diagonal
     <Z2, E_k> - <Z1, L_k>, which minimizes the bound for P up to 3x3.
     """
@@ -346,7 +347,7 @@ def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None
     diag = prob.trace_mask[: prob.n_p]
     nu = float(stat[diag == 1.0].min()) if nu is None else nu
     scale = np.trace(z1) + np.trace(z2) + (pair[prob.n_p] if prob.with_lam else 0.0)
-    return float((nu + np.abs(stat - nu * diag).sum()) / scale), nu, pair[prob.n_p + 1 :] + nu
+    return float((nu + np.abs(stat - nu * diag).sum()) / scale), nu, float(pair[-1] + nu)
 
 
 def _make_cert(bounds, prob, x, name, steps, opts) -> IqcCertificate:
@@ -357,13 +358,13 @@ def _make_cert(bounds, prob, x, name, steps, opts) -> IqcCertificate:
     and p_min_eig are nan until verify_certificate has measured them.
     """
     beta = bounds.beta
-    v = np.zeros(prob.n_p + 4)
+    v = np.zeros(prob.n_p + 2)
     v[prob.free] = x[:-1] * max(1.0, beta * beta)
-    lam, tau1, tau2, tau3 = (float(c) for c in v[prob.n_p :] / [1.0, beta, beta, beta * beta])
+    lam, tau = (float(c) for c in v[prob.n_p :] / [1.0, beta * beta])
     return IqcCertificate(
         optimizer=name, gamma=bounds.gamma, beta=beta, p=v[prob.p_index], lam=lam,
-        tau1=tau1, tau2=tau2, rho=prob.rho, lmi_max_eig=np.nan, p_min_eig=np.nan,
-        status=FEASIBLE, solver_seed=opts.seed, tau3=tau3, newton_steps=steps)
+        tau=tau, rho=prob.rho, lmi_max_eig=np.nan, p_min_eig=np.nan,
+        status=FEASIBLE, solver_seed=opts.seed, newton_steps=steps)
 
 
 def solve_feasibility(
@@ -423,15 +424,14 @@ def verify_certificate(
 
     Rebuilds the LMI from the stored variables and tests, with the
     package's own eigensolver, that the LMI clears -_LMI_MARGIN, P
-    clears _P_MARGIN, the multipliers are nonnegative, and lambda
+    clears _P_MARGIN, the multiplier tau is nonnegative, and lambda
     respects _LAMBDA_FLOOR (when the certificate carries one).  The
     result is truthy exactly when all conditions hold.  options is
     accepted for older callers and ignored.
     """
     lmi_top, p_bot = cert.recompute_eigs(system, bounds)
     lam_ok = cert.lam >= _LAMBDA_FLOOR or cert.lam == 0.0
-    ok = (lmi_top <= -_LMI_MARGIN and p_bot >= _P_MARGIN and lam_ok
-          and cert.tau1 >= 0.0 and cert.tau2 >= 0.0 and cert.tau3 >= 0.0)
+    ok = lmi_top <= -_LMI_MARGIN and p_bot >= _P_MARGIN and lam_ok and cert.tau >= 0.0
     return CertificateCheck(bool(ok), lmi_top, p_bot)
 
 
@@ -444,7 +444,7 @@ def verify_infeasibility(
 
     Rebuilds the affine map in the units u/beta and tests that Z1 and Z2
     are positive semidefinite (by the package's own Jacobi eigensolver),
-    that every tau slack is nonnegative, and that the bound of
+    that the tau slack is nonnegative, and that the bound of
     _dual_bound, residuals included, is <= -_WITNESS_MARGIN.
     Then no P > 0, tau >= 0, lambda >= 0 make the LMI negative
     semidefinite.  Truthy exactly when all conditions hold.
@@ -452,9 +452,8 @@ def verify_infeasibility(
     prob = _unit_problem(system, bounds, witness.rho, witness.with_lam)
     z1_bot = float(eigvals_sym(witness.z1)[0])
     z2_bot = float(eigvals_sym(witness.z2)[0])
-    bound, _, tau_slacks = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
-    ok = (z1_bot >= 0.0 and z2_bot >= 0.0 and bool(np.all(tau_slacks >= 0.0))
-          and bound <= -_WITNESS_MARGIN)
+    bound, _, tau_slack = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
+    ok = z1_bot >= 0.0 and z2_bot >= 0.0 and tau_slack >= 0.0 and bound <= -_WITNESS_MARGIN
     return InfeasibilityCheck(bool(ok), z1_bot, z2_bot, bound)
 
 
@@ -468,7 +467,7 @@ def s_lemma_cross_check(
     """Sample sector responses and test the decrement the LMI promises.
 
     Draws random states x and curvatures h in the sector [gamma, beta]
-    of bounds, sets u = h * y for y = C x + D u, and evaluates
+    of bounds, sets u = h * y for y = C x, and evaluates
 
         (V(A x + B u) - (1 - rho) V(x) + lambda ||x||^2) / ||x||^2,
 
@@ -480,18 +479,12 @@ def s_lemma_cross_check(
     negative.  Passing bounds wider than the certificate's sector
     should, and does, break valid certificates.
     """
-    if system.input_dim != 1:
-        raise ValueError("sampling check implemented for scalar input channels")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(samples, system.state_dim))
     h = rng.uniform(bounds.gamma, bounds.beta, size=samples)
-    d = float(system.d[0, 0])
-    denom = 1.0 - h * d
-    if np.any(np.abs(denom) < 1e-12):
-        raise ValueError("feedthrough makes the feedback loop singular")
     # One sample per column: every product below has two operands.
     xt = x.T
-    u = h * (system.c[0] @ xt) / denom
+    u = h * (system.c[0] @ xt)
     xt_next = system.a @ xt + system.b * u
     v_next = np.einsum("ij,ij->j", cert.p @ xt_next, xt_next)
     v_now = np.einsum("ij,ij->j", cert.p @ xt, xt)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from stabcert import cli, sdp, simulate
@@ -325,6 +326,17 @@ def test_simulate_vs_n_zero_mean_gap_reports_no_fit(capsys):
     rc = main(["simulate", "vs-n", "--trials", "2", "--horizon", "50", "--checkpoints", "10"])
     assert rc == EXIT_OK
     assert "log-log slope  n/a (a mean gap is 0)" in capsys.readouterr().out
+
+
+def test_simulate_vs_n_diverged_run_reports_no_fit(capsys):
+    # eta = 5000 overflows every run to a NaN gap; that is not a zero gap.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "vs-n", *TINY_SIM, "--optimizer", "sgd", "--eta", "5000",
+                   "--horizon", "600", "--sizes", "10,20,30", "--probes", "0"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "mean ParamDiff nan  nan  nan" in out
+    assert "log-log slope  n/a (a mean gap is not finite: the run diverged)" in out
 
 
 def test_simulate_vs_n_ignores_default_checkpoints(capsys):

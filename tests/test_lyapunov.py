@@ -7,19 +7,16 @@ from stabcert import lyapunov
 from stabcert.linalg import eig2_general
 from stabcert.lyapunov import (
     assemble_m_alpha,
-    bound_c_eps,
     build_p_eps,
     cjy_bound,
     cjy_limit,
     find_feasible_region,
     fixed_curvature_rate,
     kappa_of_theta,
-    lyapunov_value,
     nag_stability_bound,
     nag_stability_limit,
     one_step_rate,
     sgd_stability_bound,
-    total_expectation_recurrence,
     verify_contraction,
 )
 from stabcert.optimizers import (
@@ -61,39 +58,6 @@ def test_p_eps_rejects_nonpositive_eps():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             build_p_eps(0.5, bad)
-        with pytest.raises(ValueError):
-            bound_c_eps(0.5, bad)
-        with pytest.raises(ValueError):
-            lyapunov_value(0.5, bad, 1.0, 1.0)
-
-
-@given(thetas, eps_vals, st.floats(-5, 5), st.floats(-5, 5))
-@settings(max_examples=300, deadline=None)
-def test_norm_to_lyapunov_inequality(theta, eps, dw, dv):
-    # dw^2 <= C_eps * V for every state; C_eps is the exact constant.
-    v = lyapunov_value(theta, eps, dw, dv)
-    c = bound_c_eps(theta, eps)
-    assert dw * dw <= c * v + 1e-9 * max(1.0, c * v)
-
-
-def test_bound_c_eps_is_tight():
-    # The ratio dw^2 / V is maximized along P^{-1} e1, i.e. at the state
-    # (s^2 + eps, s) with s = 1 + theta, where it equals C exactly.
-    theta, eps = 0.6, 0.25
-    s = 1.0 + theta
-    dw, dv = s * s + eps, s
-    v = lyapunov_value(theta, eps, dw, dv)
-    assert dw * dw / v == pytest.approx(bound_c_eps(theta, eps), rel=1e-12)
-
-
-@given(thetas, eps_vals, st.floats(-2, 2), st.floats(-2, 2))
-@settings(max_examples=200, deadline=None)
-def test_lyapunov_value_matches_quadratic_form(theta, eps, dw, dv):
-    p = build_p_eps(theta, eps)
-    x = np.array([dw, dv])
-    assert lyapunov_value(theta, eps, dw, dv) == pytest.approx(
-        float(x @ p @ x), abs=1e-9, rel=1e-9
-    )
 
 
 def test_m_alpha_closed_form_diagonal():
@@ -252,18 +216,17 @@ def test_coupled_steps_obey_certificate():
     )
     cert = region.best
     assert cert is not None
+    p = build_p_eps(th, cert.eps)
     for lam in np.linspace(sb.gamma, sb.beta, 7):
         s1 = OptimizerState(w=np.array([1.3]), v=np.array([0.4]), t=0)
         s2 = OptimizerState(w=np.array([-0.2]), v=np.array([0.9]), t=0)
         for _ in range(25):
-            v_now = lyapunov_value(
-                th, cert.eps, float(s1.w[0] - s2.w[0]), float(s1.v[0] - s2.v[0])
-            )
+            x = np.r_[s1.w - s2.w, s1.v - s2.v]
+            v_now = float(x @ p @ x)
             s1 = nag_sq_step(s1, lam * s1.w, sb)
             s2 = nag_sq_step(s2, lam * s2.w, sb)
-            v_next = lyapunov_value(
-                th, cert.eps, float(s1.w[0] - s2.w[0]), float(s1.v[0] - s2.v[0])
-            )
+            x = np.r_[s1.w - s2.w, s1.v - s2.v]
+            v_next = float(x @ p @ x)
             assert v_next <= (1.0 - cert.rho) * v_now + 1e-12
 
 
@@ -378,36 +341,11 @@ def test_sgd_rate_closed_form():
 
 def test_fixed_curvature_rate_rejects_unsupported_forms():
     sb = SectorBounds(0.1, 1.0)
-    one = np.array([[0.0]])
     with pytest.raises(ValueError, match="state"):
-        fixed_curvature_rate(LureSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)), one), sb)
-    with pytest.raises(ValueError, match="scalar"):
-        fixed_curvature_rate(LureSystem(np.eye(2), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2))), sb)
-    with pytest.raises(ValueError, match="D = 0"):
-        fixed_curvature_rate(LureSystem(np.eye(1), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))), sb)
-
-
-@given(
-    st.floats(1e-3, 1.0),
-    st.floats(0.0, 5.0),
-    st.integers(0, 60),
-)
-@settings(max_examples=200, deadline=None)
-def test_recurrence_matches_unrolled_iteration(rho, c, t):
-    a = 0.0
-    for _ in range(t):
-        a = (1.0 - rho) * a + c
-    closed = total_expectation_recurrence(rho, c, t)
-    assert closed == pytest.approx(a, abs=1e-8, rel=1e-8)
-
-
-def test_recurrence_validation():
-    with pytest.raises(ValueError):
-        total_expectation_recurrence(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        total_expectation_recurrence(0.5, -1.0, 5)
-    with pytest.raises(ValueError):
-        total_expectation_recurrence(0.5, 1.0, -1)
+        fixed_curvature_rate(LureSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3))), sb)
+    # A vector channel is no LureSystem at all.
+    with pytest.raises(ValueError, match="B s x 1"):
+        LureSystem(np.eye(2), np.ones((2, 2)), np.ones((2, 2)))
 
 
 def test_nag_bound_monotonicity_and_limit():
@@ -504,12 +442,10 @@ def test_one_step_rate_never_beats_a_fixed_curvature(eta, mu, gamma):
 
 
 def test_one_step_rate_is_none_for_unsupported_forms():
-    one = np.array([[0.0]])
-    assert one_step_rate(LureSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3)), one), _UNIT) is None
-    assert one_step_rate(
-        LureSystem(np.eye(2), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2))), _UNIT) is None
-    assert one_step_rate(
-        LureSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 1))), _UNIT) is None
+    assert one_step_rate(LureSystem(np.eye(3), np.ones((3, 1)), np.ones((1, 3))), _UNIT) is None
+    # A vector output is no LureSystem at all.
+    with pytest.raises(ValueError, match="C 1 x s"):
+        LureSystem(0.5 * np.eye(2), np.ones((2, 1)), np.ones((2, 2)))
 
 
 def _grid_decrement(m1, m2):

@@ -141,8 +141,6 @@ def test_lure_realizations():
     np.testing.assert_allclose(nag.a, [[1.0 + th, -th], [1.0, 0.0]])
     np.testing.assert_allclose(nag.b, [[-1.0 / sb.beta], [0.0]])
     np.testing.assert_allclose(nag.c, [[1.0 + th, -th]])
-    # d term is absent for all three realizations
-    assert np.all(nag.d == 0.0)
 
     # worked case kappa=4, beta=1: theta = 1/3
     sb4 = SectorBounds(0.25, 1.0)
@@ -155,7 +153,6 @@ def test_lure_realizations():
     np.testing.assert_allclose(std.a, [[1.9, -0.9], [1.0, 0.0]])
     np.testing.assert_allclose(std.b, [[-0.01], [0.0]])
     np.testing.assert_allclose(std.c, [[1.9, -0.9]])
-    assert np.all(std.d == 0.0)
 
     with pytest.raises(TypeError):
         lure_of(object(), sb)
@@ -220,7 +217,20 @@ def test_lure_matches_step_functions(name):
 
 
 def _explicit_form(a, b, c):
-    return LureSystem(np.array(a), np.array(b), np.array(c), np.array([[0.0]]))
+    return LureSystem(np.array(a), np.array(b), np.array(c))
+
+
+def test_lure_system_checks_its_shapes():
+    # A is s x s, B is s x 1 and C is 1 x s: one scalar gradient channel.
+    _explicit_form([[1.0, 0.5], [1.0, 0.0]], [[-1.0], [0.0]], [[1.0, 0.5]])
+    for a, b, c in [
+        ([[1.0, 0.5]], [[-1.0]], [[1.0, 0.5]]),
+        ([[1.0]], [[-1.0, 0.0]], [[1.0]]),
+        ([[1.0]], [[-1.0]], [[1.0], [0.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[-1.0]], [[1.0, 0.0]]),
+    ]:
+        with pytest.raises(ValueError, match="need A s x s"):
+            _explicit_form(a, b, c)
 
 
 def test_lure_of_keeps_the_explicit_forms():
@@ -242,7 +252,7 @@ def test_lure_of_keeps_the_explicit_forms():
         ]
         for spec, want in cases:
             got = lure_of(spec, sb)
-            for name in ("a", "b", "c", "d"):
+            for name in ("a", "b", "c"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 

@@ -9,7 +9,6 @@ from stabcert.iqc import (
     IqcCertificate,
     assemble_lmi,
     sector_lift,
-    sector_multipliers,
     sector_product_multiplier,
 )
 from stabcert.lyapunov import fixed_curvature_rate, one_step_rate
@@ -49,7 +48,7 @@ def test_sgd_unit_step_is_feasible():
     assert cert.lmi_max_eig <= -1e-8
     assert cert.p_min_eig >= 1e-8
     assert cert.lam >= 1e-6
-    assert cert.tau1 >= 0.0 and cert.tau2 >= 0.0
+    assert cert.tau >= 0.0
 
 
 def test_sgd_triple_step_is_not_feasible():
@@ -82,8 +81,7 @@ def test_solver_is_deterministic():
     assert a.status == b.status
     np.testing.assert_array_equal(a.certificate.p, b.certificate.p)
     assert a.certificate.lam == b.certificate.lam
-    assert a.certificate.tau1 == b.certificate.tau1
-    assert a.certificate.tau2 == b.certificate.tau2
+    assert a.certificate.tau == b.certificate.tau
 
 
 @pytest.mark.parametrize(
@@ -96,7 +94,7 @@ def test_subgradient_matches_entrywise_formula(spec):
     # of the LMI built by assemble_lmi, the subgradient of lambda_max is
     # q^T L_k q = basis @ vec(q q^T).  Entrywise, with x = q[:s] and
     # u = F q, d/dP_ij is u_i u_j - (1 - rho) x_i x_j (twice that off the
-    # diagonal), d/dlam is |x|^2 and d/dtau_m is q^T J^T Pi_m J q; for
+    # diagonal), d/dlam is |x|^2 and d/dtau is q^T J^T Pi3 J q; for
     # lambda_min(P) at its bottom eigenvector w, d/dP_ij is w_i w_j.
     # The barrier blocks hold -LMI and P on the diagonal of F(v, t).
     sb = SectorBounds(0.1, 1.0)
@@ -106,22 +104,21 @@ def test_subgradient_matches_entrywise_formula(spec):
     s, d = system.state_dim, prob.d
     f = np.hstack([system.a, system.b])
     j = sector_lift(system)
-    pis = (*sector_multipliers(sb), sector_product_multiplier(sb))
+    pi = sector_product_multiplier(sb)
     rng = np.random.default_rng(5)
-    for row in rng.uniform(0.1, 2.0, size=(4, prob.n_p + 4)):
+    for row in rng.uniform(0.1, 2.0, size=(4, prob.n_p + 2)):
         p = row[prob.p_index]
-        lam, tau1, tau2, tau3 = row[prob.n_p :]
-        lmi = assemble_lmi(system, sb, p, lam, tau1, tau2, rho, tau3)
-        np.testing.assert_allclose(prob.lmi(p, lam, tau1, tau2, tau3), lmi,
-                                   rtol=1e-12, atol=1e-12)
+        lam, tau = row[prob.n_p :]
+        lmi = assemble_lmi(system, sb, p, lam, tau, rho)
+        np.testing.assert_allclose(prob.lmi(p, lam, tau), lmi, rtol=1e-12, atol=1e-12)
         q = np.linalg.eigh(lmi)[1][:, -1]
         x, u = q[:s], f @ q
         outer = np.outer(u, u) - (1.0 - rho) * np.outer(x, x)
         want = np.zeros_like(row)
         for k, (a, b) in enumerate(zip(*prob.vech)):
             want[k] = outer[a, b] * (1.0 if a == b else 2.0)
-        want[-4] = x @ x
-        want[-3:] = [q @ j.T @ pi @ j @ q for pi in pis]
+        want[-2] = x @ x
+        want[-1] = q @ j.T @ pi @ j @ q
         np.testing.assert_allclose(prob.basis @ np.outer(q, q).ravel(), want,
                                    rtol=1e-10, atol=1e-12)
         w = np.linalg.eigh(p)[1][:, 0]
@@ -132,8 +129,7 @@ def test_subgradient_matches_entrywise_formula(spec):
         big = np.tensordot(np.r_[row[prob.free], t], prob.blocks, 1)
         np.testing.assert_allclose(big[:d, :d], -lmi - t * np.eye(d), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(big[d : d + s, d : d + s], p - t * np.eye(s), atol=1e-12)
-        np.testing.assert_allclose(np.diag(big)[d + s :], [tau1, tau2, tau3, lam - t],
-                                   atol=1e-12)
+        np.testing.assert_allclose(np.diag(big)[d + s :], [tau, lam - t], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -174,8 +170,7 @@ def test_verify_certificate_rejects_corruption():
         beta=good.beta,
         p=-good.p,  # sign flip destroys positive definiteness
         lam=good.lam,
-        tau1=good.tau1,
-        tau2=good.tau2,
+        tau=good.tau,
         rho=good.rho,
         lmi_max_eig=good.lmi_max_eig,
         p_min_eig=good.p_min_eig,
@@ -188,7 +183,7 @@ def test_verify_certificate_rejects_corruption():
 
 
 def test_certificate_scale_invariance():
-    # The LMI is jointly homogeneous in (P, lambda, tau1, tau2, tau3):
+    # The LMI is jointly homogeneous in (P, lambda, tau):
     # scaling a valid certificate by 10 must still verify.
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(Sgd(1.0), sb)
@@ -199,14 +194,12 @@ def test_certificate_scale_invariance():
         beta=good.beta,
         p=10.0 * good.p,
         lam=10.0 * good.lam,
-        tau1=10.0 * good.tau1,
-        tau2=10.0 * good.tau2,
+        tau=10.0 * good.tau,
         rho=good.rho,
         lmi_max_eig=10.0 * good.lmi_max_eig,
         p_min_eig=10.0 * good.p_min_eig,
         status=good.status,
         solver_seed=good.solver_seed,
-        tau3=10.0 * good.tau3,
     )
     check = verify_certificate(scaled, system, sb)
     assert check.ok
@@ -315,10 +308,9 @@ def test_problem_lmi_matches_assemble_lmi(spec, rho):
     for _ in range(20):
         raw = rng.normal(size=(s, s))
         p = raw @ raw.T + 0.1 * np.eye(s)
-        lam, tau1, tau2, tau3 = rng.uniform(0.0, 2.0, size=4)
-        want = assemble_lmi(system, sb, p, lam, tau1, tau2, rho, tau3)
-        np.testing.assert_allclose(prob.lmi(p, lam, tau1, tau2, tau3), want,
-                                   rtol=1e-13, atol=1e-13)
+        lam, tau = rng.uniform(0.0, 2.0, size=2)
+        want = assemble_lmi(system, sb, p, lam, tau, rho)
+        np.testing.assert_allclose(prob.lmi(p, lam, tau), want, rtol=1e-13, atol=1e-13)
 
 
 def test_projection_bounds_multiplier_drift():
@@ -344,25 +336,52 @@ def test_projection_bounds_multiplier_drift():
 
 def test_nag_product_multiplier_certifies_kappa_10():
     # Without the sector product multiplier this LMI is infeasible at
-    # kappa = 10; with it a certificate exists and tau3 carries it.
+    # kappa = 10; with it a certificate exists and tau carries it.
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(NagSmoothQuadratic(sb), sb)
     res = solve_feasibility(system, sb, "nag-sq")
     assert res.status == FEASIBLE
     cert = res.certificate
-    assert cert.tau3 > 0.0
+    assert cert.tau > 0.0
     check = verify_certificate(cert, system, sb)
     assert check.ok
-    without = dataclasses.replace(cert, tau3=0.0)
+    without = dataclasses.replace(cert, tau=0.0)
     assert not verify_certificate(without, system, sb)
 
 
+# Plain solve_feasibility verdicts on gamma = 0.1 at kappa 1, 2, 4, 10, 12
+# and 25, as the three-multiplier LMI (strong monotonicity, co-coercivity
+# and the sector product form) decided them.  F: Feasible, I: Infeasible,
+# ?: Inconclusive (sgd at eta = 3/beta on gamma = beta).
+_VERDICT_KAPPAS = (1, 2, 4, 10, 12, 25)
+_VERDICTS = {
+    "sgd": (lambda sb: Sgd(1.0 / sb.beta), "FFFFFF"),
+    "sgd-3": (lambda sb: Sgd(3.0 / sb.beta), "?IIIII"),
+    "heavyball": (lambda sb: HeavyBall(1.0 / sb.beta, 0.3), "FFFFFF"),
+    "nag": (lambda sb: NagStandard(1.0 / sb.beta, 0.5), "FFFFFI"),
+    "nag-sq": (NagSmoothQuadratic, "FFFFII"),
+    "tmm": (TripleMomentum, "FFFIII"),
+}
+
+
+@pytest.mark.parametrize("name", _VERDICTS)
+def test_one_multiplier_keeps_the_verdict_table(name):
+    make, want = _VERDICTS[name]
+    got = ""
+    for kappa in _VERDICT_KAPPAS:
+        sb = SectorBounds(0.1, 0.1 * kappa)
+        status = solve_feasibility(lure_of(make(sb), sb), sb, name).status
+        got += {FEASIBLE: "F", INFEASIBLE: "I", INCONCLUSIVE: "?"}[status]
+    assert got == want
+
+
 def test_verify_certificate_rejects_negative_tau3():
+    # The id keeps tau3, the earlier name of tau, so test ids stay stable.
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(Sgd(1.0), sb)
     good = solve_feasibility(system, sb, "sgd", options=FAST).certificate
     assert verify_certificate(good, system, sb)
-    bad = dataclasses.replace(good, tau3=-1e-3)
+    bad = dataclasses.replace(good, tau=-1e-3)
     check = verify_certificate(bad, system, sb)
     assert not check
 
@@ -733,7 +752,7 @@ def _sampled_three_operand(cert, system, sb, samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(samples, system.state_dim))
     h = rng.uniform(sb.gamma, sb.beta, size=samples)
-    u = h * (x @ system.c[0]) / (1.0 - h * float(system.d[0, 0]))
+    u = h * (x @ system.c[0])
     x_next = x @ system.a.T + np.outer(u, system.b[:, 0])
     v_next = np.einsum("ij,jk,ik->i", x_next, cert.p, x_next)
     v_now = np.einsum("ij,jk,ik->i", x, cert.p, x)
