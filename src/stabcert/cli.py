@@ -68,6 +68,7 @@ def _build_parser() -> _Parser:
     cert.add_argument("--rate", action="store_true", help="search for the largest certifiable rho")
     cert.add_argument("--seed", type=int, default=0, help="seed of the sampling check")
     cert.add_argument("--out", help="write the certificate JSON here")
+    cert.set_defaults(run=_cmd_certify)
 
     lyap = sub.add_parser("lyapunov", help="direct certificate region for the tuned method")
     lyap.add_argument("--kappa", type=float, required=True)
@@ -75,6 +76,7 @@ def _build_parser() -> _Parser:
     lyap.add_argument("--rho", type=float, help="check one (eps, rho) pair instead of sweeping")
     lyap.add_argument("--eps-points", type=int, default=24)
     lyap.add_argument("--rho-points", type=int, default=16)
+    lyap.set_defaults(run=_cmd_lyapunov)
 
     bound = sub.add_parser("bound", help="closed-form stability bounds")
     bound.add_argument("--lipschitz", "-G", dest="g", type=float, required=True)
@@ -83,6 +85,7 @@ def _build_parser() -> _Parser:
     bound.add_argument("--samples", "-n", dest="n", type=int, required=True)
     bound.add_argument("--horizon", "-T", dest="t", type=int, required=True)
     bound.add_argument("--rho", type=float, help="override the contraction rate")
+    bound.set_defaults(run=_cmd_bound)
 
     sim = sub.add_parser("simulate", help="coupled-run stability experiments")
     sim.add_argument("mode", choices=("vs-n", "vs-t"))
@@ -103,6 +106,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=23)
     sim.add_argument("--out", help="write the per-point CSV here")
     sim.add_argument("--json", dest="json_out", help="write the full report JSON here")
+    sim.set_defaults(run=_cmd_simulate)
     return parser
 
 
@@ -128,44 +132,41 @@ def _cmd_certify(args) -> int:
     system = lure_of(spec, bounds)
     opts = SolverOptions(seed=args.seed)
     if args.rate:
-        rate = certify_rate(system, bounds, args.optimizer, options=opts)
-        print(f"optimizer      {args.optimizer}")
-        print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
-        print(f"status         {rate.status}")
-        certified = rate.status == "Certified"
-        print(f"rho_star       {rate.rho_star:.6g}" if certified else "rho_star       none")
-        if rate.reference is None:
-            print("reference      none")
-        else:
-            print(f"reference      {rate.reference:.6g}  (one-step, exact)")
-        print(f"probes         {len(rate.tested)}")
-        if certified:
-            above = [rho for rho, status in rate.tested
-                     if status != FEASIBLE and rho > rate.rho_star]
-            if above:
-                print(f"bracket        [{rate.rho_star:.6g}, {min(above):.6g}]")
-        if rate.certificate is not None and args.out:
-            _write(args.out, certificate_to_json(rate.certificate) + "\n")
-        return EXIT_OK if certified else EXIT_NEGATIVE
-
-    result = solve_feasibility(system, bounds, args.optimizer, options=opts)
+        result = certify_rate(system, bounds, args.optimizer, options=opts)
+    else:
+        result = solve_feasibility(system, bounds, args.optimizer, options=opts)
     print(f"optimizer      {args.optimizer}")
     print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
     print(f"status         {result.status}")
-    print(f"newton steps   {result.traces[0].iterations}")
-    print(f"margin t*      {-result.best_violation:.3e}")
-    if result.witness_check is not None:
-        print(f"dual bound     {result.witness_check.bound:.3e}")
-        print(f"witness        {'verified' if result.witness_check else 'not verified'}")
-    if result.certificate is not None:
-        cert = result.certificate
-        print(f"lmi max eig    {cert.lmi_max_eig:.3e}")
-        print(f"p min eig      {cert.p_min_eig:.3e}")
-        print(f"lambda         {cert.lam:.3e}")
-        print(f"sampled slack  {result.sampled['max_violation']:.3e}")
-        if args.out:
-            _write(args.out, certificate_to_json(cert) + "\n")
-    return EXIT_OK if result.status == FEASIBLE else EXIT_NEGATIVE
+    if args.rate:
+        certified = result.status == "Certified"
+        print(f"rho_star       {result.rho_star:.6g}" if certified else "rho_star       none")
+        if result.reference is None:
+            print("reference      none")
+        else:
+            print(f"reference      {result.reference:.6g}  (one-step, exact)")
+        print(f"probes         {len(result.tested)}")
+        if certified:
+            above = [rho for rho, status in result.tested
+                     if status != FEASIBLE and rho > result.rho_star]
+            if above:
+                print(f"bracket        [{result.rho_star:.6g}, {min(above):.6g}]")
+    else:
+        print(f"newton steps   {result.traces[0].iterations}")
+        print(f"margin t*      {-result.best_violation:.3e}")
+        if result.witness_check is not None:
+            print(f"dual bound     {result.witness_check.bound:.3e}")
+            print(f"witness        {'verified' if result.witness_check else 'not verified'}")
+        if result.certificate is not None:
+            cert = result.certificate
+            print(f"lmi max eig    {cert.lmi_max_eig:.3e}")
+            print(f"p min eig      {cert.p_min_eig:.3e}")
+            print(f"lambda         {cert.lam:.3e}")
+            print(f"sampled slack  {result.sampled['max_violation']:.3e}")
+    # Both result types hold a certificate only when Feasible or Certified.
+    if args.out and result.certificate is not None:
+        _write(args.out, certificate_to_json(result.certificate) + "\n")
+    return EXIT_OK if result.status in (FEASIBLE, "Certified") else EXIT_NEGATIVE
 
 
 def _print_p_eps(theta: float, eps: float) -> None:
@@ -282,47 +283,22 @@ def _write(path: str, text: str) -> None:
         raise _Failure(f"cannot write output: {exc}", EXIT_CANTCREAT) from exc
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    _write(path, buf.getvalue())
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _timed_experiment(run, base, config: ExperimentConfig, sizes: int) -> tuple:
-    """Run one experiment driver; return its result and a timing record."""
-    t0 = time.perf_counter()
-    result = run(base, config)
-    seconds = time.perf_counter() - t0
-    steps = config.trials * config.horizon * sizes
-    return result, {"seconds": seconds, "coupled_steps": steps, "steps_per_s": steps / seconds}
-
-
-def _print_timing(timing: dict) -> None:
-    print(f"run time       {timing['seconds']:.3g} s  ({timing['coupled_steps']} coupled steps, "
-          f"{1e6 / timing['steps_per_s']:.3g} us each)")
-
-
 def _cmd_simulate(args) -> int:
     config = _sim_config(args)
     base = _load_dataset(args)
     sector = effective_sector(base, config.lambda_reg)
-    sector_info = {
-        "gamma": sector.gamma,
-        "beta": sector.beta,
-        "grad_bound": sector.grad_bound,
-    }
-    if args.mode == "vs-n":
-        result, timing = _timed_experiment(
-            stability_vs_n, base, config, len(config.subset_sizes))
-        print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
+    vs_n = args.mode == "vs-n"
+    t0 = time.perf_counter()
+    result = (stability_vs_n if vs_n else stability_vs_t)(base, config)
+    seconds = time.perf_counter() - t0
+    steps = config.trials * config.horizon * (len(config.subset_sizes) if vs_n else 1)
+    print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
+    if vs_n:
         print(f"sizes          {result.sizes}")
         print("mean ParamDiff " + "  ".join(f"{v:.5g}" for v in result.mean_param_diff))
-        if result.fit is not None:
-            print(f"log-log slope  {result.fit.slope:.4f}  (r2={result.fit.r2:.4f})")
+        fit = result.fit
+        if fit is not None:
+            print(f"log-log slope  {fit.slope:.4f}  (r2={fit.r2:.4f})")
         else:
             if len(result.sizes) < 3:
                 why = "need at least 3 subset sizes"
@@ -331,55 +307,34 @@ def _cmd_simulate(args) -> int:
             else:
                 why = "a mean gap is 0"
             print(f"log-log slope  n/a ({why})")
-        _print_timing(timing)
+        header = ["n", "mean_param_diff", "max_param_diff", "mean_loss_gap"]
         rows = [
             [n, f"{result.mean_param_diff[i]:.10g}",
              f"{result.trial_param_diff[i].max():.10g}",
              f"{result.trial_loss_gap[i].mean():.10g}" if result.trial_loss_gap is not None else ""]
             for i, n in enumerate(result.sizes)
         ]
-        if args.out:
-            _write_csv(args.out, ["n", "mean_param_diff", "max_param_diff", "mean_loss_gap"], rows)
-        if args.json_out:
-            payload = {
-                "experiment": "vs_n",
-                "dataset": base.name,
-                "sector": sector_info,
-                "sizes": list(result.sizes),
-                "mean_param_diff": [float(v) for v in result.mean_param_diff],
-                "slope": result.fit.slope if result.fit is not None else None,
-                "intercept": result.fit.intercept if result.fit is not None else None,
-                "r2": result.fit.r2 if result.fit is not None else None,
-                "master_seed": config.master_seed,
-                "trials": config.trials,
-                "horizon": config.horizon,
-                **timing,
-            }
-            _write_json(args.json_out, payload)
-        return EXIT_OK
-
-    result, timing = _timed_experiment(stability_vs_t, base, config, 1)
-    print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
-    print(f"subset size    {result.size}")
-    print(f"checkpoints    {result.checkpoints}")
-    print("mean ParamDiff " + "  ".join(f"{v:.5g}" for v in result.mean_curve))
-    print(f"envelope rho   {result.rho:.6g}  (T_half={result.t_half:.0f}, "
-          f"sector [{sector.gamma:g}, {sector.beta:g}])")
-    print(f"fit region     {result.fit_region}")
-    print(f"log-log slope  {result.loglog.slope:.4f}")
-    print(f"saturating fit c={result.sat_coeff:.5g}  r2={result.sat_r2:.4f}")
-    _print_timing(timing)
-    if args.out:
-        rows = [
-            [c, f"{result.mean_curve[i]:.10g}"]
-            for i, c in enumerate(result.checkpoints)
-        ]
-        _write_csv(args.out, ["T", "mean_param_diff"], rows)
-    if args.json_out:
-        payload = {
-            "experiment": "vs_t",
-            "dataset": base.name,
-            "sector": sector_info,
+        fields = {
+            "sizes": list(result.sizes),
+            "mean_param_diff": [float(v) for v in result.mean_param_diff],
+            "slope": fit.slope if fit is not None else None,
+            "intercept": fit.intercept if fit is not None else None,
+            "r2": fit.r2 if fit is not None else None,
+            "trials": config.trials,
+            "horizon": config.horizon,
+        }
+    else:
+        print(f"subset size    {result.size}")
+        print(f"checkpoints    {result.checkpoints}")
+        print("mean ParamDiff " + "  ".join(f"{v:.5g}" for v in result.mean_curve))
+        print(f"envelope rho   {result.rho:.6g}  (T_half={result.t_half:.0f}, "
+              f"sector [{sector.gamma:g}, {sector.beta:g}])")
+        print(f"fit region     {result.fit_region}")
+        print(f"log-log slope  {result.loglog.slope:.4f}")
+        print(f"saturating fit c={result.sat_coeff:.5g}  r2={result.sat_r2:.4f}")
+        header = ["T", "mean_param_diff"]
+        rows = [[c, f"{result.mean_curve[i]:.10g}"] for i, c in enumerate(result.checkpoints)]
+        fields = {
             "size": result.size,
             "checkpoints": list(result.checkpoints),
             "mean_param_diff": [float(v) for v in result.mean_curve],
@@ -389,25 +344,43 @@ def _cmd_simulate(args) -> int:
             "loglog_slope": result.loglog.slope,
             "sat_coeff": result.sat_coeff,
             "sat_r2": result.sat_r2,
-            "master_seed": config.master_seed,
-            **timing,
         }
-        _write_json(args.json_out, payload)
+    steps_per_s = steps / seconds
+    print(f"run time       {seconds:.3g} s  ({steps} coupled steps, "
+          f"{1e6 / steps_per_s:.3g} us each)")
+    if args.out:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        _write(args.out, buf.getvalue())
+    if args.json_out:
+        payload = {
+            "experiment": args.mode.replace("-", "_"),
+            "dataset": base.name,
+            "sector": {"gamma": sector.gamma, "beta": sector.beta,
+                       "grad_bound": sector.grad_bound},
+            "master_seed": config.master_seed,
+            "seconds": seconds,
+            "coupled_steps": steps,
+            "steps_per_s": steps_per_s,
+            **fields,
+        }
+        _write(args.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
 def main(argv: list | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; return its exit code.
+
+    Each subparser sets its handler as args.run (the _cmd_* functions),
+    and main calls it once, mapping a _Failure or ValueError it raises to
+    one stderr line and an exit code.  certify and simulate compute their
+    result first, then print its lines, write any --out/--json file and
+    return their exit code, each once.  (The module docstring is the
+    --help description, so this note lives here.)
+    """
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "lyapunov":
-            return _cmd_lyapunov(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
+        return args.run(args)
     except _Failure as exc:
         message, code = exc.args
         print(f"stabcert: {message}", file=sys.stderr)
@@ -415,7 +388,6 @@ def main(argv: list | None = None) -> int:
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"stabcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

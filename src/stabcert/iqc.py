@@ -77,15 +77,17 @@ def assemble_lmi(
 
     with F = [A B] and J = [[C, 0], [0, 1]].  Negative semidefiniteness
     certifies V(x+) <= (1-rho) V(x) - lam ||x||^2 whenever u is a sector
-    gradient response to y = C x.  Affine in (p, lam, tau).
+    gradient response to y = C x.  Affine in (p, lam, tau).  A stack of
+    P (leading axes) gives a stack of LMIs, with lam and tau broadcast
+    against it as arrays of shape (..., 1, 1).
     """
     p = np.asarray(p, dtype=float)
     s = system.state_dim
-    if p.shape != (s, s):
+    if p.shape[-2:] != (s, s):
         raise ValueError(f"P must be {s}x{s}, got {p.shape}")
     f = np.hstack([system.a, system.b])
-    lifted = np.zeros((s + 1, s + 1))
-    lifted[:s, :s] = (1.0 - rho) * p - lam * np.eye(s)
+    lifted = np.zeros((*p.shape[:-2], s + 1, s + 1))
+    lifted[..., :s, :s] = (1.0 - rho) * p - lam * np.eye(s)
     j = sector_lift(system)
     return f.T @ p @ f - lifted + tau * (j.T @ sector_product_multiplier(bounds) @ j)
 
@@ -136,23 +138,31 @@ def certificate_from_json(text: str) -> IqcCertificate:
     """Inverse of certificate_to_json.
 
     A document without "newton_steps" reads as 0 steps.
+
+    Raises:
+        ValueError: on a P that is not square, or a missing key (as in a
+            document of the earlier three-multiplier format, which holds
+            tau1, tau2 and tau3 where this one holds tau).
     """
     raw = json.loads(text)
-    flat = np.asarray(raw["P"], dtype=float)
-    side = int(round(np.sqrt(flat.size)))
-    if side * side != flat.size:
-        raise ValueError(f"P payload of length {flat.size} is not square")
-    return IqcCertificate(
-        optimizer=raw["optimizer"],
-        gamma=float(raw["gamma"]),
-        beta=float(raw["beta"]),
-        p=flat.reshape(side, side),
-        lam=float(raw["lambda"]),
-        tau=float(raw["tau"]),
-        rho=float(raw.get("rho", 0.0)),
-        lmi_max_eig=float(raw["lmi_max_eig"]),
-        p_min_eig=float(raw["p_min_eig"]),
-        status=str(raw["status"]),
-        solver_seed=int(raw["solver_seed"]),
-        newton_steps=int(raw.get("newton_steps", 0)),
-    )
+    try:
+        flat = np.asarray(raw["P"], dtype=float)
+        side = int(round(np.sqrt(flat.size)))
+        if side * side != flat.size:
+            raise ValueError(f"P payload of length {flat.size} is not square")
+        return IqcCertificate(
+            optimizer=raw["optimizer"],
+            gamma=float(raw["gamma"]),
+            beta=float(raw["beta"]),
+            p=flat.reshape(side, side),
+            lam=float(raw["lambda"]),
+            tau=float(raw["tau"]),
+            rho=float(raw.get("rho", 0.0)),
+            lmi_max_eig=float(raw["lmi_max_eig"]),
+            p_min_eig=float(raw["p_min_eig"]),
+            status=str(raw["status"]),
+            solver_seed=int(raw["solver_seed"]),
+            newton_steps=int(raw.get("newton_steps", 0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"certificate JSON has no {exc.args[0]!r} key") from exc

@@ -148,6 +148,17 @@ def _worst_eig(theta: float, eps, rho):
     return mean + np.sqrt(gap * gap + m01 * m01), bar
 
 
+def _check_pairs(eps, rho) -> None:
+    """Raise ValueError unless every eps lies in (0, inf) and every rho in (0, 1)."""
+    eps_arr = np.asarray(eps, dtype=float)
+    bad = eps_arr[~((eps_arr > 0.0) & (eps_arr < np.inf))]
+    if bad.size:
+        raise ValueError(f"eps must be positive and finite, got {bad[0]}")
+    rho_arr = np.asarray(rho, dtype=float)
+    if not np.all((rho_arr > 0.0) & (rho_arr < 1.0)):
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+
+
 def verify_contraction(
     theta: float,
     eps: float,
@@ -163,10 +174,7 @@ def verify_contraction(
     Raises:
         ValueError: on eps outside (0, inf) or rho outside (0, 1).
     """
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    _check_pairs(eps, rho)
     worst, bar = _worst_eig(theta, eps, rho)
     return LyapunovCertificate(
         theta=theta,
@@ -236,7 +244,7 @@ def find_feasible_region(
 
     Args:
         theta: momentum weight in [0, 1).
-        eps_grid: positive eps candidates (error on any eps <= 0).
+        eps_grid: eps candidates in (0, inf).
         rho_grid: rho candidates in (0, 1).
         grid_points: accepted for older callers and ignored.
 
@@ -247,10 +255,7 @@ def find_feasible_region(
     rho_grid = np.asarray(rho_grid, dtype=float)
     if eps_grid.size == 0 or rho_grid.size == 0:
         raise ValueError("eps and rho grids must be non-empty")
-    if not np.all(eps_grid > 0.0):
-        raise ValueError(f"eps must be positive, got {eps_grid.min()}")
-    if not np.all((rho_grid > 0.0) & (rho_grid < 1.0)):
-        raise ValueError(f"rho must lie in (0, 1), got {rho_grid}")
+    _check_pairs(eps_grid, rho_grid)
     worst, _ = _worst_eig(theta, eps_grid[:, None], rho_grid[None, :])
     return FeasibleRegion(theta=theta, eps_grid=eps_grid, rho_grid=rho_grid, worst_eig=worst)
 

@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .iqc import IqcCertificate, sector_lift, sector_product_multiplier
+from .iqc import IqcCertificate, assemble_lmi
 from .linalg import eigvals_sym
 from .lyapunov import one_step_rate
 from .optimizers import LureSystem, SectorBounds
@@ -189,12 +189,13 @@ class _Problem:
     """The affine LMI map of one system/sector, built once.
 
     A decision vector v is (vech P, lam, tau), with vech in
-    row-major upper-triangle order.  Row k of `basis` is vec(L_k), so
-    LMI(v) = (v @ basis) reshaped to (d, d).  Row k of `p_basis` is the
-    k-th symmetric unit matrix E_k of P, and P itself is the gather
-    v[p_index].  The barrier works on x = (v[free], t), and F(x) =
-    sum_k x_k blocks[k] is the block diagonal of -LMI(v) - t I, P - t I,
-    tau and, with the lambda term, lam - t.  Row k of `flat`
+    row-major upper-triangle order.  Row k of `basis` is vec(L_k), with
+    L_k iqc.assemble_lmi at the k-th unit decision vector (one batched
+    call), so LMI(v) = (v @ basis) reshaped to (d, d).  Row k of
+    `p_basis` is the k-th symmetric unit matrix E_k of P, and P itself
+    is the gather v[p_index].  The barrier works on x = (v[free], t), and
+    F(x) = sum_k x_k blocks[k] is the block diagonal of -LMI(v) - t I,
+    P - t I, tau and, with the lambda term, lam - t.  Row k of `flat`
     is vec(blocks[k]), so F(x) = (x @ flat) reshaped to (dim, dim).
     """
 
@@ -202,26 +203,20 @@ class _Problem:
         self.rho = rho
         self.with_lam = with_lam
         self.s = s = system.state_dim
-        f = np.hstack([system.a, system.b])
-        self.d = d = f.shape[1]
+        self.d = d = s + 1
         self.vech = np.triu_indices(s)
         self.n_p = n_p = self.vech[0].size
         # 1 where v holds a diagonal entry of P, so v . trace_mask = trace(P).
         self.trace_mask = np.zeros(n_p + 2)
         self.trace_mask[np.flatnonzero(self.vech[0] == self.vech[1])] = 1.0
-        units = np.zeros((n_p, s, s))
-        units[np.arange(n_p), self.vech[0], self.vech[1]] = 1.0
-        units[np.arange(n_p), self.vech[1], self.vech[0]] = 1.0
-        p_terms = f.T @ units @ f
-        p_terms[:, :s, :s] -= (1.0 - rho) * units
-        lam_term = np.zeros((d, d))
-        lam_term[:s, :s] = np.eye(s)
-        j = sector_lift(system)
-        terms = [*p_terms, lam_term, j.T @ sector_product_multiplier(bounds) @ j]
-        self.basis = np.array(terms).reshape(len(terms), d * d)
-        self.p_basis = units.reshape(n_p, s * s)
         self.p_index = np.zeros((s, s), dtype=int)
         self.p_index[self.vech] = self.p_index[self.vech[::-1]] = np.arange(n_p)
+        unit = np.eye(n_p + 2)  # the unit decision vectors, one per row
+        p_units = unit[:, self.p_index]  # their P; E_k in the first n_p rows
+        lam, tau = unit[:, n_p, None, None], unit[:, n_p + 1, None, None]
+        self.basis = assemble_lmi(system, bounds, p_units, lam, tau, rho).reshape(n_p + 2, d * d)
+        units = p_units[:n_p]
+        self.p_basis = units.reshape(n_p, s * s)
 
         self.free = np.flatnonzero(np.r_[np.ones(n_p), with_lam, 1.0])
         n = self.free.size + 1
@@ -237,10 +232,6 @@ class _Problem:
         self.flat = blocks.reshape(n, big * big)
         self.eq = np.r_[self.trace_mask[self.free], 0.0]
         self.eq[-2] = 1.0  # eq . x = trace P + tau
-
-    def lmi(self, p: np.ndarray, lam: float, tau: float) -> np.ndarray:
-        v = np.concatenate([p[self.vech], [lam, tau]])
-        return (v @ self.basis).reshape(self.d, self.d)
 
 
 def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float,
@@ -535,6 +526,14 @@ def certify_rate(
     the exact rate come back Inconclusive.  Below a tol of about 5e-7, hi
     can be such a probe, and rho* can then lie more than tol below the
     exact rate.
+
+    At gamma = beta that happens at the default tol.  The sector product
+    form is -(u - gamma y)^2 there, nowhere positive, and probes near
+    the exact rate come back Inconclusive.  For HeavyBall(1, 0.3) on
+    [1, 1] both reference probes (0.70004 and 0.69996) do, the search
+    bisects for 16 probes, and rho* = 0.699789 lies 2.1e-4 below the
+    exact 0.7 with tol 1e-4.  rho* is still a verified Feasible probe
+    within tol of a non-Feasible one.
 
     Returns:
         RateResult with rho_star the largest rho found feasible (lo), its

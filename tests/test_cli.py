@@ -394,6 +394,35 @@ def test_simulate_json_reports_timing(tmp_path, capsys):
             report["coupled_steps"] / report["seconds"])
 
 
+_SHARED_SIM_KEYS = {"experiment", "dataset", "sector", "master_seed", "seconds",
+                    "coupled_steps", "steps_per_s"}
+_CERT_KEYS = {"optimizer", "gamma", "beta", "P", "lambda", "tau", "rho", "lmi_max_eig",
+              "p_min_eig", "status", "solver_seed", "newton_steps"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["simulate", "vs-n", *TINY_SIM, "--sizes", "10,20,30", "--json", "OUT"],
+     _SHARED_SIM_KEYS | {"sizes", "mean_param_diff", "slope", "intercept", "r2", "trials",
+                         "horizon"}),
+    (["simulate", "vs-t", *TINY_SIM, "--sizes", "10", "--checkpoints", "20,40,60",
+      "--json", "OUT"],
+     _SHARED_SIM_KEYS | {"size", "checkpoints", "mean_param_diff", "rho", "t_half",
+                         "fit_region", "loglog_slope", "sat_coeff", "sat_r2"}),
+    (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1", "--out", "OUT"],
+     _CERT_KEYS),
+    (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1", "--rate",
+      "--out", "OUT"], _CERT_KEYS),
+], ids=["vs-n", "vs-t", "certify", "certify-rate"])
+def test_json_outputs_have_fixed_key_sets(tmp_path, capsys, argv, keys):
+    out = tmp_path / "out.json"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert set(doc) == keys
+    if "sector" in doc:
+        assert set(doc["sector"]) == {"gamma", "beta", "grad_bound"}
+
+
 def test_simulate_reads_csv_dataset(tmp_path):
     rows = ["f1,f2,label"]
     for i in range(40):

@@ -11,7 +11,7 @@ from stabcert.iqc import (
     sector_lift,
     sector_product_multiplier,
 )
-from stabcert.optimizers import SectorBounds, Sgd, lure_of
+from stabcert.optimizers import HeavyBall, SectorBounds, Sgd, lure_of
 
 
 def test_product_multiplier_encodes_the_sector():
@@ -220,6 +220,31 @@ def test_certificate_json_rejects_non_square_p():
     raw["P"] = [1.0, 2.0, 3.0]
     with pytest.raises(ValueError, match="not square"):
         certificate_from_json(json.dumps(raw))
+
+
+def test_certificate_json_of_the_three_multiplier_format_names_the_missing_key():
+    # Documents written before the one-multiplier LMI hold tau1, tau2, tau3.
+    import json
+
+    raw = {
+        "optimizer": "sgd", "gamma": 0.1, "beta": 1.0, "P": [1.0], "lambda": 0.09,
+        "tau1": 0.1, "tau2": 0.2, "tau3": 0.5, "rho": 0.0, "lmi_max_eig": -0.09,
+        "p_min_eig": 1.0, "status": "Feasible", "solver_seed": 0,
+    }
+    with pytest.raises(ValueError, match="no 'tau' key"):
+        certificate_from_json(json.dumps(raw))
+
+
+def test_assemble_lmi_of_a_stack_is_the_stack_of_lmis():
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(HeavyBall(eta=0.5, mu=0.3), sb)
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=(4, 2, 2))
+    lam, tau = rng.uniform(0.0, 2.0, size=(2, 4, 1, 1))
+    stack = assemble_lmi(system, sb, p, lam, tau, 0.05)
+    for k in range(4):
+        want = assemble_lmi(system, sb, p[k], lam[k, 0, 0], tau[k, 0, 0], 0.05)
+        np.testing.assert_allclose(stack[k], want, rtol=1e-14, atol=1e-14)
 
 
 def test_recompute_eigs_matches_stored():

@@ -262,6 +262,16 @@ def test_find_feasible_region_rejects_empty_grids():
         find_feasible_region(0.3, np.array([0.1]), np.array([]))
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan, 0.0, -1.0])
+def test_sweep_rejects_the_eps_a_single_pair_rejects(eps):
+    # The sweep and the single pair share one range check, with one message.
+    message = f"eps must be positive and finite, got {eps}"
+    with pytest.raises(ValueError, match=message):
+        verify_contraction(0.3, eps, 0.05)
+    with pytest.raises(ValueError, match=message):
+        find_feasible_region(0.3, np.array([1.0, eps]), np.array([0.05]))
+
+
 def _tuned_rate(kappa):
     unit = SectorBounds(1.0, kappa)
     return fixed_curvature_rate(lure_of(NagSmoothQuadratic(unit), unit), unit)

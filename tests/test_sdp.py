@@ -110,7 +110,7 @@ def test_subgradient_matches_entrywise_formula(spec):
         p = row[prob.p_index]
         lam, tau = row[prob.n_p :]
         lmi = assemble_lmi(system, sb, p, lam, tau, rho)
-        np.testing.assert_allclose(prob.lmi(p, lam, tau), lmi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose((row @ prob.basis).reshape(d, d), lmi, rtol=1e-12, atol=1e-12)
         q = np.linalg.eigh(lmi)[1][:, -1]
         x, u = q[:s], f @ q
         outer = np.outer(u, u) - (1.0 - rho) * np.outer(x, x)
@@ -304,13 +304,14 @@ def test_problem_lmi_matches_assemble_lmi(spec, rho):
     system = lure_of(spec, sb)
     prob = _Problem(system, sb, rho, with_lam=True)
     rng = np.random.default_rng(11)
-    s = system.state_dim
+    s, d = system.state_dim, prob.d
     for _ in range(20):
         raw = rng.normal(size=(s, s))
         p = raw @ raw.T + 0.1 * np.eye(s)
         lam, tau = rng.uniform(0.0, 2.0, size=2)
         want = assemble_lmi(system, sb, p, lam, tau, rho)
-        np.testing.assert_allclose(prob.lmi(p, lam, tau), want, rtol=1e-13, atol=1e-13)
+        v = np.concatenate([p[prob.vech], [lam, tau]])
+        np.testing.assert_allclose((v @ prob.basis).reshape(d, d), want, rtol=1e-13, atol=1e-13)
 
 
 def test_projection_bounds_multiplier_drift():
@@ -682,6 +683,21 @@ def test_rate_search_infeasible_at_range_has_no_rate():
     assert res.status == "Infeasible-at-range"
     assert res.rho_star is None and res.certificate is None
     assert [rho for rho, status in res.tested] == [1e-4]
+
+
+def test_rate_search_at_gamma_equals_beta_keeps_a_verified_bracket():
+    # At gamma = beta the product form is -(u - gamma y)^2, nowhere
+    # positive, so probes near the exact rate 0.7 come back Inconclusive
+    # and rho* can lie more than tol below it (certify_rate's docstring).
+    # It is still a verified rate within tol of a non-Feasible probe.
+    sb = SectorBounds(1.0, 1.0)
+    system = lure_of(HeavyBall(eta=1.0, mu=0.3), sb)
+    tol = 1e-4
+    res = certify_rate(system, sb, tol=tol)
+    assert res.status == "Certified" and res.rho_star <= res.reference
+    assert verify_certificate(res.certificate, system, sb)
+    above = min(rho for rho, status in res.tested if status != FEASIBLE and rho > res.rho_star)
+    assert above - res.rho_star <= tol
 
 
 @pytest.mark.parametrize("spec", _RATE_SPECS[:2], ids=_RATE_IDS[:2])
