@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -54,7 +55,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of every main call, built at the first."""
     parser = _Parser(prog="stabcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stabcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,6 +124,10 @@ def _int_list(text: str) -> tuple:
 
 
 def _cmd_certify(args) -> int:
+    if args.optimizer == "nag-sq" and args.eta is not None:
+        raise ValueError("--eta applies to sgd and heavyball; nag-sq sets its own step")
+    if args.optimizer != "heavyball" and args.mu != 0.0:
+        raise ValueError(f"--mu applies to heavyball only, not {args.optimizer}")
     bounds = SectorBounds(gamma=args.gamma, beta=args.beta)
     eta = args.eta if args.eta is not None else 1.0 / args.beta
     if args.optimizer == "sgd":
@@ -179,13 +186,20 @@ def _cmd_lyapunov(args) -> int:
         print("give both --eps and --rho, or neither", file=sys.stderr)
         return EXIT_USAGE
     theta = theta_of(args.kappa)
-    cert = None if args.eps is None else verify_contraction(theta, args.eps, args.rho)
+    # Everything that can reject the input runs before the first print.
+    if args.eps is None:
+        eps_lo = theta**2 if theta > 0.0 else 1e-9
+        eps_grid = np.linspace(eps_lo, 4.0 * (1.0 + theta) ** 2, args.eps_points)
+        rho_grid = np.linspace(1e-4, 0.5 / np.sqrt(args.kappa), args.rho_points)
+        region = find_feasible_region(theta, eps_grid, rho_grid)
+    else:
+        cert = verify_contraction(theta, args.eps, args.rho)
     unit = SectorBounds(1.0, args.kappa)
     rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(unit), unit), unit)
     print(f"kappa          {args.kappa:g}  (theta={theta:.6g})")
     print(f"ideal rate     rho={rho:.6g}  (spectral radius {np.sqrt(1.0 - rho):.6g})")
 
-    if cert is not None:
+    if args.eps is not None:
         _print_p_eps(theta, args.eps)
         print(f"pair           eps={cert.eps:.6g} rho={cert.rho:.6g}")
         print(f"worst eig      {cert.worst_eig:.6e} at alpha={cert.worst_alpha:.6g}")
@@ -195,10 +209,6 @@ def _cmd_lyapunov(args) -> int:
         print(f"not certified: contraction fails at alpha={cert.worst_alpha:.6g}")
         return EXIT_NEGATIVE
 
-    eps_lo = theta**2 if theta > 0.0 else 1e-9
-    eps_grid = np.linspace(eps_lo, 4.0 * (1.0 + theta) ** 2, args.eps_points)
-    rho_grid = np.linspace(1e-4, 0.5 / np.sqrt(args.kappa), args.rho_points)
-    region = find_feasible_region(theta, eps_grid, rho_grid)
     feasible = region.worst_eig <= 0.0
     print(f"pairs swept    {feasible.size}")
     print(f"feasible pairs {int(feasible.sum())}")

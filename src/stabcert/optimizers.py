@@ -152,7 +152,8 @@ class OptimizerState:
     t: int = 0
 
     @classmethod
-    def zeros(cls, dim: int) -> "OptimizerState":
+    def zeros(cls, dim: int | tuple) -> "OptimizerState":
+        """The state at the origin; dim is a length or an array shape."""
         return cls(w=np.zeros(dim), v=np.zeros(dim), t=0)
 
 

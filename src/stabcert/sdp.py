@@ -87,7 +87,7 @@ class SolverOptions:
     restarts, patience: accepted for older callers and ignored.
 
     Raises:
-        ValueError: naming the first field below 1.
+        ValueError: naming the first field below 1, or a negative seed.
     """
 
     restarts: int = 16
@@ -100,6 +100,8 @@ class SolverOptions:
         for name in ("restarts", "max_iters", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SolverOptions.{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"SolverOptions.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

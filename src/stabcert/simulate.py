@@ -18,7 +18,8 @@ both arms of every trial are rows of one (2 runs, dim) state, with
 runs = trials times the number of sizes, and each step makes one row
 gather and one row-wise logistic gradient.  stability_vs_n steps its
 sizes together and stability_vs_t its one size.  The gap is recorded
-only at the checkpoints and the horizon.  The seed roles are unchanged,
+only at the steps a driver reads: stability_vs_n keeps the last step
+and stability_vs_t its checkpoints.  The seed roles are unchanged,
 and every row is bitwise equal to its run stepped alone.  The drivers
 and coupled_run step through optimizers.step_rule, so each optimizer's
 arithmetic is written once, in optimizers.
@@ -27,8 +28,7 @@ arithmetic is written once, in optimizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def coupled_run(
     step = step_rule(optimizer)
     idx = index_rng.integers(0, n, size=horizon)
     # Row 0 runs on task_a, row 1 on task_b.
-    shape = (2, task_a.dim)
-    state = OptimizerState(w=np.zeros(shape), v=np.zeros(shape))
+    state = OptimizerState.zeros((2, task_a.dim))
 
     param_diff = np.zeros(horizon)
     snapshots: list = []
@@ -142,20 +141,10 @@ def _seeded(config: ExperimentConfig, n: int, trial: int, *role: int) -> np.rand
     return np.random.default_rng(np.random.SeedSequence((config.master_seed, n, trial, *role)))
 
 
-class _TrialInputs(NamedTuple):
-    """What one coupled trial draws before it steps: the subset's row ids
-    into the base, the replaced index j, its new record and the index
-    stream."""
-
-    rows: np.ndarray
-    j: int
-    x_new: np.ndarray
-    y_new: float
-    idx: np.ndarray
-
-
-def _trial_inputs(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> _TrialInputs:
-    """One trial's draws under the named seed-role scheme, probes aside."""
+def _trial_inputs(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> tuple:
+    """One trial's draws under the named seed-role scheme, probes aside:
+    the subset's row ids into the base, the replaced index j, its new
+    record (x_new, y_new) and the index stream."""
     if n < base.n:
         rows = subset_rows(base, n, _seeded(config, n, trial, 3))
         sub = Dataset(x=base.x[rows], y=base.y[rows], sampler=base.sampler)
@@ -164,41 +153,32 @@ def _trial_inputs(base: Dataset, n: int, trial: int, config: ExperimentConfig) -
     j = int(_seeded(config, n, trial).integers(0, n))
     x_new, y_new = neighbor_record(sub, j, config.neighbor_mode, _seeded(config, n, trial, 1))
     idx = _seeded(config, n, trial, 2).integers(0, n, size=config.horizon)
-    return _TrialInputs(rows, j, x_new, y_new, idx)
+    return rows, j, x_new, y_new, idx
 
 
-def _probe_set(base: Dataset, n: int, trial: int, config: ExperimentConfig) -> tuple:
-    """One trial's held-out probes, drawn from its own seed-role stream."""
+def _probe_set(base: Dataset, n: int, trial: int, config: ExperimentConfig, count: int) -> tuple:
+    """One trial's count held-out probes, drawn from its own seed-role stream."""
     probe_rng = _seeded(config, n, trial, 4)
-    records = [base.draw_record(probe_rng) for _ in range(config.probes)]
+    records = [base.draw_record(probe_rng) for _ in range(count)]
     return np.array([r[0] for r in records]), np.array([r[1] for r in records])
 
 
-class _SizeRuns(NamedTuple):
-    """Every trial of one subset size, cut from the lockstep state.
-
-    steps holds the recorded step numbers, config.checkpoints and the
-    horizon, ascending and without repeats; param_diff[k, c] is trial
-    k's ||w - w'|| after step steps[c]; loss_gap[k] its worst probe-loss
-    gap at the final step (None without probes); max_grad[k] the
-    largest gradient norm either arm took.
-    """
-
-    steps: np.ndarray
-    param_diff: np.ndarray
-    loss_gap: np.ndarray | None
-    max_grad: np.ndarray
-
-
-def _lockstep(base: Dataset, sizes, config: ExperimentConfig) -> list:
+def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int) -> tuple:
     """Run every trial of every subset size in sizes as one state.
 
     Trial k of sizes[a] is run r = a trials + k.  Row r of the
     (2 runs, dim) state is its arm a and row runs + r its arm b.  Rows
     are gathered each step from one table: the base rows, then run r's
     replaced record at row base.n + r, which arm b reads in place of
-    its subset's row j.  Returns one _SizeRuns per size, in the order
-    of sizes.
+    its subset's row j.
+
+    steps lists the step numbers to record, ascending, without repeats
+    and within [1, config.horizon]; probes is the number of held-out
+    records each trial scores at the final step (0 for none).  Returns
+    (param_diff, loss_gap, max_grad), indexed [a, k]: param_diff[a, k, c]
+    is the run's ||w - w'|| after step steps[c], loss_gap[a, k] its worst
+    probe-loss gap (None without probes) and max_grad[a, k] the largest
+    gradient norm either arm took.
     """
     sizes = [int(n) for n in sizes]
     for n in sizes:
@@ -219,19 +199,17 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig) -> list:
     pos = np.empty((horizon, runs), dtype=np.min_scalar_type(ids.shape[1] - 1))
     start = 0
     for r, (n, k) in enumerate(cells):
-        tr = _trial_inputs(base, n, k, config)
-        ids[:, start:start + n] = tr.rows
-        ids[1, start + tr.j] = base.n + r
-        table[base.n + r], labels[base.n + r] = tr.x_new, tr.y_new
-        pos[:, r] = tr.idx + start
+        rows, j, x_new, y_new, idx = _trial_inputs(base, n, k, config)
+        ids[:, start:start + n] = rows
+        ids[1, start + j] = base.n + r
+        table[base.n + r], labels[base.n + r] = x_new, y_new
+        pos[:, r] = idx + start
         start += n
 
-    steps = np.array(sorted({int(c) for c in config.checkpoints} | {horizon}))
     column = {int(s): c for c, s in enumerate(steps)}
     step = step_rule(config.optimizer)
-    shape = (2 * runs, base.dim)
-    state = OptimizerState(w=np.zeros(shape), v=np.zeros(shape))
-    gaps = np.empty((steps.size, runs))
+    state = OptimizerState.zeros((2 * runs, base.dim))
+    gaps = np.empty((runs, len(steps)))
     # sqrt is correctly rounded and monotone, so one sqrt of the largest
     # squared norm is bitwise the largest norm.
     grad_sq = np.zeros(runs)
@@ -250,23 +228,20 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig) -> list:
         c = column.get(t + 1)
         if c is not None:
             d = state.w[:runs] - state.w[runs:]
-            gaps[c] = np.sqrt(row_dots(d, d))
-    w, max_grad = state.w, np.sqrt(grad_sq)
+            gaps[:, c] = np.sqrt(row_dots(d, d))
+    w, shape = state.w, (len(sizes), trials)
 
     loss_gap = None
-    if config.probes > 0:
+    if probes > 0:
         loss_gap = np.empty(runs)
         for r, (n, k) in enumerate(cells):
-            px, py = _probe_set(base, n, k, config)
+            px, py = _probe_set(base, n, k, config, probes)
             loss_gap[r] = np.abs(
                 reg_logistic_losses(w[r], px, py, lam)
                 - reg_logistic_losses(w[runs + r], px, py, lam)
             ).max()
-    own = [slice(a * trials, (a + 1) * trials) for a in range(len(sizes))]
-    return [
-        _SizeRuns(steps, gaps[:, s].T, None if loss_gap is None else loss_gap[s], max_grad[s])
-        for s in own
-    ]
+        loss_gap = loss_gap.reshape(shape)
+    return gaps.reshape(*shape, len(steps)), loss_gap, np.sqrt(grad_sq).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -349,10 +324,9 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
     from the seed roles, so the per-size averages estimate stability of
     the subsampled learning problem rather than of one fixed subset.
     """
-    runs = _lockstep(base, config.subset_sizes, replace(config, checkpoints=()))
-    finals = np.array([r.param_diff[:, -1] for r in runs])
-    grads = np.array([r.max_grad for r in runs])
-    gaps = np.array([r.loss_gap for r in runs]) if config.probes > 0 else None
+    diffs, gaps, grads = _lockstep(
+        base, config.subset_sizes, config, (config.horizon,), config.probes)
+    finals = diffs[..., 0]
     means = finals.mean(axis=1)
     sizes = np.asarray(config.subset_sizes, dtype=float)
     fit = fit_loglog_slope(sizes, means) if sizes.size >= 3 and np.all(means > 0.0) else None
@@ -407,8 +381,9 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
         raise ValueError("need at least three checkpoints for the growth fits, counting "
                          f"repeats once; got {cps.size} distinct")
     # VsTResult carries no loss gap, so no probes are drawn or scored.
-    runs = _lockstep(base, (n,), replace(config, probes=0))[0]
-    curves = runs.param_diff[:, np.searchsorted(runs.steps, cps)]
+    steps = np.unique(cps)
+    diffs = _lockstep(base, (n,), config, steps, 0)[0]
+    curves = diffs[0][:, np.searchsorted(steps, cps)]
     mean_curve = curves.mean(axis=0)
 
     sector = effective_sector(base, config.lambda_reg)

@@ -169,6 +169,51 @@ def test_certify_invalid_sector_exit_64(capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_keeps_calls_independent(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    sgd = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0"]
+    heavyball = ["certify", "--optimizer", "heavyball", "--gamma", "0.1", "--beta", "1.0",
+                 "--eta", "1", "--mu", "0.3"]
+    outs = []
+    # heavyball's --mu 0.3 must not carry over into the next sgd call,
+    # which would then be rejected for a non-zero --mu
+    for argv in (sgd, heavyball, sgd):
+        assert main(argv) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert "optimizer      sgd" in outs[0] and "optimizer      heavyball" in outs[1]
+    assert outs[2] == outs[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--optimizer", "sgd"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--gamma" in capsys.readouterr().err
+    assert main(sgd) == EXIT_OK
+    assert capsys.readouterr().out == outs[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--optimizer", "nag-sq", "--eta", "5"], "--eta"),
+    (["--optimizer", "sgd", "--mu", "0.9"], "--mu"),
+    (["--optimizer", "nag-sq", "--mu", "0.9"], "--mu"),
+    (["--optimizer", "sgd", "--seed", "-1"], "seed"),
+    (["--optimizer", "sgd", "--eta", "3", "--seed", "-1"], "seed"),
+], ids=["nag-sq-eta", "sgd-mu", "nag-sq-mu", "feasible-seed-negative",
+        "infeasible-seed-negative"])
+def test_certify_rejects_flags_it_would_ignore_or_misuse(argv, flag, capsys):
+    # Rejected before any solve: nothing on stdout, the flag named on stderr.
+    assert main(["certify", "--gamma", "0.1", "--beta", "1.0", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("grid", [["--rho-points", "0"], ["--eps-points", "0"]])
+def test_lyapunov_rejected_sweep_prints_nothing(grid, capsys):
+    assert main(["lyapunov", "--kappa", "2", *grid]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grids must be non-empty" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bound", "-G", "nan", "--gamma", "0.1", "--beta", "1", "-n", "10", "-T", "10"],
      "gradient bound must be positive and finite, got nan"),

@@ -138,6 +138,7 @@ def test_subgradient_matches_entrywise_formula(spec):
         ("restarts", 0),
         ("max_iters", 0),
         ("patience", 0),
+        ("seed", -1),
     ],
 )
 def test_solver_options_validates_fields(name, value):

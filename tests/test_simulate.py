@@ -273,13 +273,12 @@ def test_vs_t_skips_zero_gap_checkpoints(monkeypatch):
     real = simulate._lockstep
 
     def gaps_zeroed_until(step):
-        def size_runs(*args):
-            runs = real(*args)
-            for size in runs:
-                size.param_diff[:, size.steps <= step] = 0.0
-            return runs
+        def zeroed(base, sizes, config, steps, probes):
+            out = real(base, sizes, config, steps, probes)
+            out[0][..., np.asarray(steps) <= step] = 0.0
+            return out
 
-        return size_runs
+        return zeroed
 
     monkeypatch.setattr(simulate, "_lockstep", gaps_zeroed_until(10))
     res = stability_vs_t(base, config)
@@ -518,17 +517,16 @@ def test_lockstep_drivers_equal_per_trial_oracle(
         return np.array([diffs[n, k][np.asarray(steps) - 1] for k in range(config.trials)])
 
     # and at every step, not only at the reported ones
-    every = replace(config, checkpoints=tuple(range(1, config.horizon + 1)))
-    for n, runs in zip(config.subset_sizes, simulate._lockstep(base, config.subset_sizes, every)):
-        np.testing.assert_array_equal(runs.steps, np.arange(1, config.horizon + 1))
-        np.testing.assert_array_equal(runs.param_diff, oracle_at(n, runs.steps))
-    # one gap column per recorded step (the checkpoints and the horizon),
-    # never a full history
-    two = replace(config, checkpoints=(40, 20, 40))
-    for n, runs in zip(config.subset_sizes, simulate._lockstep(base, config.subset_sizes, two)):
-        np.testing.assert_array_equal(runs.steps, [20, 40, 80])
-        assert runs.param_diff.shape == (config.trials, 3)
-        np.testing.assert_array_equal(runs.param_diff, oracle_at(n, runs.steps))
+    every = np.arange(1, config.horizon + 1)
+    diffs_at, _, _ = simulate._lockstep(base, config.subset_sizes, config, every, 0)
+    for n, runs in zip(config.subset_sizes, diffs_at):
+        np.testing.assert_array_equal(runs, oracle_at(n, every))
+    # one gap column per step it is given, never a full history
+    steps = (20, 40, 80)
+    diffs_at, _, _ = simulate._lockstep(base, config.subset_sizes, config, steps, 0)
+    assert diffs_at.shape == (len(config.subset_sizes), config.trials, 3)
+    for n, runs in zip(config.subset_sizes, diffs_at):
+        np.testing.assert_array_equal(runs, oracle_at(n, steps))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
