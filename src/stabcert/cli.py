@@ -188,6 +188,10 @@ def _cmd_lyapunov(args) -> int:
     theta = theta_of(args.kappa)
     # Everything that can reject the input runs before the first print.
     if args.eps is None:
+        for flag, count in (("--eps-points", args.eps_points), ("--rho-points", args.rho_points)):
+            if count < 1:
+                raise ValueError(f"{flag} must be >= 1, got {count}: the eps and rho grids "
+                                 "must be non-empty")
         eps_lo = theta**2 if theta > 0.0 else 1e-9
         eps_grid = np.linspace(eps_lo, 4.0 * (1.0 + theta) ** 2, args.eps_points)
         rho_grid = np.linspace(1e-4, 0.5 / np.sqrt(args.kappa), args.rho_points)
@@ -301,7 +305,11 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     result = (stability_vs_n if vs_n else stability_vs_t)(base, config)
     seconds = time.perf_counter() - t0
-    steps = config.trials * config.horizon * (len(config.subset_sizes) if vs_n else 1)
+    # vs-n runs every size to the horizon; vs-t its one size to its last checkpoint.
+    if vs_n:
+        steps = config.trials * config.horizon * len(config.subset_sizes)
+    else:
+        steps = config.trials * max(result.checkpoints)
     print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
     if vs_n:
         print(f"sizes          {result.sizes}")

@@ -75,20 +75,24 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def reg_logistic_grad_rows(
-    w: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float
+    w: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Row k is reg_logistic_grad(w[k], x[k], y[k], lam)[1], bitwise.
 
     The arithmetic is the scalar form's, operation for operation: the
     margin y (w.x), the two-branch stable sigmoid and -y s x + lam w.
     exp(-|z|) is exp(-z) on the z >= 0 branch and exp(z) on the other,
-    so neither branch can overflow.
+    so neither branch can overflow.  The gradients are written into out
+    and returned (a new array without it); out must share no memory
+    with w or x.
     """
     z = -(y * row_dots(w, x))
     e = np.exp(-np.abs(z))
     d = 1.0 + e
     s = np.where(z >= 0, 1.0 / d, e / d)
-    return (-y * s)[:, None] * x + lam * w
+    g = np.multiply((-y * s)[:, None], x, out=out)
+    g += lam * w
+    return g
 
 
 @dataclass

@@ -208,17 +208,36 @@ def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerSt
 
 
 def nag_step(
-    state: OptimizerState, grad_at: GradFn, eta: float, mu: float, nu: float | None = None
+    state: OptimizerState,
+    grad_at: GradFn,
+    eta: float,
+    mu: float,
+    nu: float | None = None,
+    out: OptimizerState | None = None,
 ) -> OptimizerState:
     """One step of the two-step family on the state (w_t, v_t = w_t - w_{t-1}).
 
     v+ = mu*v - eta*grad_at(w + nu*v); w+ = w + v+.  The lookahead nu
     defaults to mu, the standard Nesterov step; mu = nu = 0 is sgd_step.
+
+    The next state is written into out and returned; out=state steps in
+    place, and without out a new state is made.  Either way the result is
+    bitwise the same.  grad_at gets a fresh query array that nag_step
+    reuses for eta*grad once grad_at returns, so grad_at must not keep
+    it; the array grad_at returns is never written.
     """
     if nu is None:
         nu = mu
-    v = mu * state.v - eta * grad_at(state.w + nu * state.v)
-    return OptimizerState(w=state.w + v, v=v, t=state.t + 1)
+    q = np.multiply(nu, state.v)
+    q += state.w  # w + nu*v: float addition commutes, so bitwise the same
+    g = grad_at(q)
+    if out is None:
+        out = OptimizerState(w=np.empty_like(q), v=np.empty_like(q))
+    eta_g = np.multiply(eta, g, out=None if np.may_share_memory(g, q) else q)
+    np.subtract(np.multiply(mu, state.v, out=out.v), eta_g, out=out.v)
+    np.add(state.w, out.v, out=out.w)
+    out.t = state.t + 1
+    return out
 
 
 def nag_sq_step(
@@ -283,15 +302,16 @@ def step_rule(spec: OptimizerSpec) -> StepFn:
     """The spec's step as step(state, grad_at) -> the next state.
 
     grad_at maps a query point to the gradient there.  A TwoStep steps
-    through nag_step and NagSmoothQuadratic through nag_sq_step, so a
-    state of (rows, dim) arrays steps every row as that row stepped alone.
+    in place through nag_step(out=state), so the state passed in is the
+    one returned, and NagSmoothQuadratic through nag_sq_step.  A state of
+    (rows, dim) arrays steps every row as that row stepped alone.
 
     Raises:
         TypeError: for an unknown optimizer type.
     """
     if isinstance(spec, TwoStep):
         eta, mu, nu = spec.eta, spec.mu, spec.nu
-        return lambda state, grad_at: nag_step(state, grad_at, eta, mu, nu)
+        return lambda state, grad_at: nag_step(state, grad_at, eta, mu, nu, out=state)
     if isinstance(spec, NagSmoothQuadratic):
         bounds = spec.bounds
         return lambda state, grad_at: nag_sq_step(state, grad_at(state.w), bounds)

@@ -16,13 +16,16 @@ for the replacement draw, (M, n, k, 2) for the index sequence,
 The drivers run all trials of all requested subset sizes in lockstep:
 both arms of every trial are rows of one (2 runs, dim) state, with
 runs = trials times the number of sizes, and each step makes one row
-gather and one row-wise logistic gradient.  stability_vs_n steps its
-sizes together and stability_vs_t its one size.  The gap is recorded
-only at the steps a driver reads: stability_vs_n keeps the last step
-and stability_vs_t its checkpoints.  The seed roles are unchanged,
-and every row is bitwise equal to its run stepped alone.  The drivers
-and coupled_run step through optimizers.step_rule, so each optimizer's
-arithmetic is written once, in optimizers.
+gather and one row-wise logistic gradient, written into buffers kept
+for the whole run.  stability_vs_n steps its sizes together and
+stability_vs_t its one size.  The gap is recorded only at the steps a
+driver reads: stability_vs_n keeps the last step and stability_vs_t its
+checkpoints, and the runs stop at the last step read, so
+stability_vs_t stops at its last checkpoint, not at the horizon.  The
+seed roles are unchanged, and every row is bitwise equal to its run
+stepped alone.  The drivers and coupled_run step through
+optimizers.step_rule, which steps the state in place, so each
+optimizer's arithmetic is written once, in optimizers.
 """
 
 from __future__ import annotations
@@ -173,18 +176,20 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
     its subset's row j.
 
     steps lists the step numbers to record, ascending, without repeats
-    and within [1, config.horizon]; probes is the number of held-out
-    records each trial scores at the final step (0 for none).  Returns
-    (param_diff, loss_gap, max_grad), indexed [a, k]: param_diff[a, k, c]
-    is the run's ||w - w'|| after step steps[c], loss_gap[a, k] its worst
-    probe-loss gap (None without probes) and max_grad[a, k] the largest
-    gradient norm either arm took.
+    and within [1, config.horizon]; the runs stop after step steps[-1].
+    probes is the number of held-out records each trial scores at that
+    step (0 for none).  Returns (param_diff, loss_gap, max_grad), indexed
+    [a, k]: param_diff[a, k, c] is the run's ||w - w'|| after step
+    steps[c], loss_gap[a, k] its worst probe-loss gap (None without
+    probes) and max_grad[a, k] the largest gradient norm either arm took
+    in steps 1 to steps[-1].  The state steps in place, and each step's
+    row gather and gradient reuse one buffer each.
     """
     sizes = [int(n) for n in sizes]
     for n in sizes:
         if not (1 <= n <= base.n):
             raise ValueError(f"subset size must lie in [1, {base.n}], got {n}")
-    trials, lam, horizon = config.trials, config.lambda_reg, config.horizon
+    trials, lam, last = config.trials, config.lambda_reg, int(steps[-1])
     cells = [(n, k) for n in sizes for k in range(trials)]
     runs = len(cells)
     table = np.empty((base.n + runs, base.dim))
@@ -196,33 +201,36 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
     # is ids[0] except at run r's j.  pos[t, r] is where step t of run
     # r reads in ids, in the narrowest integer type that holds it.
     ids = np.empty((2, trials * sum(sizes)), dtype=np.intp)
-    pos = np.empty((horizon, runs), dtype=np.min_scalar_type(ids.shape[1] - 1))
+    pos = np.empty((last, runs), dtype=np.min_scalar_type(ids.shape[1] - 1))
     start = 0
     for r, (n, k) in enumerate(cells):
         rows, j, x_new, y_new, idx = _trial_inputs(base, n, k, config)
         ids[:, start:start + n] = rows
         ids[1, start + j] = base.n + r
         table[base.n + r], labels[base.n + r] = x_new, y_new
-        pos[:, r] = idx + start
+        pos[:, r] = idx[:last] + start
         start += n
 
     column = {int(s): c for c, s in enumerate(steps)}
     step = step_rule(config.optimizer)
     state = OptimizerState.zeros((2 * runs, base.dim))
+    x, g = np.empty((2, 2 * runs, base.dim))
     gaps = np.empty((runs, len(steps)))
-    # sqrt is correctly rounded and monotone, so one sqrt of the largest
-    # squared norm is bitwise the largest norm.
-    grad_sq = np.zeros(runs)
+    # Per row, the largest squared gradient norm; the arms fold together
+    # at the end.  sqrt is correctly rounded and monotone, so one sqrt of
+    # the largest squared norm is bitwise the largest norm.
+    grad_sq = np.zeros(2 * runs)
 
     def grad_at(p: np.ndarray) -> np.ndarray:
-        # rows is the step's gather, set in the loop below.
-        nonlocal grad_sq
-        g = reg_logistic_grad_rows(p, table[rows], labels[rows], lam)
-        sq = row_dots(g, g)
-        grad_sq = np.fmax(grad_sq, np.fmax(sq[:runs], sq[runs:]))
+        # rows is the step's gather, set in the loop below.  Its ids lie
+        # in the table, and mode="clip" lets take write x directly where
+        # the default "raise" copies through a buffer.
+        np.take(table, rows, axis=0, out=x, mode="clip")
+        reg_logistic_grad_rows(p, x, labels[rows], lam, out=g)
+        np.fmax(grad_sq, row_dots(g, g), out=grad_sq)
         return g
 
-    for t in range(horizon):
+    for t in range(last):
         rows = ids[:, pos[t]].ravel()
         state = step(state, grad_at)
         c = column.get(t + 1)
@@ -241,7 +249,8 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
                 - reg_logistic_losses(w[runs + r], px, py, lam)
             ).max()
         loss_gap = loss_gap.reshape(shape)
-    return gaps.reshape(*shape, len(steps)), loss_gap, np.sqrt(grad_sq).reshape(shape)
+    max_grad = np.sqrt(np.fmax(grad_sq[:runs], grad_sq[runs:])).reshape(shape)
+    return gaps.reshape(*shape, len(steps)), loss_gap, max_grad
 
 
 @dataclass(frozen=True)

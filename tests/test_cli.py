@@ -214,6 +214,14 @@ def test_lyapunov_rejected_sweep_prints_nothing(grid, capsys):
     assert "grids must be non-empty" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--eps-points", "--rho-points"])
+def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
+    assert main(["lyapunov", "--kappa", "2", flag, "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be >= 1, got -1" in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bound", "-G", "nan", "--gamma", "0.1", "--beta", "1", "-n", "10", "-T", "10"],
      "gradient bound must be positive and finite, got nan"),
@@ -423,17 +431,23 @@ def test_simulate_vs_t_csv_and_json(tmp_path, capsys):
 
 
 def test_simulate_json_reports_timing(tmp_path, capsys):
-    for mode, sizes, per_size in (("vs-n", "10,15,20", 3), ("vs-t", "10", 1)):
+    # The coupled steps run: trials * horizon * sizes for vs-n, and
+    # trials * the last checkpoint for vs-t, which stops there.
+    for mode, sizes, checkpoints, steps in (
+        ("vs-n", "10,15,20", "20,40,60", 2 * 60 * 3),
+        ("vs-t", "10", "20,40,60", 2 * 60),
+        ("vs-t", "10", "30,20,40", 2 * 40),
+    ):
         out_json = tmp_path / f"{mode}.json"
         rc = main([
             "simulate", mode, *TINY_SIM,
-            "--sizes", sizes, "--checkpoints", "20,40,60", "--probes", "0",
+            "--sizes", sizes, "--checkpoints", checkpoints, "--probes", "0",
             "--json", str(out_json),
         ])
         assert rc == EXIT_OK
-        assert "coupled steps" in capsys.readouterr().out
+        assert f"({steps} coupled steps" in capsys.readouterr().out
         report = json.loads(out_json.read_text())
-        assert report["coupled_steps"] == 2 * 60 * per_size  # trials * horizon * sizes
+        assert report["coupled_steps"] == steps
         assert report["seconds"] > 0.0
         assert report["steps_per_s"] == pytest.approx(
             report["coupled_steps"] / report["seconds"])

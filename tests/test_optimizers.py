@@ -294,3 +294,54 @@ def test_nag_step_at_zero_momentum_is_bitwise_sgd_step():
         a = sgd_step(a, grad(a.w), 0.37)
         b = nag_step(b, grad, 0.37, 0.0, 0.0)
         np.testing.assert_array_equal(a.w, b.w)
+
+
+@pytest.mark.parametrize("spec", [Sgd(0.37), HeavyBall(0.2, 0.7), NagStandard(0.2, 0.7)],
+                         ids=["sgd", "heavyball", "nag"])
+def test_nag_step_in_place_equals_functional_step(spec):
+    # out=state writes the next state into the one passed in, bitwise
+    # equal to the functional step and to the update written out in
+    # its order: q = w + nu v, v+ = mu v - eta g(q), w+ = w + v+.  The
+    # array grad_at returned is left as it was.
+    rng = np.random.default_rng(5)
+    returned = []
+
+    def grad(p):
+        g = np.tanh(p) + 0.3 * p - 0.1
+        returned.append((g, g.copy()))
+        return g
+
+    w0, v0 = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    ref = OptimizerState(w=w0.copy(), v=v0.copy())
+    functional = OptimizerState(w=w0.copy(), v=v0.copy())
+    state = OptimizerState(w=w0.copy(), v=v0.copy())
+    w_buf, v_buf = state.w, state.v
+    for t in range(50):
+        q = ref.w + spec.nu * ref.v
+        v = spec.mu * ref.v - spec.eta * (np.tanh(q) + 0.3 * q - 0.1)
+        ref = OptimizerState(w=ref.w + v, v=v, t=t + 1)
+        functional = nag_step(functional, grad, spec.eta, spec.mu, spec.nu)
+        assert nag_step(state, grad, spec.eta, spec.mu, spec.nu, out=state) is state
+        assert state.w is w_buf and state.v is v_buf and state.t == t + 1
+        for got in (functional, state):
+            np.testing.assert_array_equal(got.w, ref.w)
+            np.testing.assert_array_equal(got.v, ref.v)
+    assert len(returned) == 100
+    for g, kept in returned:
+        np.testing.assert_array_equal(g, kept)
+
+
+def test_nag_step_never_writes_a_gradient_that_aliases_its_query():
+    # A grad_at that hands back its argument (here f = 1/2 ||w||^2)
+    # still gets that array back unchanged.
+    returned = []
+
+    def grad(p):
+        returned.append((p, p.copy()))
+        return p
+
+    state = OptimizerState(w=np.array([[1.5, -2.0]]), v=np.array([[0.25, 0.5]]))
+    nag_step(state, grad, 0.5, 0.4, out=state)
+    (g, kept), = returned
+    np.testing.assert_array_equal(g, kept)
+    np.testing.assert_array_equal(state.v, 0.4 * np.array([[0.25, 0.5]]) - 0.5 * kept)

@@ -529,6 +529,39 @@ def test_lockstep_drivers_equal_per_trial_oracle(
         np.testing.assert_array_equal(runs, oracle_at(n, steps))
 
 
+@pytest.mark.parametrize("optimizer", [NagStandard(eta=0.05, mu=0.8), HeavyBall(eta=0.05, mu=0.8)],
+                         ids=["nag", "heavyball"])
+def test_lockstep_stops_at_its_last_step(optimizer):
+    # With steps (20, 40) the runs stop after step 40 of an 80-step
+    # horizon: the gaps, the probe-loss gaps (scored at step 40) and the
+    # largest gradient norms are the oracle's on a 40-step horizon.
+    base = synthetic_dataset(40, 4, seed=2)
+    config = ExperimentConfig(
+        optimizer=optimizer, lambda_reg=0.01, horizon=80, trials=3, subset_sizes=(10, 40),
+        probes=3, master_seed=31,
+    )
+    diffs, gaps, grads = simulate._lockstep(base, config.subset_sizes, config, (20, 40), 3)
+    short = replace(config, horizon=40)
+    for a, n in enumerate(config.subset_sizes):
+        for k in range(config.trials):
+            oracle_diffs, gap, grad = _oracle_trial(base, n, k, short)
+            np.testing.assert_array_equal(diffs[a, k], oracle_diffs[[19, 39]])
+            assert gaps[a, k] == gap
+            assert grads[a, k] == grad
+
+
+def test_vs_t_does_not_depend_on_the_horizon_past_its_last_checkpoint():
+    base = synthetic_dataset(120, 6, seed=4)
+    config = ExperimentConfig(
+        optimizer=NagStandard(eta=0.01, mu=0.9), horizon=150, trials=3, subset_sizes=(30,),
+        checkpoints=(50, 10, 150, 100), probes=0, master_seed=7,
+    )
+    at_last = stability_vs_t(base, config)
+    longer = stability_vs_t(base, replace(config, horizon=450))
+    for name in at_last.__dataclass_fields__:
+        np.testing.assert_array_equal(getattr(longer, name), getattr(at_last, name))
+
+
 @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
 def test_coupled_run_equals_step_functions(kind):
     # coupled_run's shared two-row rule against each arm stepped alone
