@@ -17,8 +17,10 @@ multiplier direction forever).  The constraints are one block-diagonal
 LMI F(x) >= 0 in x = (v, t), solved by the primal barrier method of
 Vandenberghe & Boyd (SIAM Review 1996): Newton steps on
 -t/mu - log det F(x), the normalization a KKT equality, mu / 10 per
-stage.  It works in the units u/beta (sector [gamma/beta, 1]), so
-verdicts do not depend on the units of the sector.  The last dual point
+stage.  Each stage stops once full Newton steps converge quadratically,
+and only the last, whose point is the result, is centered tightly.  It
+works in the units u/beta (sector [gamma/beta, 1]), so verdicts do not
+depend on the units of the sector.  The last dual point
 (blocks Z1, Z2 of mu F(x)^-1, and nu for the normalization) bounds t*
 by weak duality; a negative bound proves infeasibility.
 
@@ -62,8 +64,11 @@ INFEASIBLE = "Infeasible"
 INCONCLUSIVE = "Inconclusive"
 
 # Stages end once dim(F) * mu, a central point's duality gap, is below
-# _GAP_TOL; centering ends at a squared Newton decrement below _CENTERED.
+# _GAP_TOL.  A stage ends at a squared Newton decrement of at most
+# _QUADRATIC, below which full Newton steps converge quadratically; the
+# last, whose point is the result, centers on to _CENTERED.
 _GAP_TOL = 1e-7
+_QUADRATIC = 0.0625
 _CENTERED = 1e-10
 
 # The margins a verdict must clear, applied by verify_certificate,
@@ -282,10 +287,12 @@ def _maximize_margin(prob: _Problem, max_steps: int):
 
     Stages center by damped Newton steps of 1/(1 + lambda), lambda the
     Newton decrement, which stay inside the Dikin ellipsoid of the
-    self-concordant barrier; below lambda = 1/4 full steps converge
-    quadratically.  The KKT matrix is scaled to a unit Hessian diagonal.
-    A stage that cannot center (step cap, rounding) ends the path at the
-    last centered stage.
+    self-concordant barrier; below lambda = 1/4 (lambda^2 = _QUADRATIC)
+    full steps converge quadratically.  Every stage but the last stops
+    there, as only the last stage's point is returned; that one centers
+    on to lambda^2 <= _CENTERED.  The KKT matrix is scaled to a unit
+    Hessian diagonal.  A stage that cannot reach its tolerance (step cap,
+    rounding) ends the path at the last stage that did.
 
     Returns:
         (x, mu, z, steps): that iterate, its mu, the dual point of its
@@ -298,11 +305,12 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
     mu, steps, centered = 1.0, 0, None
     while True:
+        tol = _CENTERED if prob.dim * mu <= _GAP_TOL else _QUADRATIC
         while True:
             dx, dec, inv = _newton_step(prob, vals, vecs, mu, kkt, rhs)
-            if dec <= _CENTERED or steps >= max_steps:
+            if dec <= tol or steps >= max_steps:
                 break
-            step = 1.0 if dec < 0.0625 else 1.0 / (1.0 + np.sqrt(dec))
+            step = 1.0 if dec < _QUADRATIC else 1.0 / (1.0 + np.sqrt(dec))
             while (eig := _barrier(prob, x + step * dx)) is None and step > 1e-12:
                 step *= 0.5  # only rounding leaves the ellipsoid
             if eig is None:
@@ -313,9 +321,9 @@ def _maximize_margin(prob: _Problem, max_steps: int):
         # equations exactly, and is positive definite for a decrement below 1.
         z = mu * (inv - inv @ (dx @ prob.flat).reshape(dim, dim) @ inv)
         here = (x, mu, 0.5 * (z + z.T))
-        if not abs(dec) <= _CENTERED:
+        if not abs(dec) <= tol:
             return (*(centered or here), steps)
-        if prob.dim * mu <= _GAP_TOL:
+        if tol == _CENTERED:
             return (*here, steps)
         centered = here
         mu *= 0.1

@@ -834,4 +834,102 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, with_lam):
     monkeypatch.setattr(sdp, "_barrier", checked_barrier)
     monkeypatch.setattr(sdp, "_newton_step", checked_step)
     x, mu, z, steps = sdp._maximize_margin(prob, 500)
-    assert seen["steps"] > steps >= 20 and seen["points"] >= steps
+    assert seen["steps"] > steps and seen["steps"] >= 20 and seen["points"] >= steps
+
+
+def _fully_centered_maximize_margin(prob, max_steps):
+    # _maximize_margin as first written, centering every stage, not only
+    # the last, to a squared Newton decrement of _CENTERED.
+    n, dim = prob.flat.shape[0], prob.dim
+    x = prob.eq / (prob.s + 1)
+    x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0] - 1.0
+    vals, vecs = sdp._barrier(prob, x)
+    kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+    mu, steps, centered = 1.0, 0, None
+    while True:
+        while True:
+            dx, dec, inv = sdp._newton_step(prob, vals, vecs, mu, kkt, rhs)
+            if dec <= sdp._CENTERED or steps >= max_steps:
+                break
+            step = 1.0 if dec < 0.0625 else 1.0 / (1.0 + np.sqrt(dec))
+            while (eig := sdp._barrier(prob, x + step * dx)) is None and step > 1e-12:
+                step *= 0.5
+            if eig is None:
+                break
+            x, (vals, vecs) = x + step * dx, eig
+            steps += 1
+        z = mu * (inv - inv @ (dx @ prob.flat).reshape(dim, dim) @ inv)
+        here = (x, mu, 0.5 * (z + z.T))
+        if not abs(dec) <= sdp._CENTERED:
+            return (*(centered or here), steps)
+        if prob.dim * mu <= sdp._GAP_TOL:
+            return (*here, steps)
+        centered = here
+        mu *= 0.1
+
+
+def _recorded(monkeypatch, maximize, run):
+    # run() with sdp._maximize_margin replaced by maximize; also returns
+    # (prob, x, mu, steps) of every solve in order.
+    ends = []
+
+    def recording(prob, max_steps):
+        x, mu, z, steps = maximize(prob, max_steps)
+        ends.append((prob, x, mu, steps))
+        return x, mu, z, steps
+
+    monkeypatch.setattr(sdp, "_maximize_margin", recording)
+    return run(), ends
+
+
+def _verdict_cases():
+    for name, (make, _) in _VERDICTS.items():
+        for kappa in _VERDICT_KAPPAS:
+            sb = SectorBounds(0.1, 0.1 * kappa)
+            yield name, lure_of(make(sb), sb), sb
+
+
+def _assert_same_central_point(monkeypatch, run):
+    # run() with the barrier as it is and fully centered: the same
+    # statuses and certificates, the same central points in no more
+    # Newton steps, and each returned point centered to _CENTERED at its
+    # mu.  Returns both runs' results.
+    got, ends = _recorded(monkeypatch, sdp._maximize_margin, run)
+    want, ref_ends = _recorded(monkeypatch, _fully_centered_maximize_margin, run)
+    assert len(ends) == len(ref_ends) > 0
+    for (prob, x, mu, steps), (_, ref_x, ref_mu, ref_steps) in zip(ends, ref_ends):
+        assert mu == ref_mu and steps <= ref_steps
+        assert x[-1] == pytest.approx(ref_x[-1], rel=1e-8)
+        n = prob.flat.shape[0]
+        vals, vecs = sdp._barrier(prob, x)
+        dec = sdp._newton_step(prob, vals, vecs, mu, np.zeros((n + 1, n + 1)), np.zeros(n + 1))[1]
+        assert dec <= sdp._CENTERED
+    for a, b in zip(got, want):
+        assert a.status == b.status
+        if b.certificate is not None:
+            p, ref_p = a.certificate.p, b.certificate.p
+            assert np.abs(p - ref_p).max() <= 1e-12 * np.abs(ref_p).max()
+    return got, want
+
+
+@pytest.mark.parametrize("name", _VERDICTS)
+def test_loose_early_stages_keep_the_verdict_table(monkeypatch, name):
+    cases = [(system, sb) for case, system, sb in _verdict_cases() if case == name]
+    _assert_same_central_point(monkeypatch, lambda: [
+        solve_feasibility(system, sb, name) for system, sb in cases])
+
+
+@pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
+def test_loose_early_stages_keep_the_rate_search(monkeypatch, spec):
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(spec, sb)
+    (got,), (want,) = _assert_same_central_point(monkeypatch, lambda: [certify_rate(system, sb)])
+    assert (got.rho_star, got.tested) == (want.rho_star, want.tested)
+
+
+def test_verdict_table_takes_at_most_1737_newton_steps():
+    # 70% of the 2,482 steps of centering every stage to _CENTERED; the
+    # count repeats exactly, so a return to full centering fails here.
+    steps = sum(solve_feasibility(system, sb, name).traces[0].iterations
+                for name, system, sb in _verdict_cases())
+    assert steps <= 1737
