@@ -1,21 +1,20 @@
 """First-order optimizer models and their feedback-system forms.
 
-Gradient descent, heavy ball, standard Nesterov and triple momentum are
-one two-step family (Lessard, Recht & Packard 2016), TwoStep:
-xi+ = xi + mu (xi - xi_prev) - eta grad(xi + nu (xi - xi_prev)).  The
-smooth-quadratic Nesterov variant, whose momentum weight theta is pinned
-by the condition number, keeps its own spec because its step stores the
-query point.  step_rule gives a spec's step, which the coupled runs of
-simulate take on (rows, dim) states, and lure_of its linear system in
-feedback with the gradient, which the Lyapunov rate and the IQC layers
-consume.
+Gradient descent, heavy ball, standard Nesterov, triple momentum and the
+sector-tuned Nesterov method of the smooth-quadratic analysis are one
+two-step family (Lessard, Recht & Packard 2016), TwoStep:
+xi+ = xi + mu (xi - xi_prev) - eta grad(xi + nu (xi - xi_prev)).  Each
+method is a constructor of a TwoStep.  step_rule gives a spec's step,
+which the coupled runs of simulate take on (rows, dim) states, and
+lure_of its linear system in feedback with the gradient, which the
+Lyapunov rate and the IQC layers consume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -27,13 +26,11 @@ __all__ = [
     "NagStandard",
     "TripleMomentum",
     "NagSmoothQuadratic",
-    "OptimizerSpec",
     "OptimizerState",
     "LureSystem",
     "theta_of",
     "sgd_step",
     "nag_step",
-    "nag_sq_step",
     "a_alpha",
     "lure_of",
     "step_rule",
@@ -118,43 +115,30 @@ def TripleMomentum(bounds: SectorBounds) -> TwoStep:
     return TwoStep((1.0 + r) / bounds.beta, r * r / (2.0 - r), r * r / ((1.0 + r) * (2.0 - r)))
 
 
-@dataclass(frozen=True)
-class NagSmoothQuadratic:
+def NagSmoothQuadratic(bounds: SectorBounds) -> TwoStep:
     """Nesterov tuned for a [gamma, beta] sector.
 
-    The step is 1/beta and the momentum weight is
-    theta = (sqrt(kappa) - 1)/(sqrt(kappa) + 1):
-
-        v+ = w - (1/beta) * grad(w)
-        w+ = (1 + theta) * v+ - theta * v
+    The step is 1/beta and the lookahead equals the momentum
+    theta = (sqrt(kappa) - 1)/(sqrt(kappa) + 1).  The paper writes it as
+    v+ = w - grad(w)/beta, w+ = (1 + theta) v+ - theta v, whose v is xi
+    and whose w is the query point xi + theta (xi - xi_prev): the pair
+    (w + theta v, w) of an OptimizerState.
     """
-
-    bounds: SectorBounds
-
-    @property
-    def theta(self) -> float:
-        return theta_of(self.bounds.kappa)
-
-
-OptimizerSpec = Union[TwoStep, NagSmoothQuadratic]
+    theta = theta_of(bounds.kappa)
+    return TwoStep(1.0 / bounds.beta, theta, theta)
 
 
 @dataclass
 class OptimizerState:
-    """Mutable iterate pair.
-
-    For a TwoStep v is the velocity w_t - w_{t-1}; for NagSmoothQuadratic
-    it is the auxiliary sequence.
-    """
+    """Mutable iterate pair (w_t, v_t = w_t - w_{t-1}): the point and its velocity."""
 
     w: np.ndarray
     v: np.ndarray
-    t: int = 0
 
     @classmethod
     def zeros(cls, dim: int | tuple) -> "OptimizerState":
         """The state at the origin; dim is a length or an array shape."""
-        return cls(w=np.zeros(dim), v=np.zeros(dim), t=0)
+        return cls(w=np.zeros(dim), v=np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -204,7 +188,7 @@ def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerSt
     grad is the gradient already evaluated at state.w.
     """
     w = state.w - eta * np.asarray(grad, dtype=float)
-    return OptimizerState(w=w, v=state.v, t=state.t + 1)
+    return OptimizerState(w=w, v=state.v)
 
 
 def nag_step(
@@ -236,29 +220,15 @@ def nag_step(
     eta_g = np.multiply(eta, g, out=None if np.may_share_memory(g, q) else q)
     np.subtract(np.multiply(mu, state.v, out=out.v), eta_g, out=out.v)
     np.add(state.w, out.v, out=out.w)
-    out.t = state.t + 1
     return out
-
-
-def nag_sq_step(
-    state: OptimizerState, grad: np.ndarray, bounds: SectorBounds
-) -> OptimizerState:
-    """Sector-tuned Nesterov step; state.v is the auxiliary sequence.
-
-    grad is the gradient already evaluated at state.w; the step size is
-    1/beta and theta follows from the sector's condition number.
-    """
-    theta = theta_of(bounds.kappa)
-    v_next = state.w - np.asarray(grad, dtype=float) / bounds.beta
-    w_next = (1.0 + theta) * v_next - theta * state.v
-    return OptimizerState(w=w_next, v=v_next, t=state.t + 1)
 
 
 def a_alpha(theta: float, alpha: float) -> np.ndarray:
     """Closed-loop difference map for the sector-tuned Nesterov method.
 
     On a quadratic direction with curvature lam, the coupled difference
-    (dw, dv) evolves linearly with alpha = 1 - lam/beta:
+    of the paper's pair (query point, xi), which is (w + theta v, w) of
+    an OptimizerState, evolves linearly with alpha = 1 - lam/beta:
 
         [[(1 + theta)*alpha, -theta],
          [alpha,              0    ]]
@@ -271,23 +241,20 @@ def a_alpha(theta: float, alpha: float) -> np.ndarray:
     return np.array([[(1.0 + theta) * alpha, -theta], [alpha, 0.0]])
 
 
-def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
-    """Feedback-form matrices (A, B, C) for a supported optimizer.
+def lure_of(spec: TwoStep, bounds: SectorBounds) -> LureSystem:
+    """Feedback-form matrices (A, B, C) for a TwoStep.
 
     The gradient enters as u = grad(y) with y = C x, so on a fixed
     curvature lam the coupled difference moves by the closed loop
-    A + lam B C.  A TwoStep has the state
-    x = (xi_t, xi_{t-1}), with A = [[1+mu, -mu], [1, 0]], B = [[-eta], [0]]
-    and C = [[1+nu, -nu]]; at mu = nu = 0, where xi_{t-1} neither moves
-    nor is read, it is the 1x1 form x = (w).  NagSmoothQuadratic is the
-    member TwoStep(1/beta, theta, theta) on x = (v_t, v_{t-1}), whose
-    query point w_t = C x is what its step rule stores as w.
+    A + lam B C.  The state is x = (xi_t, xi_{t-1}), with
+    A = [[1+mu, -mu], [1, 0]], B = [[-eta], [0]] and C = [[1+nu, -nu]];
+    at mu = nu = 0, where xi_{t-1} neither moves nor is read, it is the
+    1x1 form x = (w).  In the 2x2 form the step state (w, v) of
+    step_rule is (x[0], x[0] - x[1]).
 
     Raises:
-        TypeError: for an unknown optimizer type.
+        TypeError: for an optimizer that is not a TwoStep.
     """
-    if isinstance(spec, NagSmoothQuadratic):
-        spec = TwoStep(1.0 / spec.bounds.beta, spec.theta, spec.theta)
     if not isinstance(spec, TwoStep):
         raise TypeError(f"no feedback form for optimizer {type(spec).__name__}")
     eta, mu, nu = spec.eta, spec.mu, spec.nu
@@ -298,21 +265,18 @@ def lure_of(spec: OptimizerSpec, bounds: SectorBounds) -> LureSystem:
     return LureSystem(a=np.array(a), b=np.array(b), c=np.array(c))
 
 
-def step_rule(spec: OptimizerSpec) -> StepFn:
+def step_rule(spec: TwoStep) -> StepFn:
     """The spec's step as step(state, grad_at) -> the next state.
 
-    grad_at maps a query point to the gradient there.  A TwoStep steps
-    in place through nag_step(out=state), so the state passed in is the
-    one returned, and NagSmoothQuadratic through nag_sq_step.  A state of
-    (rows, dim) arrays steps every row as that row stepped alone.
+    grad_at maps a query point to the gradient there.  The step goes in
+    place through nag_step(out=state), so the state passed in is the one
+    returned.  A state of (rows, dim) arrays steps every row as that row
+    stepped alone.
 
     Raises:
-        TypeError: for an unknown optimizer type.
+        TypeError: for an optimizer that is not a TwoStep.
     """
-    if isinstance(spec, TwoStep):
-        eta, mu, nu = spec.eta, spec.mu, spec.nu
-        return lambda state, grad_at: nag_step(state, grad_at, eta, mu, nu, out=state)
-    if isinstance(spec, NagSmoothQuadratic):
-        bounds = spec.bounds
-        return lambda state, grad_at: nag_sq_step(state, grad_at(state.w), bounds)
-    raise TypeError(f"unsupported optimizer {type(spec).__name__}")
+    if not isinstance(spec, TwoStep):
+        raise TypeError(f"unsupported optimizer {type(spec).__name__}")
+    eta, mu, nu = spec.eta, spec.mu, spec.nu
+    return lambda state, grad_at: nag_step(state, grad_at, eta, mu, nu, out=state)

@@ -111,7 +111,14 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RestartTrace:
-    """The Newton log of one solve: steps taken, -t at the end, final duality gap."""
+    """The Newton log of one solve: steps taken, -t at the end, final duality gap.
+
+    iterations counts the accepted Newton steps only.  Each barrier stage
+    also solves one Newton system whose step it does not take: the one
+    that shows the stage is centered and gives its dual point.  So a solve
+    makes iterations plus its stage count of Newton systems; an sgd rate
+    probe at [0.1, 1] takes 19 steps and solves 28 systems in 9 stages.
+    """
 
     iterations: int
     best_violation: float

@@ -38,7 +38,7 @@ import numpy as np
 from .data import Dataset, effective_sector, neighbor_record, subset_rows
 from .losses import reg_logistic_grad_rows, reg_logistic_losses, row_dots
 from .lyapunov import fixed_curvature_rate
-from .optimizers import NagStandard, OptimizerSpec, OptimizerState, lure_of, step_rule
+from .optimizers import NagStandard, OptimizerState, TwoStep, lure_of, step_rule
 
 __all__ = [
     "ExperimentConfig",
@@ -59,7 +59,7 @@ __all__ = [
 class ExperimentConfig:
     """Protocol knobs for the coupled-run experiments."""
 
-    optimizer: OptimizerSpec = field(default_factory=lambda: NagStandard(eta=0.01, mu=0.9))
+    optimizer: TwoStep = field(default_factory=lambda: NagStandard(eta=0.01, mu=0.9))
     lambda_reg: float = 1e-3
     horizon: int = 2000
     trials: int = 25
@@ -101,7 +101,7 @@ def coupled_run(
     task_a,
     task_b,
     j: int,
-    optimizer: OptimizerSpec,
+    optimizer: TwoStep,
     horizon: int,
     index_rng: np.random.Generator,
 ) -> CoupledTrace:
@@ -301,7 +301,7 @@ def saturating_fit(steps: np.ndarray, values: np.ndarray, rho: float) -> tuple[f
     return c, r2
 
 
-def envelope_rate(optimizer: OptimizerSpec, sector) -> float:
+def envelope_rate(optimizer: TwoStep, sector) -> float:
     """Squared-norm decay rate of the optimizer's feedback form over a sector.
 
     lyapunov.fixed_curvature_rate of lure_of(optimizer, sector): the

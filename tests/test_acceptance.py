@@ -34,7 +34,7 @@ from stabcert.optimizers import (
     Sgd,
     a_alpha,
     lure_of,
-    nag_sq_step,
+    step_rule,
     theta_of,
 )
 from stabcert.sdp import FEASIBLE, SolverOptions, s_lemma_cross_check, solve_feasibility, verify_certificate
@@ -302,25 +302,26 @@ def test_criterion_9_oracle_equivalences():
     t0 = time.time()
     bounds = SectorBounds(gamma=0.1, beta=1.0)
     spec = NagSmoothQuadratic(bounds)
+    theta = theta_of(bounds.kappa)
     system = lure_of(spec, bounds)
+    step = step_rule(spec)
     rng = np.random.default_rng(99)
     worst_traj = 0.0
     for _ in range(100):
         h = rng.uniform(bounds.gamma, bounds.beta)
         x = rng.normal(size=2)
-        # Feedback state is (v_t, v_{t-1}); the step state reads off
-        # w_t = C x and v_t = x[0].
-        state = OptimizerState(
-            w=np.array([float(system.c[0] @ x)]), v=np.array([x[0]]), t=0
-        )
+        # Feedback state is (xi_t, xi_{t-1}); the step state is
+        # w = x[0] and v = x[0] - x[1], and its query point
+        # w + theta v is C x.
+        state = OptimizerState(w=np.array([x[0]]), v=np.array([x[0] - x[1]]))
         for _ in range(100):
             u = h * float(system.c[0] @ x)
             x = system.a @ x + system.b[:, 0] * u
-            state = nag_sq_step(state, h * state.w, bounds)
+            state = step(state, lambda p: h * p)
             worst_traj = max(
                 worst_traj,
-                abs(float(system.c[0] @ x) - state.w[0]),
-                abs(x[0] - state.v[0]),
+                abs(float(system.c[0] @ x) - (state.w[0] + theta * state.v[0])),
+                abs(x[0] - state.w[0]),
             )
     assert worst_traj <= 1e-10
 

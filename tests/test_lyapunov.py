@@ -28,7 +28,7 @@ from stabcert.optimizers import (
     SectorBounds,
     Sgd,
     lure_of,
-    nag_sq_step,
+    step_rule,
     theta_of,
 )
 
@@ -217,15 +217,23 @@ def test_coupled_steps_obey_certificate():
     cert = region.best
     assert cert is not None
     p = build_p_eps(th, cert.eps)
+    step = step_rule(NagSmoothQuadratic(sb))
+
+    def pair(s):
+        # V_eps is written on the paper's pair (query point, xi), which
+        # is (w + theta v, w) of the step state.
+        return np.r_[s.w + th * s.v, s.w]
+
     for lam in np.linspace(sb.gamma, sb.beta, 7):
-        s1 = OptimizerState(w=np.array([1.3]), v=np.array([0.4]), t=0)
-        s2 = OptimizerState(w=np.array([-0.2]), v=np.array([0.9]), t=0)
+        # Paper pairs (1.3, 0.4) and (-0.2, 0.9) as step states.
+        s1 = OptimizerState(w=np.array([0.4]), v=np.array([(1.3 - 0.4) / th]))
+        s2 = OptimizerState(w=np.array([0.9]), v=np.array([(-0.2 - 0.9) / th]))
         for _ in range(25):
-            x = np.r_[s1.w - s2.w, s1.v - s2.v]
+            x = pair(s1) - pair(s2)
             v_now = float(x @ p @ x)
-            s1 = nag_sq_step(s1, lam * s1.w, sb)
-            s2 = nag_sq_step(s2, lam * s2.w, sb)
-            x = np.r_[s1.w - s2.w, s1.v - s2.v]
+            s1 = step(s1, lambda q: lam * q)
+            s2 = step(s2, lambda q: lam * q)
+            x = pair(s1) - pair(s2)
             v_next = float(x @ p @ x)
             assert v_next <= (1.0 - cert.rho) * v_now + 1e-12
 

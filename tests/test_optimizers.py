@@ -12,10 +12,10 @@ from stabcert.optimizers import (
     OptimizerState,
     SectorBounds,
     Sgd,
+    TripleMomentum,
     TwoStep,
     a_alpha,
     lure_of,
-    nag_sq_step,
     nag_step,
     sgd_step,
     step_rule,
@@ -86,15 +86,9 @@ def test_theta_identity(kappa):
 
 def test_step_rules_quadratic():
     # 1-d quadratic f = 0.5 w^2: gradient is w itself.
-    st0 = OptimizerState(w=np.array([2.0]), v=np.array([0.0]), t=0)
+    st0 = OptimizerState(w=np.array([2.0]), v=np.array([0.0]))
     out = sgd_step(st0, st0.w, eta=0.1)
     assert out.w[0] == pytest.approx(1.8)
-    assert out.t == 1
-    out = nag_sq_step(st0, st0.w, SectorBounds(0.5, 1.0))
-    # v+ = w - grad/beta = 0, w+ = (1+theta) v+ - theta v = 0
-    assert out.t == 1 and out.v.shape == (1,)
-    assert out.v[0] == pytest.approx(0.0)
-    assert out.w[0] == pytest.approx(0.0)
 
 
 @given(st.floats(0.01, 1.0), st.lists(st.floats(-3, 3), min_size=1, max_size=5))
@@ -102,7 +96,7 @@ def test_step_rules_quadratic():
 def test_nag_with_zero_momentum_is_sgd(eta, coords):
     w = np.array(coords)
     grad = lambda v: 2.0 * v + 1.0
-    s = OptimizerState(w=w.copy(), v=np.zeros_like(w), t=0)
+    s = OptimizerState(w=w.copy(), v=np.zeros_like(w))
     a = sgd_step(s, grad(s.w), eta)
     b = nag_step(s, grad, eta, mu=0.0)
     np.testing.assert_allclose(a.w, b.w, atol=1e-14)
@@ -110,7 +104,7 @@ def test_nag_with_zero_momentum_is_sgd(eta, coords):
 
 def test_state_zeros():
     s = OptimizerState.zeros(4)
-    assert s.w.shape == (4,) and s.v.shape == (4,) and s.t == 0
+    assert s.w.shape == (4,) and s.v.shape == (4,)
 
 
 def test_a_alpha_structure():
@@ -158,35 +152,52 @@ def test_lure_realizations():
         lure_of(object(), sb)
 
 
+def _paper_nag_sq_step(w, v, grad, bounds):
+    # The sector-tuned Nesterov step as the paper writes it, on its own
+    # pair: w is the query point and v the auxiliary sequence.
+    #   v+ = w - grad(w)/beta,  w+ = (1 + theta) v+ - theta v
+    theta = theta_of(bounds.kappa)
+    v_next = w - grad / bounds.beta
+    return (1.0 + theta) * v_next - theta * v, v_next
+
+
 def test_lure_matches_step_dynamics():
-    # Iterating z+ = A z + B u with u = grad(C z) must reproduce the
-    # step-rule trajectory of w on a quadratic direction.  The feedback
-    # state is (v_t, v_{t-1}); a start at rest maps to z0 = (c, c).
+    # Iterating z+ = A z + B u with u = grad(C z), the paper's recursion
+    # and step_rule(NagSmoothQuadratic) are one trajectory on a quadratic
+    # direction.  The feedback state is (v_t, v_{t-1}) of the paper's
+    # pair, and the step state (w, v) reads its query point as
+    # w + theta v and its v as w; a start at rest maps to z0 = (c, c).
     sb = SectorBounds(0.2, 1.0)
     spec = NagSmoothQuadratic(sb)
+    theta = theta_of(sb.kappa)
     sys_ = lure_of(spec, sb)
+    step = step_rule(spec)
     h = 0.6  # curvature inside the sector
     c0 = 1.7
     z = np.array([c0, c0])
-    state = OptimizerState(w=np.array([c0]), v=np.array([c0]), t=0)
+    w, v = c0, c0
+    state = OptimizerState(w=np.array([c0]), v=np.array([0.0]))
     for _ in range(40):
         y = float(sys_.c[0] @ z)
-        assert y == pytest.approx(state.w[0], abs=1e-12)
+        assert y == pytest.approx(w, abs=1e-12)
         z = sys_.a @ z + sys_.b[:, 0] * (h * y)
-        state = nag_sq_step(state, h * state.w, sb)
-    assert float(sys_.c[0] @ z) == pytest.approx(state.w[0], abs=1e-12)
+        w, v = _paper_nag_sq_step(w, v, h * w, sb)
+        state = step(state, lambda p: h * p)
+        assert state.w[0] + theta * state.v[0] == pytest.approx(w, abs=1e-12)
+        assert state.w[0] == pytest.approx(v, abs=1e-12)
+    assert float(sys_.c[0] @ z) == pytest.approx(w, abs=1e-12)
 
 
 # Feedback state -> the step state (w, v) that step_rule steps.  A
 # two-step state (w_t, w_{t-1}) has the velocity v = w_t - w_{t-1}; sgd's
-# 1x1 form holds no velocity, so only its w is compared (v is None).  The
-# NagSmoothQuadratic map (v_t, v_{t-1}) -> (C x, x[0]) is criterion 9's.
+# 1x1 form holds no velocity, so only its w is compared (v is None).
 _STEP_STATE = {
     "sgd": (Sgd(0.7), lambda system, x: (x[0], None)),
     "heavyball": (HeavyBall(0.4, 0.8), lambda system, x: (x[0], x[0] - x[1])),
     "nag": (NagStandard(0.4, 0.8), lambda system, x: (x[0], x[0] - x[1])),
     "nag-sq": (NagSmoothQuadratic(SectorBounds(0.2, 1.0)),
-               lambda system, x: (float(system.c[0] @ x), x[0])),
+               lambda system, x: (x[0], x[0] - x[1])),
+    "tmm": (TripleMomentum(SectorBounds(0.2, 1.0)), lambda system, x: (x[0], x[0] - x[1])),
 }
 
 
@@ -278,6 +289,11 @@ def test_two_step_validates_once():
     assert Sgd(0.5) == TwoStep(0.5, 0.0, 0.0)
     assert HeavyBall(0.5, 0.3) == TwoStep(0.5, 0.3, 0.0)
     assert NagStandard(0.5, 0.3) == TwoStep(0.5, 0.3, 0.3)
+    for gamma, beta in ((0.1, 1.0), (1.0, 25.0), (0.5, 0.5), (2.0, 3.0)):
+        sb = SectorBounds(gamma, beta)
+        th = theta_of(sb.kappa)
+        assert NagSmoothQuadratic(sb) == TwoStep(1.0 / beta, th, th)
+        assert NagSmoothQuadratic(bounds=sb) == NagSmoothQuadratic(sb)
     for bad in (-0.1, 1.0, np.nan):
         with pytest.raises(ValueError, match="momentum"):
             TwoStep(0.5, bad)
@@ -316,13 +332,13 @@ def test_nag_step_in_place_equals_functional_step(spec):
     functional = OptimizerState(w=w0.copy(), v=v0.copy())
     state = OptimizerState(w=w0.copy(), v=v0.copy())
     w_buf, v_buf = state.w, state.v
-    for t in range(50):
+    for _ in range(50):
         q = ref.w + spec.nu * ref.v
         v = spec.mu * ref.v - spec.eta * (np.tanh(q) + 0.3 * q - 0.1)
-        ref = OptimizerState(w=ref.w + v, v=v, t=t + 1)
+        ref = OptimizerState(w=ref.w + v, v=v)
         functional = nag_step(functional, grad, spec.eta, spec.mu, spec.nu)
         assert nag_step(state, grad, spec.eta, spec.mu, spec.nu, out=state) is state
-        assert state.w is w_buf and state.v is v_buf and state.t == t + 1
+        assert state.w is w_buf and state.v is v_buf
         for got in (functional, state):
             np.testing.assert_array_equal(got.w, ref.w)
             np.testing.assert_array_equal(got.v, ref.v)

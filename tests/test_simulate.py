@@ -21,7 +21,6 @@ from stabcert.optimizers import (
     OptimizerState,
     SectorBounds,
     Sgd,
-    nag_sq_step,
     nag_step,
     sgd_step,
     step_rule,
@@ -410,9 +409,7 @@ def _oracle_trial(base, n, trial, config):
                 return seen[-1]
 
             state = states[arm]
-            if isinstance(opt, NagSmoothQuadratic):
-                states[arm] = nag_sq_step(state, grad(state.w), opt.bounds)
-            elif opt.mu == 0.0:
+            if opt.mu == 0.0:
                 states[arm] = sgd_step(state, grad(state.w), opt.eta)
             else:
                 states[arm] = nag_step(state, grad, opt.eta, opt.mu, opt.nu)
@@ -565,7 +562,7 @@ def test_vs_t_does_not_depend_on_the_horizon_past_its_last_checkpoint():
 @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
 def test_coupled_run_equals_step_functions(kind):
     # coupled_run's shared two-row rule against each arm stepped alone
-    # through nag_step, sgd_step and nag_sq_step on the task's own grad
+    # through nag_step and sgd_step on the task's own grad
     sb = SectorBounds(0.25, 1.0)
     if kind == "logistic":
         task, other = _tiny_tasks(seed=3)
@@ -580,9 +577,7 @@ def test_coupled_run_equals_step_functions(kind):
         for t, i in enumerate(idx):
             for arm, tk in enumerate((task, other)):
                 state = states[arm]
-                if isinstance(opt, NagSmoothQuadratic):
-                    states[arm] = nag_sq_step(state, tk.grad(state.w, i), opt.bounds)
-                elif opt.mu == 0.0:
+                if opt.mu == 0.0:
                     states[arm] = sgd_step(state, tk.grad(state.w, i), opt.eta)
                 else:
                     states[arm] = nag_step(state, lambda w: tk.grad(w, i), opt.eta, opt.mu,
