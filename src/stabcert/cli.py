@@ -37,7 +37,7 @@ from .lyapunov import (
     verify_contraction,
 )
 from .optimizers import HeavyBall, NagSmoothQuadratic, NagStandard, SectorBounds, Sgd, lure_of, theta_of
-from .sdp import FEASIBLE, SolverOptions, certify_rate, solve_feasibility
+from .sdp import CERTIFIED, FEASIBLE, SolverOptions, certify_rate, solve_feasibility
 from .simulate import ExperimentConfig, stability_vs_n, stability_vs_t
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--separation", type=float, default=1.0)
     sim.add_argument("--optimizer", choices=("nag", "sgd"), default="nag")
     sim.add_argument("--eta", type=float, default=0.01)
-    sim.add_argument("--mu", type=float, default=0.9)
+    sim.add_argument("--mu", type=float, help="momentum (nag; default 0.9)")
     sim.add_argument("--lambda-reg", type=float, default=1e-3)
     sim.add_argument("--horizon", type=int, default=2000)
     sim.add_argument("--trials", type=int, default=25)
@@ -146,7 +146,7 @@ def _cmd_certify(args) -> int:
     print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
     print(f"status         {result.status}")
     if args.rate:
-        certified = result.status == "Certified"
+        certified = result.status == CERTIFIED
         print(f"rho_star       {result.rho_star:.6g}" if certified else "rho_star       none")
         if result.reference is None:
             print("reference      none")
@@ -173,7 +173,7 @@ def _cmd_certify(args) -> int:
     # Both result types hold a certificate only when Feasible or Certified.
     if args.out and result.certificate is not None:
         _write(args.out, certificate_to_json(result.certificate) + "\n")
-    return EXIT_OK if result.status in (FEASIBLE, "Certified") else EXIT_NEGATIVE
+    return EXIT_OK if result.status in (FEASIBLE, CERTIFIED) else EXIT_NEGATIVE
 
 
 def _print_p_eps(theta: float, eps: float) -> None:
@@ -273,7 +273,9 @@ def _sim_config(args) -> ExperimentConfig:
     sizes = _int_list(args.sizes)
     checkpoints = _int_list(args.checkpoints)
     if args.optimizer == "nag":
-        spec = NagStandard(eta=args.eta, mu=args.mu)
+        spec = NagStandard(eta=args.eta, mu=0.9 if args.mu is None else args.mu)
+    elif args.mu is not None:
+        raise ValueError(f"--mu applies to nag only, not {args.optimizer}")
     else:
         spec = Sgd(eta=args.eta)
     return ExperimentConfig(

@@ -103,7 +103,8 @@ def ingest_csv(path: str | Path) -> Dataset:
 
     Raises:
         OSError: a path that cannot be read (missing file, a directory).
-        ValueError: non-numeric cells, bad labels, or single-class data.
+        ValueError: non-numeric or non-finite cells, bad labels, or
+            single-class data.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -118,9 +119,12 @@ def ingest_csv(path: str | Path) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: non-finite cell")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)

@@ -25,7 +25,7 @@ responses to check a solved certificate's decrement directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,29 +115,38 @@ class IqcCertificate:
         return float(eigvals_sym(lmi)[-1]), float(eigvals_sym(self.p)[0])
 
 
+def _flat(p: np.ndarray) -> list:
+    return [float(x) for x in np.asarray(p).reshape(-1)]
+
+
+def _square(flat) -> np.ndarray:
+    flat = np.asarray(flat, dtype=float)
+    side = int(round(np.sqrt(flat.size)))
+    if side * side != flat.size:
+        raise ValueError(f"P payload of length {flat.size} is not square")
+    return flat.reshape(side, side)
+
+
+# Field name -> (JSON key, writer, reader) for every IqcCertificate field.
+# P is stored flat; the scalars are cast by their declared type both ways.
+_CASTS = {"str": str, "float": float, "int": int}
+_KEYS = {
+    f.name: ("P", _flat, _square) if f.name == "p"
+    else ("lambda" if f.name == "lam" else f.name, _CASTS[f.type], _CASTS[f.type])
+    for f in fields(IqcCertificate)
+}
+
+
 def certificate_to_json(cert: IqcCertificate) -> str:
     """Serialize a certificate to a stable, key-sorted JSON document."""
-    payload = {
-        "optimizer": cert.optimizer,
-        "gamma": cert.gamma,
-        "beta": cert.beta,
-        "P": [float(x) for x in np.asarray(cert.p).reshape(-1)],
-        "lambda": cert.lam,
-        "tau": cert.tau,
-        "rho": cert.rho,
-        "lmi_max_eig": cert.lmi_max_eig,
-        "p_min_eig": cert.p_min_eig,
-        "status": cert.status,
-        "solver_seed": cert.solver_seed,
-        "newton_steps": cert.newton_steps,
-    }
+    payload = {key: write(getattr(cert, name)) for name, (key, write, _) in _KEYS.items()}
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def certificate_from_json(text: str) -> IqcCertificate:
     """Inverse of certificate_to_json.
 
-    A document without "newton_steps" reads as 0 steps.
+    Every key that certificate_to_json writes is required.
 
     Raises:
         ValueError: on a P that is not square, or a missing key (as in a
@@ -146,23 +155,6 @@ def certificate_from_json(text: str) -> IqcCertificate:
     """
     raw = json.loads(text)
     try:
-        flat = np.asarray(raw["P"], dtype=float)
-        side = int(round(np.sqrt(flat.size)))
-        if side * side != flat.size:
-            raise ValueError(f"P payload of length {flat.size} is not square")
-        return IqcCertificate(
-            optimizer=raw["optimizer"],
-            gamma=float(raw["gamma"]),
-            beta=float(raw["beta"]),
-            p=flat.reshape(side, side),
-            lam=float(raw["lambda"]),
-            tau=float(raw["tau"]),
-            rho=float(raw.get("rho", 0.0)),
-            lmi_max_eig=float(raw["lmi_max_eig"]),
-            p_min_eig=float(raw["p_min_eig"]),
-            status=str(raw["status"]),
-            solver_seed=int(raw["solver_seed"]),
-            newton_steps=int(raw.get("newton_steps", 0)),
-        )
+        return IqcCertificate(**{name: read(raw[key]) for name, (key, _, read) in _KEYS.items()})
     except KeyError as exc:
         raise ValueError(f"certificate JSON has no {exc.args[0]!r} key") from exc

@@ -1,25 +1,22 @@
-"""Small dense symmetric eigenvalues and closed-form 2x2 eigenvalues.
+"""Small dense symmetric eigenvalues and the closed-form 2x2 spectral radius.
 
 Everything downstream that claims a certificate valid must be able to
 check it without trusting LAPACK, so eigvals_sym is a plain cyclic
 Jacobi iteration written against numpy arrays only.  It returns the
 eigenvalues alone, not an eigendecomposition: every check reads only
 extreme eigenvalues.  Matrices in this project are tiny (dimension
-<= 8), where Jacobi is both accurate and fast enough.  eig2_general
-solves a general 2x2 characteristic quadratic from its trace and
+<= 8), where Jacobi is both accurate and fast enough.  eig2_radius
+gives the spectral radius of a general 2x2 matrix from its trace and
 determinant.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "Eig2",
     "eigvals_sym",
-    "eig2_general",
+    "eig2_radius",
 ]
 
 # Relative off-diagonal mass at which the Jacobi sweep stops.
@@ -90,22 +87,18 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a), kind="stable")
 
 
-class Eig2(NamedTuple):
-    """Root pair of z^2 - tr z + det and its largest modulus."""
+def eig2_radius(tr: float, det: float) -> float:
+    """Spectral radius of a general 2x2 real matrix from trace and determinant.
 
-    values: np.ndarray
-    radius: float
+    Solves the characteristic quadratic z^2 - tr z + det directly.  A
+    complex conjugate pair has radius sqrt(det), exactly; real roots
+    tr/2 -+ sqrt(disc) have radius |tr|/2 + sqrt(disc).  A discriminant
+    within roundoff of zero is collapsed to a double root at tr/2, which
+    keeps the radius stable for defective matrices where the naive sqrt
+    would wobble at the 1e-8 level.
 
-
-def eig2_general(tr: float, det: float) -> Eig2:
-    """Eigenvalues of a general 2x2 real matrix from trace and determinant.
-
-    Solves the characteristic quadratic directly.  Returns a complex
-    conjugate pair when the discriminant is negative (radius sqrt(det),
-    exact), real values otherwise, sorted by real part then imaginary
-    part.  A discriminant within roundoff of zero is collapsed to a
-    double root at tr/2, which keeps the radius stable for defective
-    matrices where the naive sqrt would wobble at the 1e-8 level.
+    Raises:
+        ValueError: unless tr and det are finite.
     """
     tr = float(tr)
     det = float(det)
@@ -114,12 +107,7 @@ def eig2_general(tr: float, det: float) -> Eig2:
     disc = tr * tr / 4.0 - det
     fuzz = 8.0 * np.finfo(float).eps * max(tr * tr / 4.0, abs(det))
     if abs(disc) <= fuzz:
-        half = tr / 2.0
-        return Eig2(values=np.array([half, half]), radius=abs(half))
+        return abs(tr / 2.0)
     if disc > 0.0:
-        root = np.sqrt(disc)
-        vals = np.array([tr / 2.0 - root, tr / 2.0 + root])
-        return Eig2(values=vals, radius=float(max(abs(vals[0]), abs(vals[1]))))
-    root = np.sqrt(-disc)
-    vals = np.array([tr / 2.0 - 1j * root, tr / 2.0 + 1j * root])
-    return Eig2(values=vals, radius=float(np.sqrt(det)))
+        return abs(tr) / 2.0 + float(np.sqrt(disc))
+    return float(np.sqrt(det))

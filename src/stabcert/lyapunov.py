@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import eig2_general
+from .linalg import eig2_radius
 from .optimizers import LureSystem, NagSmoothQuadratic, SectorBounds, a_alpha, lure_of
 
 __all__ = [
@@ -110,10 +110,10 @@ class LyapunovCertificate:
     worst_eig is the largest eigenvalue of M_alpha over the interval,
     attained at worst_alpha = alpha_bar, and grid_points the number of
     alpha values evaluated (always 1); the pair is valid iff
-    worst_eig <= 0.
+    worst_eig <= 0.  Only FeasibleRegion builds these, so a single pair
+    and a sweep give equal certificates.
     """
 
-    theta: float
     eps: float
     rho: float
     grid_points: int
@@ -168,23 +168,15 @@ def verify_contraction(
     """Check A_alpha^T P A_alpha <= (1-rho) P over alpha in [0, alpha_bar].
 
     One symmetric 2x2 eigenvalue at the worst direction
-    alpha_bar = 1 - 1/kappa settles the pair exactly (see _worst_eig).
-    grid_points is accepted for older callers and ignored.
+    alpha_bar = 1 - 1/kappa settles the pair exactly (see _worst_eig);
+    the result is the certificate of the one-pair sweep.  grid_points is
+    accepted for older callers and ignored.
 
     Raises:
         ValueError: on eps outside (0, inf) or rho outside (0, 1).
     """
     _check_pairs(eps, rho)
-    worst, bar = _worst_eig(theta, eps, rho)
-    return LyapunovCertificate(
-        theta=theta,
-        eps=eps,
-        rho=rho,
-        grid_points=1,
-        worst_eig=float(worst),
-        worst_alpha=bar,
-        valid=bool(worst <= 0.0),
-    )
+    return find_feasible_region(theta, [eps], [rho]).certificates[0]
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ class FeasibleRegion:
         i, j = np.nonzero(mask)
         bar = 1.0 - 1.0 / kappa_of_theta(self.theta)
         return [
-            LyapunovCertificate(self.theta, eps, rho, 1, worst, bar, worst <= 0.0)
+            LyapunovCertificate(eps, rho, 1, worst, bar, worst <= 0.0)
             for eps, rho, worst in zip(self.eps_grid[i].tolist(), self.rho_grid[j].tolist(),
                                        self.worst_eig[i, j].tolist())
         ]
@@ -220,10 +212,6 @@ class FeasibleRegion:
     def feasible(self) -> list:
         """The valid certificates."""
         return self._certificates(self.worst_eig <= 0.0)
-
-    @property
-    def empty(self) -> bool:
-        return not np.any(self.worst_eig <= 0.0)
 
     @property
     def best(self) -> LyapunovCertificate | None:
@@ -265,7 +253,7 @@ def fixed_curvature_rate(system: LureSystem, bounds: SectorBounds) -> float:
 
     On a curvature lam held fixed over all steps the coupled difference
     moves by A + lam B C; r is the larger spectral radius at lam = gamma
-    and lam = beta, from |.| for a 1x1 state and linalg.eig2_general for
+    and lam = beta, from |.| for a 1x1 state and linalg.eig2_radius for
     a 2x2 one.  Returns 0 when r >= 1.  The rate is not certified: a
     curvature that switches from step to step can decay more slowly.
 
@@ -295,7 +283,7 @@ def fixed_curvature_rate(system: LureSystem, bounds: SectorBounds) -> float:
             radius = abs(float(m[0, 0]))
         else:
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            radius = eig2_general(m[0, 0] + m[1, 1], det).radius
+            radius = eig2_radius(m[0, 0] + m[1, 1], det)
         worst = max(worst, radius)
     if worst >= 1.0:
         return 0.0

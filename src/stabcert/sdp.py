@@ -62,6 +62,8 @@ __all__ = [
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 INCONCLUSIVE = "Inconclusive"
+CERTIFIED = "Certified"
+INFEASIBLE_AT_RANGE = "Infeasible-at-range"
 
 # Stages end once dim(F) * mu, a central point's duality gap, is below
 # _GAP_TOL.  A stage ends at a squared Newton decrement of at most
@@ -499,7 +501,7 @@ def s_lemma_cross_check(
     sq = np.einsum("ij,ij->j", xt, xt)
     vals = (v_next - (1.0 - cert.rho) * v_now + cert.lam * sq) / sq
     worst = float(vals.max())
-    return {"ok": bool(worst <= _SAMPLED_SLACK), "max_violation": worst, "samples": samples}
+    return {"ok": bool(worst <= _SAMPLED_SLACK), "max_violation": worst}
 
 
 def certify_rate(
@@ -578,11 +580,11 @@ def certify_rate(
             hi = rho
     if lo is None:
         if (res := probe(rho_low)).status != FEASIBLE:
-            return RateResult("Infeasible-at-range", None, None, tested, ref)
+            return RateResult(INFEASIBLE_AT_RANGE, None, None, tested, ref)
         lo, cert = rho_low, res.certificate
     if hi is None:
         if (res := probe(rho_high)).status == FEASIBLE:
-            return RateResult("Certified", rho_high, res.certificate, tested, ref)
+            return RateResult(CERTIFIED, rho_high, res.certificate, tested, ref)
         hi = rho_high
     while hi - lo > tol:
         rho = 0.5 * (lo + hi)
@@ -590,4 +592,4 @@ def certify_rate(
             lo, cert = rho, res.certificate
         else:
             hi = rho
-    return RateResult("Certified", lo, cert, tested, ref)
+    return RateResult(CERTIFIED, lo, cert, tested, ref)

@@ -262,6 +262,14 @@ class FitResult:
     r2: float
 
 
+def _r2(values: np.ndarray, fitted: np.ndarray) -> float:
+    """Coefficient of determination against the mean of values (1 when values are constant)."""
+    resid = values - fitted
+    total = values - values.mean()
+    sst = float(total @ total)
+    return 1.0 - float(resid @ resid) / sst if sst > 0.0 else 1.0
+
+
 def fit_loglog_slope(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     """Fit log(y) = slope * log(x) + intercept.
 
@@ -277,11 +285,7 @@ def fit_loglog_slope(xs: np.ndarray, ys: np.ndarray) -> FitResult:
     lx, ly = np.log(xs), np.log(ys)
     design = np.vstack([lx, np.ones_like(lx)]).T
     coef = np.linalg.lstsq(design, ly, rcond=None)[0]
-    resid = ly - design @ coef
-    total = ly - ly.mean()
-    sst = float(total @ total)
-    r2 = 1.0 - float(resid @ resid) / sst if sst > 0.0 else 1.0
-    return FitResult(slope=float(coef[0]), intercept=float(coef[1]), r2=r2)
+    return FitResult(slope=float(coef[0]), intercept=float(coef[1]), r2=_r2(ly, design @ coef))
 
 
 def saturating_fit(steps: np.ndarray, values: np.ndarray, rho: float) -> tuple[float, float]:
@@ -294,11 +298,7 @@ def saturating_fit(steps: np.ndarray, values: np.ndarray, rho: float) -> tuple[f
     values = np.asarray(values, dtype=float)
     env = np.sqrt(1.0 - (1.0 - rho) ** steps)
     c = float((values * env).sum() / (env * env).sum())
-    resid = values - c * env
-    total = values - values.mean()
-    sst = float(total @ total)
-    r2 = 1.0 - float(resid @ resid) / sst if sst > 0.0 else 1.0
-    return c, r2
+    return c, _r2(values, c * env)
 
 
 def envelope_rate(optimizer: TwoStep, sector) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 import _report
 from stabcert.data import effective_sector, synthetic_dataset
-from stabcert.linalg import eig2_general
+from stabcert.linalg import eig2_radius
 from stabcert.losses import random_sector_quadratics, reg_logistic_grad, reg_logistic_loss
 from stabcert.lyapunov import (
     assemble_m_alpha,
@@ -114,7 +114,7 @@ def test_criterion_3_nag_contraction_rate():
         mat = a_alpha(theta, alpha)
         tr = float(mat[0, 0] + mat[1, 1])
         cross = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-        radius = eig2_general(tr, cross).radius
+        radius = eig2_radius(tr, cross)
         det = theta * alpha
         worst_radius_err = max(worst_radius_err, abs(radius - np.sqrt(det)))
         assert abs(radius - np.sqrt(det)) <= 1e-10

@@ -190,17 +190,22 @@ def test_parser_is_built_once_and_keeps_calls_independent(capsys):
     assert capsys.readouterr().out == outs[0]
 
 
+_CERTIFY = ["certify", "--gamma", "0.1", "--beta", "1.0"]
+
+
 @pytest.mark.parametrize("argv, flag", [
-    (["--optimizer", "nag-sq", "--eta", "5"], "--eta"),
-    (["--optimizer", "sgd", "--mu", "0.9"], "--mu"),
-    (["--optimizer", "nag-sq", "--mu", "0.9"], "--mu"),
-    (["--optimizer", "sgd", "--seed", "-1"], "seed"),
-    (["--optimizer", "sgd", "--eta", "3", "--seed", "-1"], "seed"),
+    ([*_CERTIFY, "--optimizer", "nag-sq", "--eta", "5"], "--eta"),
+    ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0.9"], "--mu"),
+    ([*_CERTIFY, "--optimizer", "nag-sq", "--mu", "0.9"], "--mu"),
+    ([*_CERTIFY, "--optimizer", "sgd", "--seed", "-1"], "seed"),
+    ([*_CERTIFY, "--optimizer", "sgd", "--eta", "3", "--seed", "-1"], "seed"),
+    (["simulate", "vs-n", "--optimizer", "sgd", "--eta", "0.05", "--mu", "0.5"], "--mu"),
 ], ids=["nag-sq-eta", "sgd-mu", "nag-sq-mu", "feasible-seed-negative",
-        "infeasible-seed-negative"])
+        "infeasible-seed-negative", "simulate-sgd-mu"])
 def test_certify_rejects_flags_it_would_ignore_or_misuse(argv, flag, capsys):
-    # Rejected before any solve: nothing on stdout, the flag named on stderr.
-    assert main(["certify", "--gamma", "0.1", "--beta", "1.0", *argv]) == EXIT_USAGE
+    # Rejected before any solve or run: nothing on stdout, the flag named
+    # on stderr.  simulate rejects --mu for sgd as certify does.
+    assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
@@ -539,6 +544,17 @@ def test_simulate_malformed_csv_exit_66(tmp_path, capsys):
     ])
     assert rc == EXIT_NOINPUT
     assert "bad input data" in capsys.readouterr().err
+
+    # float() parses nan and inf, but no cell may be non-finite.
+    for cell in ("nan", "inf"):
+        bad = tmp_path / f"{cell}.csv"
+        bad.write_text(f"a,label\n1.0,1\n{cell},0\n2.0,0\n", encoding="utf-8")
+        rc = main([
+            "simulate", "vs-n", "--data", str(bad),
+            "--sizes", "2,3", "--checkpoints", "10", "--horizon", "10",
+        ])
+        assert rc == EXIT_NOINPUT
+        assert f"{bad}:3: non-finite cell" in capsys.readouterr().err
 
     single = tmp_path / "single.csv"
     single.write_text("a,label\n1.0,1\n2.0,1\n", encoding="utf-8")

@@ -98,6 +98,8 @@ def test_ingest_csv_error_modes(tmp_path):
         ingest_csv(tmp_path / "missing.csv")
     with pytest.raises(ValueError, match="non-numeric"):
         ingest_csv(_write_csv(tmp_path / "a.csv", "a,label\nx,1\n"))
+    with pytest.raises(ValueError, match="non-finite"):
+        ingest_csv(_write_csv(tmp_path / "g.csv", "a,label\n1,1\n-inf,0\n"))
     with pytest.raises(ValueError, match="both classes"):
         ingest_csv(_write_csv(tmp_path / "b.csv", "a,label\n1,1\n2,1\n"))
     with pytest.raises(ValueError, match="labels must be"):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,20 +185,35 @@ def test_certificate_json_round_trip_keeps_tau3():
     assert text == certificate_to_json(back)
 
 
-def test_certificate_json_newton_steps_round_trip_and_default():
-    # A document without newton_steps reads as 0 steps.
-    import json
+# Every key of the certificate document, and a certificate whose every
+# field differs from its default.
+_CERT_KEYS = ("optimizer", "gamma", "beta", "P", "lambda", "tau", "rho", "lmi_max_eig",
+              "p_min_eig", "status", "solver_seed", "newton_steps")
+_EVERY_FIELD = IqcCertificate(
+    optimizer="heavyball", gamma=0.1, beta=2.5, p=np.array([[1.5, -0.25], [-0.25, 0.75]]),
+    lam=1e-6, tau=0.8, rho=0.05, lmi_max_eig=-1.3e-4, p_min_eig=0.09, status="Feasible",
+    solver_seed=7, newton_steps=73,
+)
 
-    cert = IqcCertificate(
-        optimizer="sgd", gamma=0.1, beta=1.0, p=np.array([[1.0]]), lam=0.09, tau=0.5,
-        rho=0.0, lmi_max_eig=-0.09, p_min_eig=1.0, status="Feasible",
-        solver_seed=0, newton_steps=73,
-    )
-    text = certificate_to_json(cert)
-    assert certificate_from_json(text).newton_steps == 73
-    raw = json.loads(text)
-    del raw["newton_steps"]
-    assert certificate_from_json(json.dumps(raw)).newton_steps == 0
+
+def test_certificate_json_round_trips_every_field():
+    text = certificate_to_json(_EVERY_FIELD)
+    assert sorted(json.loads(text)) == sorted(_CERT_KEYS)
+    back = certificate_from_json(text)
+    np.testing.assert_array_equal(back.p, _EVERY_FIELD.p)
+    for f in fields(IqcCertificate):
+        if f.name != "p":
+            got, want = getattr(back, f.name), getattr(_EVERY_FIELD, f.name)
+            assert got == want and type(got) is type(want), f.name
+    assert certificate_to_json(back) == text
+
+
+@pytest.mark.parametrize("key", _CERT_KEYS)
+def test_certificate_json_requires_every_key(key):
+    raw = json.loads(certificate_to_json(_EVERY_FIELD))
+    del raw[key]
+    with pytest.raises(ValueError, match=f"no '{key}' key"):
+        certificate_from_json(json.dumps(raw))
 
 
 def test_certificate_json_rejects_non_square_p():
@@ -214,8 +232,6 @@ def test_certificate_json_rejects_non_square_p():
             solver_seed=0,
         )
     )
-    import json
-
     raw = json.loads(cert_text)
     raw["P"] = [1.0, 2.0, 3.0]
     with pytest.raises(ValueError, match="not square"):
@@ -224,8 +240,6 @@ def test_certificate_json_rejects_non_square_p():
 
 def test_certificate_json_of_the_three_multiplier_format_names_the_missing_key():
     # Documents written before the one-multiplier LMI hold tau1, tau2, tau3.
-    import json
-
     raw = {
         "optimizer": "sgd", "gamma": 0.1, "beta": 1.0, "P": [1.0], "lambda": 0.09,
         "tau1": 0.1, "tau2": 0.2, "tau3": 0.5, "rho": 0.0, "lmi_max_eig": -0.09,

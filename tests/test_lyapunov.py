@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import lyapunov
-from stabcert.linalg import eig2_general
+from stabcert.linalg import eig2_radius
 from stabcert.lyapunov import (
     assemble_m_alpha,
     build_p_eps,
@@ -119,7 +119,7 @@ def test_region_nonempty_for_mild_conditioning():
     region = find_feasible_region(
         theta_of(1.0), np.linspace(1e-9, 1.0, 8), np.linspace(1e-4, 0.3, 8)
     )
-    assert not region.empty
+    assert region.feasible
     assert region.best is not None
     assert region.best.rho == pytest.approx(0.3)
 
@@ -130,7 +130,7 @@ def test_region_nonempty_for_mild_conditioning():
         np.linspace(th2**2, 4 * (1 + th2) ** 2, 24),
         np.linspace(1e-4, 0.5 / np.sqrt(2.0), 16),
     )
-    assert not region2.empty
+    assert region2.feasible
 
 
 def test_region_empty_once_conditioning_grows():
@@ -146,7 +146,7 @@ def test_region_empty_once_conditioning_grows():
             np.linspace(max(th**2, 1e-9), 4 * (1 + th) ** 2, 24),
             np.linspace(1e-4, 0.5 / np.sqrt(kappa), 16),
         )
-        assert region.empty
+        assert not region.feasible
         assert region.best is None
 
 
@@ -258,8 +258,7 @@ def test_region_equals_the_per_pair_loop():
                     for e in eps_grid.tolist() for r in rho_grid.tolist()]
             assert region.certificates == want
             assert region.feasible == [c for c in want if c.valid]
-            assert region.empty == (not any(c.valid for c in want))
-            if not region.empty:
+            if region.feasible:
                 assert region.best == max(region.feasible, key=lambda c: (c.rho, -c.worst_eig))
 
 
@@ -314,7 +313,7 @@ def _rate_on_grid(system, bounds, grid=600):
     m = system.a + lam * (system.b @ system.c)
     tr = m[:, 0, 0] + m[:, 1, 1]
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    worst = max(eig2_general(t, d).radius for t, d in zip(tr.tolist(), det.tolist()))
+    worst = max(eig2_radius(t, d) for t, d in zip(tr.tolist(), det.tolist()))
     return 0.0 if worst >= 1.0 else float(1.0 - worst * worst)
 
 
