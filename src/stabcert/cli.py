@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     cert.add_argument("--gamma", type=float, required=True)
     cert.add_argument("--beta", type=float, required=True)
     cert.add_argument("--eta", type=float, help="step size (sgd/heavyball; default 1/beta)")
-    cert.add_argument("--mu", type=float, default=0.0, help="momentum (heavyball)")
+    cert.add_argument("--mu", type=float, help="momentum (heavyball; default 0)")
     cert.add_argument("--rate", action="store_true", help="search for the largest certifiable rho")
     cert.add_argument("--seed", type=int, default=0, help="seed of the sampling check")
     cert.add_argument("--out", help="write the certificate JSON here")
@@ -126,14 +126,14 @@ def _int_list(text: str) -> tuple:
 def _cmd_certify(args) -> int:
     if args.optimizer == "nag-sq" and args.eta is not None:
         raise ValueError("--eta applies to sgd and heavyball; nag-sq sets its own step")
-    if args.optimizer != "heavyball" and args.mu != 0.0:
+    if args.optimizer != "heavyball" and args.mu is not None:
         raise ValueError(f"--mu applies to heavyball only, not {args.optimizer}")
     bounds = SectorBounds(gamma=args.gamma, beta=args.beta)
     eta = args.eta if args.eta is not None else 1.0 / args.beta
     if args.optimizer == "sgd":
         spec = Sgd(eta=eta)
     elif args.optimizer == "heavyball":
-        spec = HeavyBall(eta=eta, mu=args.mu)
+        spec = HeavyBall(eta=eta, mu=0.0 if args.mu is None else args.mu)
     else:
         spec = NagSmoothQuadratic(bounds=bounds)
     system = lure_of(spec, bounds)

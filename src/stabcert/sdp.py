@@ -1,28 +1,36 @@
 """Barrier interior-point decision of the certificate LMI, with a dual witness.
 
-The decision vector v = (vech P, lambda, tau) enters the certificate LMI
-(see iqc) affinely, LMI(v) = sum_k v_k L_k, with the basis L_k built
-once per problem.  tau weighs the sector product form, the one
+The decision vector v = (vech P, tau) enters the certificate LMI at
+lambda = 0 (see iqc) affinely, LMI0(v) = sum_k v_k L_k, with the basis
+L_k built once per problem.  tau weighs the sector product form, the one
 multiplier: for gamma < beta it implies strong monotonicity and
 co-coercivity and is strictly positive somewhere, so by the strict
 S-lemma multipliers for those two would decide no LMI differently (see
-iqc).  A solve maximizes the margin t in
+iqc).  Every solve, plain (rho = 0) or rate probe, maximizes t in
 
-    -LMI(v) >= t I,  P >= t I,  tau >= 0,  lambda >= t,  trace P + tau = 1
+    -LMI0(v) >= t I,  P >= t I,  tau >= 0,  trace P + tau = 1.
 
-(lambda held at 0 in rate-only searches).  The LMI is homogeneous, so
-t* > 0 exactly when a certificate exists; normalizing the multiplier
-with P keeps it bounded (at gamma = beta the LMI improves along the
-multiplier direction forever).  The constraints are one block-diagonal
-LMI F(x) >= 0 in x = (v, t), solved by the primal barrier method of
-Vandenberghe & Boyd (SIAM Review 1996): Newton steps on
--t/mu - log det F(x), the normalization a KKT equality, mu / 10 per
-stage.  Each stage stops once full Newton steps converge quadratically,
-and only the last, whose point is the result, is centered tightly.  It
-works in the units u/beta (sector [gamma/beta, 1]), so verdicts do not
-depend on the units of the sector.  The last dual point
-(blocks Z1, Z2 of mu F(x)^-1, and nu for the normalization) bounds t*
-by weak duality; a negative bound proves infeasibility.
+The LMI is homogeneous, so t* > 0 exactly when a certificate exists;
+normalizing the multiplier with P keeps it bounded (at gamma = beta the
+LMI improves along the multiplier direction forever).
+
+No variable lambda >= t is solved for, as it would decide nothing
+differently: with it, t1* > 0 gives -LMI0 >= lambda blkdiag(I, 0) +
+t1* I, so t* >= t1*; and t* > 0 makes lambda = t = t*/2 feasible.  A
+plain certificate takes lambda = c t/2, c = max(1, beta^2): in the
+caller's units -LMI0 >= c t blkdiag(I, beta^-2) (see _unit_problem),
+so lmi_max_eig <= -t/2 for every beta.  Rate probes keep lambda = 0.
+
+The constraints are one block-diagonal LMI F(x) >= 0 in x = (v, t),
+solved by the primal barrier method of Vandenberghe & Boyd (SIAM Review
+1996): Newton steps on -t/mu - log det F(x), the normalization a KKT
+equality, mu / 10 per stage.  Each stage stops once full Newton steps
+converge quadratically, and only the last, whose point is the result,
+is centered tightly.  It works in the units u/beta (sector
+[gamma/beta, 1]), so verdicts do not depend on the units of the sector.
+The last dual point (blocks Z1, Z2 of mu F(x)^-1, and nu for the
+normalization) bounds t* by weak duality; a negative bound proves
+infeasibility.
 
 certify_rate finds the largest certifiable decay rate rho*, a
 quasiconvex generalized-eigenvalue problem (Boyd, El Ghaoui, Feron &
@@ -129,15 +137,13 @@ class RestartTrace:
 
 @dataclass(frozen=True)
 class InfeasibilityWitness:
-    """A dual point in the solver's units u/beta: z1 pairs with -LMI(v) >= t I,
-    z2 with P >= t I and nu with trace P + tau = 1, for the LMI at rho
-    and with_lam."""
+    """A dual point in the solver's units u/beta: z1 pairs with -LMI0(v) >= t I,
+    z2 with P >= t I and nu with trace P + tau = 1, for the LMI at rho."""
 
     z1: np.ndarray
     z2: np.ndarray
     nu: float
     rho: float
-    with_lam: bool
 
 
 @dataclass(frozen=True)
@@ -204,60 +210,53 @@ class InfeasibilityCheck:
 class _Problem:
     """The affine LMI map of one system/sector, built once.
 
-    A decision vector v is (vech P, lam, tau), with vech in
-    row-major upper-triangle order.  Row k of `basis` is vec(L_k), with
-    L_k iqc.assemble_lmi at the k-th unit decision vector (one batched
-    call), so LMI(v) = (v @ basis) reshaped to (d, d).  Row k of
-    `p_basis` is the k-th symmetric unit matrix E_k of P, and P itself
-    is the gather v[p_index].  The barrier works on x = (v[free], t), and
-    F(x) = sum_k x_k blocks[k] is the block diagonal of -LMI(v) - t I,
-    P - t I, tau and, with the lambda term, lam - t.  Row k of `flat`
-    is vec(blocks[k]), so F(x) = (x @ flat) reshaped to (dim, dim).
+    A decision vector v is (vech P, tau), with vech in row-major
+    upper-triangle order.  Row k of `basis` is vec(L_k), with L_k
+    iqc.assemble_lmi at the k-th unit decision vector and lambda 0 (one
+    batched call), so LMI0(v) = (v @ basis) reshaped to (d, d).  Row k
+    of `p_basis` is the k-th symmetric unit matrix E_k of P, and P
+    itself is the gather v[p_index].  The barrier works on x = (v, t),
+    and F(x) = sum_k x_k blocks[k] is the block diagonal of
+    -LMI0(v) - t I, P - t I and tau.  Row k of `flat` is vec(blocks[k]),
+    so F(x) = (x @ flat) reshaped to (dim, dim).
     """
 
-    def __init__(self, system: LureSystem, bounds: SectorBounds, rho: float, with_lam: bool):
+    def __init__(self, system: LureSystem, bounds: SectorBounds, rho: float):
         self.rho = rho
-        self.with_lam = with_lam
         self.s = s = system.state_dim
         self.d = d = s + 1
         self.vech = np.triu_indices(s)
         self.n_p = n_p = self.vech[0].size
-        # 1 where v holds a diagonal entry of P, so v . trace_mask = trace(P).
-        self.trace_mask = np.zeros(n_p + 2)
-        self.trace_mask[np.flatnonzero(self.vech[0] == self.vech[1])] = 1.0
+        # 1 where v holds a diagonal entry of P, so v[:n_p] . trace_mask = trace(P).
+        self.trace_mask = (self.vech[0] == self.vech[1]).astype(float)
         self.p_index = np.zeros((s, s), dtype=int)
         self.p_index[self.vech] = self.p_index[self.vech[::-1]] = np.arange(n_p)
-        unit = np.eye(n_p + 2)  # the unit decision vectors, one per row
+        unit = np.eye(n_p + 1)  # the unit decision vectors, one per row
         p_units = unit[:, self.p_index]  # their P; E_k in the first n_p rows
-        lam, tau = unit[:, n_p, None, None], unit[:, n_p + 1, None, None]
-        self.basis = assemble_lmi(system, bounds, p_units, lam, tau, rho).reshape(n_p + 2, d * d)
+        tau = unit[:, n_p, None, None]
+        self.basis = assemble_lmi(system, bounds, p_units, 0.0, tau, rho).reshape(n_p + 1, d * d)
         units = p_units[:n_p]
         self.p_basis = units.reshape(n_p, s * s)
 
-        self.free = np.flatnonzero(np.r_[np.ones(n_p), with_lam, 1.0])
-        n = self.free.size + 1
-        self.dim = big = d + s + 1 + with_lam
+        n = n_p + 2
+        self.dim = big = d + s + 1
         blocks = np.zeros((n, big, big))
-        blocks[:-1, :d, :d] = -self.basis[self.free].reshape(-1, d, d)
+        blocks[:-1, :d, :d] = -self.basis.reshape(-1, d, d)
         blocks[:n_p, d : d + s, d : d + s] = units
         blocks[-2, d + s, d + s] = 1.0
-        if with_lam:
-            blocks[[n_p, -1], d + s + 1, d + s + 1] = 1.0, -1.0
         blocks[-1, np.arange(d + s), np.arange(d + s)] = -1.0
         self.blocks = blocks
         self.flat = blocks.reshape(n, big * big)
-        self.eq = np.r_[self.trace_mask[self.free], 0.0]
-        self.eq[-2] = 1.0  # eq . x = trace P + tau
+        self.eq = np.r_[self.trace_mask, 1.0, 0.0]  # eq . x = trace P + tau
 
 
-def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float,
-                  with_lam: bool) -> _Problem:
+def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float) -> _Problem:
     """The problem in the units u/beta: with T = blkdiag(I, beta), T LMI T is
     the LMI of (A, beta B, C) on [gamma/beta, 1] at the multiplier
     beta^2 tau, so both decide the same question."""
     beta = bounds.beta
     scaled = LureSystem(system.a, beta * system.b, system.c)
-    return _Problem(scaled, SectorBounds(bounds.gamma / beta, 1.0), rho, with_lam)
+    return _Problem(scaled, SectorBounds(bounds.gamma / beta, 1.0), rho)
 
 
 def _barrier(prob: _Problem, x: np.ndarray):
@@ -343,37 +342,37 @@ def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None
 
     For Z1, Z2 >= 0 and any v with trace P + tau = 1 and margin t >= 0,
 
-        0 <= <Z1, -LMI(v) - t I> + <Z2, P - t I> + <Z1, L_lam> (lam - t)
+        0 <= <Z1, -LMI0(v) - t I> + <Z2, P - t I>
            = nu + sum_k r_k v_k - tau (<Z1, L_tau> + nu) - t * scale,
 
     with r_k = <Z2, E_k> - <Z1, L_k> - nu [E_k diagonal] the residual of
-    P's k-th stationarity equation and scale = tr Z1 + tr Z2 + <Z1, L_lam>.
+    P's k-th stationarity equation and scale = tr Z1 + tr Z2.
     If the tau slack <Z1, L_tau> + nu is >= 0, then |P_ij| <= 1 gives
     t <= (nu + sum |r_k|) / scale.  nu defaults to the smallest diagonal
     <Z2, E_k> - <Z1, L_k>, which minimizes the bound for P up to 3x3.
     """
     pair = prob.basis @ z1.reshape(-1)
     stat = prob.p_basis @ z2.reshape(-1) - pair[: prob.n_p]
-    diag = prob.trace_mask[: prob.n_p]
+    diag = prob.trace_mask
     nu = float(stat[diag == 1.0].min()) if nu is None else nu
-    scale = np.trace(z1) + np.trace(z2) + (pair[prob.n_p] if prob.with_lam else 0.0)
+    scale = np.trace(z1) + np.trace(z2)
     return float((nu + np.abs(stat - nu * diag).sum()) / scale), nu, float(pair[-1] + nu)
 
 
 def _make_cert(bounds, prob, x, name, steps, opts) -> IqcCertificate:
     """The certificate of barrier point x, mapped back from the units u/beta.
 
-    It is scaled by max(1, beta^2), so that its LMI and P clear -t and t
-    in the caller's units as they do in the solver's.  Its lmi_max_eig
-    and p_min_eig are nan until verify_certificate has measured them.
+    It is scaled by c = max(1, beta^2), so that its LMI and P clear -t
+    and t in the caller's units as they do in the solver's; a plain one
+    takes lambda = c t/2.  Its lmi_max_eig and p_min_eig are nan until
+    verify_certificate has measured them.
     """
     beta = bounds.beta
-    v = np.zeros(prob.n_p + 2)
-    v[prob.free] = x[:-1] * max(1.0, beta * beta)
-    lam, tau = (float(c) for c in v[prob.n_p :] / [1.0, beta * beta])
+    v = x * max(1.0, beta * beta)
+    lam = 0.5 * float(v[-1]) if prob.rho == 0.0 else 0.0
     return IqcCertificate(
         optimizer=name, gamma=bounds.gamma, beta=beta, p=v[prob.p_index], lam=lam,
-        tau=tau, rho=prob.rho, lmi_max_eig=np.nan, p_min_eig=np.nan,
+        tau=float(v[-2]) / (beta * beta), rho=prob.rho, lmi_max_eig=np.nan, p_min_eig=np.nan,
         status=FEASIBLE, solver_seed=opts.seed, newton_steps=steps)
 
 
@@ -382,7 +381,6 @@ def solve_feasibility(
     bounds: SectorBounds,
     optimizer_name: str = "custom",
     rho: float = 0.0,
-    with_lam: bool = True,
     options: SolverOptions | None = None,
 ) -> FeasibilityResult:
     """Decide the certificate LMI by maximizing its margin t.
@@ -396,15 +394,14 @@ def solve_feasibility(
         system: feedback form of the optimizer.
         bounds: gradient sector.
         optimizer_name: label stored in the certificate.
-        rho: decay factor for rate-mode certificates (0 for plain).
-        with_lam: include the lambda ||x||^2 coupling term (stability
-            certificates); rate-only searches drop it.
+        rho: decay factor, 0 for a plain certificate (lambda half the
+            margin) and > 0 for a rate-mode one (lambda = 0).
         options: solver knobs, defaults to SolverOptions().
     """
     opts = options or SolverOptions()
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    prob = _unit_problem(system, bounds, rho, with_lam)
+    prob = _unit_problem(system, bounds, rho)
     x, mu, z, steps = _maximize_margin(prob, opts.max_iters)
     margin = float(x[-1])
     traces = [RestartTrace(steps, -margin, prob.dim * mu)]
@@ -418,7 +415,7 @@ def solve_feasibility(
                                  sampled=sampled)
     d, s = prob.d, prob.s
     z1, z2 = z[:d, :d].copy(), z[d : d + s, d : d + s].copy()
-    witness = InfeasibilityWitness(z1, z2, _dual_bound(prob, z1, z2)[1], rho, with_lam)
+    witness = InfeasibilityWitness(z1, z2, _dual_bound(prob, z1, z2)[1], rho)
     check = verify_infeasibility(witness, system, bounds)
     return FeasibilityResult(INFEASIBLE if check.ok else INCONCLUSIVE, None, -margin, traces,
                              witness, witness_check=check)
@@ -459,7 +456,7 @@ def verify_infeasibility(
     Then no P > 0, tau >= 0, lambda >= 0 make the LMI negative
     semidefinite.  Truthy exactly when all conditions hold.
     """
-    prob = _unit_problem(system, bounds, witness.rho, witness.with_lam)
+    prob = _unit_problem(system, bounds, witness.rho)
     z1_bot = float(eigvals_sym(witness.z1)[0])
     z2_bot = float(eigvals_sym(witness.z2)[0])
     bound, _, tau_slack = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
@@ -534,8 +531,8 @@ def certify_rate(
     w = rho_high - rho_low, a search without a reference whose end probes
     bracket rho* takes exactly 2 + ceil(log2(w / tol)) probes (16 at the
     defaults); a wrong reference costs at most one more (17).  Probes
-    are rate-mode solves (no lambda coupling) and count only when
-    Feasible.  If even the lowest probe is not certifiable the result is
+    are rate-mode solves (lambda = 0) and count only when Feasible.  If
+    even the lowest probe is not certifiable the result is
     Infeasible-at-range.
 
     hi is the smallest non-Feasible probe, which can be Infeasible or
@@ -565,7 +562,7 @@ def certify_rate(
 
     def probe(rho: float) -> FeasibilityResult:
         if rho not in seen:
-            seen[rho] = solve_feasibility(system, bounds, optimizer_name, rho, False, options)
+            seen[rho] = solve_feasibility(system, bounds, optimizer_name, rho, options)
             tested.append((rho, seen[rho].status))
         return seen[rho]
 

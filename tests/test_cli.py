@@ -196,15 +196,17 @@ _CERTIFY = ["certify", "--gamma", "0.1", "--beta", "1.0"]
 @pytest.mark.parametrize("argv, flag", [
     ([*_CERTIFY, "--optimizer", "nag-sq", "--eta", "5"], "--eta"),
     ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0.9"], "--mu"),
+    ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0"], "--mu"),
     ([*_CERTIFY, "--optimizer", "nag-sq", "--mu", "0.9"], "--mu"),
     ([*_CERTIFY, "--optimizer", "sgd", "--seed", "-1"], "seed"),
     ([*_CERTIFY, "--optimizer", "sgd", "--eta", "3", "--seed", "-1"], "seed"),
     (["simulate", "vs-n", "--optimizer", "sgd", "--eta", "0.05", "--mu", "0.5"], "--mu"),
-], ids=["nag-sq-eta", "sgd-mu", "nag-sq-mu", "feasible-seed-negative",
+], ids=["nag-sq-eta", "sgd-mu", "sgd-mu-zero", "nag-sq-mu", "feasible-seed-negative",
         "infeasible-seed-negative", "simulate-sgd-mu"])
 def test_certify_rejects_flags_it_would_ignore_or_misuse(argv, flag, capsys):
     # Rejected before any solve or run: nothing on stdout, the flag named
-    # on stderr.  simulate rejects --mu for sgd as certify does.
+    # on stderr, even for a --mu equal to heavyball's default.  simulate
+    # rejects --mu for sgd as certify does.
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -245,9 +247,11 @@ def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
     (["simulate", "vs-t", "--separation", "nan"], "separation must be finite, got nan"),
     (["simulate", "vs-n", "--probes", "-3", "--trials", "2", "--horizon", "200",
       "--sizes", "50,100,200", "--checkpoints", "100"], "probes must be >= 0, got -3"),
+    (["simulate", "vs-t", "--optimizer", "sgd", "--eta", "100"],
+     "optimizer does not contract over the data sector"),
 ], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
         "lyapunov-kappa-below-1", "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
-        "simulate-probes-negative"])
+        "simulate-probes-negative", "simulate-sgd-eta-no-contraction"])
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -571,6 +575,8 @@ def test_simulate_bad_sizes_exit_64(capsys):
     ])
     assert rc == EXIT_USAGE
     assert "comma-separated integers" in capsys.readouterr().err
+    assert main(["simulate", "vs-n", *TINY_SIM, "--sizes", ","]) == EXIT_USAGE
+    assert "expected at least one integer" in capsys.readouterr().err
 
 
 def test_simulate_checkpoint_past_horizon_exit_64(capsys):

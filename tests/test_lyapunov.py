@@ -399,6 +399,10 @@ def test_sgd_bound_values_and_errors():
         sgd_stability_bound(SectorBounds(0.1, 1.0), 100)  # no gradient bound
     with pytest.raises(ValueError):
         sgd_stability_bound(sb, 0)
+    with pytest.raises(ValueError, match="Lipschitz constant must be >= 0, got -1.0"):
+        nag_stability_limit(-1.0, sb, 100)
+    with pytest.raises(ValueError, match="iteration count must be >= 0, got -1"):
+        nag_stability_bound(2.0, sb, 100, -1)
 
 
 def test_cjy_bound_and_limit():

@@ -94,22 +94,21 @@ def test_subgradient_matches_entrywise_formula(spec):
     # of the LMI built by assemble_lmi, the subgradient of lambda_max is
     # q^T L_k q = basis @ vec(q q^T).  Entrywise, with x = q[:s] and
     # u = F q, d/dP_ij is u_i u_j - (1 - rho) x_i x_j (twice that off the
-    # diagonal), d/dlam is |x|^2 and d/dtau is q^T J^T Pi3 J q; for
+    # diagonal) and d/dtau is q^T J^T Pi3 J q; for
     # lambda_min(P) at its bottom eigenvector w, d/dP_ij is w_i w_j.
     # The barrier blocks hold -LMI and P on the diagonal of F(v, t).
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(spec, sb)
     rho = 0.05
-    prob = _Problem(system, sb, rho, with_lam=True)
+    prob = _Problem(system, sb, rho)
     s, d = system.state_dim, prob.d
     f = np.hstack([system.a, system.b])
     j = sector_lift(system)
     pi = sector_product_multiplier(sb)
     rng = np.random.default_rng(5)
-    for row in rng.uniform(0.1, 2.0, size=(4, prob.n_p + 2)):
-        p = row[prob.p_index]
-        lam, tau = row[prob.n_p :]
-        lmi = assemble_lmi(system, sb, p, lam, tau, rho)
+    for row in rng.uniform(0.1, 2.0, size=(4, prob.n_p + 1)):
+        p, tau = row[prob.p_index], row[-1]
+        lmi = assemble_lmi(system, sb, p, 0.0, tau, rho)
         np.testing.assert_allclose((row @ prob.basis).reshape(d, d), lmi, rtol=1e-12, atol=1e-12)
         q = np.linalg.eigh(lmi)[1][:, -1]
         x, u = q[:s], f @ q
@@ -117,7 +116,6 @@ def test_subgradient_matches_entrywise_formula(spec):
         want = np.zeros_like(row)
         for k, (a, b) in enumerate(zip(*prob.vech)):
             want[k] = outer[a, b] * (1.0 if a == b else 2.0)
-        want[-2] = x @ x
         want[-1] = q @ j.T @ pi @ j @ q
         np.testing.assert_allclose(prob.basis @ np.outer(q, q).ravel(), want,
                                    rtol=1e-10, atol=1e-12)
@@ -126,10 +124,10 @@ def test_subgradient_matches_entrywise_formula(spec):
         np.testing.assert_allclose(prob.p_basis @ np.outer(w, w).ravel(), want_p,
                                    rtol=1e-10, atol=1e-12)
         t = -0.25
-        big = np.tensordot(np.r_[row[prob.free], t], prob.blocks, 1)
+        big = np.tensordot(np.r_[row, t], prob.blocks, 1)
         np.testing.assert_allclose(big[:d, :d], -lmi - t * np.eye(d), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(big[d : d + s, d : d + s], p - t * np.eye(s), atol=1e-12)
-        np.testing.assert_allclose(np.diag(big)[d + s :], [tau, lam - t], atol=1e-12)
+        np.testing.assert_allclose(np.diag(big)[d + s :], [tau], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -303,15 +301,15 @@ def test_problem_lmi_matches_assemble_lmi(spec, rho):
     # The solver's precomputed affine map must build the reference LMI.
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(spec, sb)
-    prob = _Problem(system, sb, rho, with_lam=True)
+    prob = _Problem(system, sb, rho)
     rng = np.random.default_rng(11)
     s, d = system.state_dim, prob.d
     for _ in range(20):
         raw = rng.normal(size=(s, s))
         p = raw @ raw.T + 0.1 * np.eye(s)
-        lam, tau = rng.uniform(0.0, 2.0, size=2)
-        want = assemble_lmi(system, sb, p, lam, tau, rho)
-        v = np.concatenate([p[prob.vech], [lam, tau]])
+        tau = rng.uniform(0.0, 2.0)
+        want = assemble_lmi(system, sb, p, 0.0, tau, rho)
+        v = np.concatenate([p[prob.vech], [tau]])
         np.testing.assert_allclose((v @ prob.basis).reshape(d, d), want, rtol=1e-13, atol=1e-13)
 
 
@@ -375,6 +373,24 @@ def test_one_multiplier_keeps_the_verdict_table(name):
         status = solve_feasibility(lure_of(make(sb), sb), sb, name).status
         got += {FEASIBLE: "F", INFEASIBLE: "I", INCONCLUSIVE: "?"}[status]
     assert got == want
+
+
+@pytest.mark.parametrize("gamma, beta", [(0.01, 0.1), (0.1, 1.0), (1.0, 10.0), (100.0, 1000.0)])
+@pytest.mark.parametrize("name", ["sgd", "heavyball", "nag-sq"])
+def test_plain_lambda_is_half_the_margin_in_any_units(name, gamma, beta):
+    # Plain solves and rate probes share one LMI; a plain certificate then
+    # takes lambda = t/2 in the caller's units, which keeps its LMI below
+    # -t/2 (sdp's module docstring), and a rate certificate none.
+    sb = SectorBounds(gamma, beta)
+    system = lure_of(_VERDICTS[name][0](sb), sb)
+    res = solve_feasibility(system, sb, name)
+    assert res.status == FEASIBLE
+    cert, margin = res.certificate, -res.best_violation
+    assert cert.lam == 0.5 * margin * max(1.0, beta * beta)
+    assert cert.lmi_max_eig <= -margin / 2
+    assert cert.lam >= 1e-6
+    rate = solve_feasibility(system, sb, name, rho=1e-3)
+    assert rate.status == FEASIBLE and rate.certificate.lam == 0.0
 
 
 def test_verify_certificate_rejects_negative_tau3():
@@ -498,7 +514,7 @@ _RATE_IDS = ["sgd", "heavyball", "nag-sq"]
 def _bisect_rate(system, sb, rho_low=1e-4, rho_high=0.999, tol=1e-4):
     # Plain bisection that never reads the reference, kept as an oracle.
     def feasible(rho):
-        return solve_feasibility(system, sb, rho=rho, with_lam=False).status == FEASIBLE
+        return solve_feasibility(system, sb, rho=rho).status == FEASIBLE
 
     assert feasible(rho_low) and not feasible(rho_high)
     lo, hi = rho_low, rho_high
@@ -548,8 +564,7 @@ def _monotone_margins(root, below, above, band):
     # stops shrinking fails here instead of running on.
     probes = []
 
-    def solve(system, bounds, name, rho, with_lam, options):
-        assert with_lam is False
+    def solve(system, bounds, name, rho, options):
         probes.append(rho)
         assert len(probes) <= 1000, "the rate search does not converge"
         if rho <= root:
@@ -589,7 +604,7 @@ def test_rate_search_survives_pathological_margins(monkeypatch, root, below, abo
 def test_rate_search_step_margin_halves_like_bisection(monkeypatch, status, margin):
     # The search reads only the statuses, so a margin that only has a sign,
     # or an Inconclusive hi with the same margin as lo, still bisects.
-    def solve(system, bounds, name, rho, with_lam, options):
+    def solve(system, bounds, name, rho, options):
         return (FeasibilityResult(FEASIBLE, rho, -1.0) if rho <= 0.3
                 else FeasibilityResult(status, None, -margin))
 
@@ -778,11 +793,13 @@ def _sampled_three_operand(cert, system, sb, samples=10_000, seed=0):
 
 
 @pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
-@pytest.mark.parametrize("rho, with_lam", [(0.0, True), (0.05, False)])
-def test_sampling_check_matches_the_three_operand_forms(spec, rho, with_lam):
+@pytest.mark.parametrize("rho, plain", [(0.0, True), (0.05, False)])
+def test_sampling_check_matches_the_three_operand_forms(spec, rho, plain):
+    # A plain certificate (rho = 0) carries the lambda term, a rate one not.
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(spec, sb)
-    cert = solve_feasibility(system, sb, rho=rho, with_lam=with_lam).certificate
+    cert = solve_feasibility(system, sb, rho=rho).certificate
+    assert (cert.lam > 0.0) == plain
     for seed in (0, 7):
         got = s_lemma_cross_check(cert, system, sb, seed=seed)["max_violation"]
         assert got == pytest.approx(_sampled_three_operand(cert, system, sb, seed=seed),
@@ -807,12 +824,13 @@ def _parent_newton_step(prob, vals, vecs, mu):
 
 
 @pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
-@pytest.mark.parametrize("rho, with_lam", [(0.0, True), (0.1, False), (0.3, False)])
-def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, with_lam):
+@pytest.mark.parametrize("rho, plain", [(0.0, True), (0.1, False), (0.3, False)])
+def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
     # At every iterate of a solve, F(x), the step, the decrement and F^-1
-    # equal the reference formulas exactly.
+    # equal the reference formulas exactly.  Plain solves and rate probes
+    # share one LMI shape; only the plain certificate carries a lambda.
     sb = SectorBounds(0.1, 1.0)
-    prob = sdp._unit_problem(lure_of(spec, sb), sb, rho, with_lam)
+    prob = sdp._unit_problem(lure_of(spec, sb), sb, rho)
     barrier, newton_step = sdp._barrier, sdp._newton_step
     seen = {"points": 0, "steps": 0}
 
@@ -835,6 +853,7 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, with_lam):
     monkeypatch.setattr(sdp, "_newton_step", checked_step)
     x, mu, z, steps = sdp._maximize_margin(prob, 500)
     assert seen["steps"] > steps and seen["steps"] >= 20 and seen["points"] >= steps
+    assert (sdp._make_cert(sb, prob, x, "", steps, FAST).lam > 0.0) == plain
 
 
 def _fully_centered_maximize_margin(prob, max_steps):
@@ -927,9 +946,61 @@ def test_loose_early_stages_keep_the_rate_search(monkeypatch, spec):
     assert (got.rho_star, got.tested) == (want.rho_star, want.tested)
 
 
-def test_verdict_table_takes_at_most_1737_newton_steps():
-    # 70% of the 2,482 steps of centering every stage to _CENTERED; the
-    # count repeats exactly, so a return to full centering fails here.
+def test_verdict_table_takes_at_most_1300_newton_steps():
+    # 1,236 steps and 5% headroom; the count repeats exactly.  Centering
+    # every stage to _CENTERED took 2,482 and a lambda variable in plain
+    # solves 1,670, so a return to either fails here.
     steps = sum(solve_feasibility(system, sb, name).traces[0].iterations
                 for name, system, sb in _verdict_cases())
-    assert steps <= 1737
+    assert steps <= 1300
+
+
+def _assert_earned(res, system, sb):
+    # Feasible only with a certificate both checks pass, Infeasible only
+    # with a verified witness, anything else Inconclusive.
+    if res.status == FEASIBLE:
+        assert verify_certificate(res.certificate, system, sb)
+        assert s_lemma_cross_check(res.certificate, system, sb)["ok"]
+    elif res.status == INFEASIBLE:
+        assert verify_infeasibility(res.witness, system, sb)
+    else:
+        assert res.status == INCONCLUSIVE and res.certificate is None
+
+
+@pytest.mark.parametrize("k", [1, 5, 13, 21])
+@pytest.mark.parametrize("name", ["sgd", "nag-sq"])
+def test_step_cap_ends_the_path_with_an_earned_verdict(name, k):
+    # The cap ends a stage before its tolerance; the path then ends at the
+    # last centered stage, or at the capped iterate before any.
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(_VERDICTS[name][0](sb), sb)
+    res = solve_feasibility(system, sb, name, options=SolverOptions(max_iters=k))
+    assert res.traces[0].iterations <= k
+    _assert_earned(res, system, sb)
+
+
+@pytest.mark.parametrize("period", [0, 2], ids=["every", "every-other"])
+@pytest.mark.parametrize("name, want", [("sgd", FEASIBLE), ("sgd-3", INFEASIBLE),
+                                        ("nag-sq", FEASIBLE)])
+def test_refused_trial_points_halve_the_step(monkeypatch, name, want, period):
+    # Only rounding makes _barrier refuse a damped Newton point.  Refusing
+    # every other trial point halves each step once and keeps the verdict;
+    # refusing all of them shrinks the first step below 1e-12, which ends
+    # the path at its start with no verdict earned.
+    barrier, calls = sdp._barrier, []
+
+    def refusing(prob, x):
+        calls.append(None)
+        if len(calls) > 1 and (period == 0 or len(calls) % period == 0):
+            return None
+        return barrier(prob, x)
+
+    monkeypatch.setattr(sdp, "_barrier", refusing)
+    sb = SectorBounds(0.1, 1.0)
+    system = lure_of(_VERDICTS[name][0](sb), sb)
+    res = solve_feasibility(system, sb, name)
+    _assert_earned(res, system, sb)
+    if period:
+        assert res.status == want
+    else:
+        assert res.status == INCONCLUSIVE and res.traces[0].iterations == 0
