@@ -160,6 +160,8 @@ def _cmd_certify(args) -> int:
                 print(f"bracket        [{result.rho_star:.6g}, {min(above):.6g}]")
     else:
         print(f"newton steps   {result.traces[0].iterations}")
+        if result.traces[0].stop != "centered":
+            print(f"stopped        {result.traces[0].stop}")
         print(f"margin t*      {-result.best_violation:.3e}")
         if result.witness_check is not None:
             print(f"dual bound     {result.witness_check.bound:.3e}")

@@ -31,6 +31,12 @@ __all__ = [
 Sampler = Callable[[np.random.Generator], tuple[np.ndarray, float]]
 
 
+def _all_in(y: np.ndarray, a: float, b: float) -> bool:
+    # Label tests by comparison, not np.unique, whose first call imports
+    # numpy.ma (about 5 ms).
+    return bool(((y == a) | (y == b)).all())
+
+
 @dataclass
 class Dataset:
     """Feature matrix x (n x d), labels y in {-1, +1}, optional sampler."""
@@ -47,9 +53,8 @@ class Dataset:
             raise ValueError(f"features must be 2-d, got shape {self.x.shape}")
         if self.y.shape != (self.x.shape[0],):
             raise ValueError("label count does not match sample count")
-        labels = set(np.unique(self.y))
-        if not labels <= {-1.0, 1.0}:
-            raise ValueError(f"labels must be +/-1, got {sorted(labels)}")
+        if not _all_in(self.y, -1.0, 1.0):
+            raise ValueError(f"labels must be +/-1, got {sorted(set(np.unique(self.y)))}")
 
     @property
     def n(self) -> int:
@@ -129,12 +134,11 @@ def ingest_csv(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)
     x, y = table[:, :-1], table[:, -1]
-    labels = set(np.unique(y))
-    if labels <= {0.0, 1.0}:
+    if _all_in(y, 0.0, 1.0):
         y = np.where(y > 0.5, 1.0, -1.0)
-    elif not labels <= {-1.0, 1.0}:
-        raise ValueError(f"{path}: labels must be 0/1 or -1/+1, got {sorted(labels)}")
-    if np.unique(y).size < 2:
+    elif not _all_in(y, -1.0, 1.0):
+        raise ValueError(f"{path}: labels must be 0/1 or -1/+1, got {sorted(set(np.unique(y)))}")
+    if (y == y[0]).all():
         raise ValueError(f"{path}: need both classes present")
     mean = x.mean(axis=0)
     std = x.std(axis=0)

@@ -2,15 +2,17 @@
 
 Everything downstream that claims a certificate valid must be able to
 check it without trusting LAPACK, so eigvals_sym is a plain cyclic
-Jacobi iteration written against numpy arrays only.  It returns the
-eigenvalues alone, not an eigendecomposition: every check reads only
-extreme eigenvalues.  Matrices in this project are tiny (dimension
-<= 8), where Jacobi is both accurate and fast enough.  eig2_radius
-gives the spectral radius of a general 2x2 matrix from its trace and
-determinant.
+Jacobi iteration, its rotations written out on Python floats.  It
+returns the eigenvalues alone, not an eigendecomposition: every check
+reads only extreme eigenvalues.  Matrices in this project are tiny
+(dimension <= 8), where Jacobi is both accurate and fast enough.
+eig2_radius gives the spectral radius of a general 2x2 matrix from its
+trace and determinant.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,27 +62,35 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
         return np.zeros(n)
     tol = _JACOBI_RTOL * norm
 
+    # The rotations run on Python floats: at n <= 8 a numpy row slice
+    # costs more than the arithmetic it carries.
+    rows = a.tolist()
     for _ in range(_MAX_SWEEPS):
+        a = np.array(rows)
         off = float(np.linalg.norm(a - np.diag(np.diag(a))))
         if off <= tol:
             break
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                row_q = rows[q]
+                apq = row_p[q]
                 if abs(apq) <= 1e-300:
                     continue
                 # Classic 2x2 annihilation; t is the stable root.
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                tau = (row_q[q] - row_p[p]) / (2.0 * apq)
+                t = 1.0
+                if tau:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
+                for row in rows:
+                    ap, aq = row[p], row[q]
+                    row[p], row[q] = c * ap - s * aq, s * ap + c * aq
+                for k in range(n):
+                    ap, aq = row_p[k], row_q[k]
+                    row_p[k], row_q[k] = c * ap - s * aq, s * ap + c * aq
+                row_p[q] = row_q[p] = 0.0
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
 

@@ -26,7 +26,10 @@ solved by the primal barrier method of Vandenberghe & Boyd (SIAM Review
 1996): Newton steps on -t/mu - log det F(x), the normalization a KKT
 equality, mu / 10 per stage.  Each stage stops once full Newton steps
 converge quadratically, and only the last, whose point is the result,
-is centered tightly.  It works in the units u/beta (sector
+is centered tightly.  The Newton system (F(x)^-1, the Hessian, the KKT
+matrix) is built once per iterate; a new stage, at the same x, only
+re-solves it for its mu, and the dual point is formed once per solve,
+for the stage returned.  It works in the units u/beta (sector
 [gamma/beta, 1]), so verdicts do not depend on the units of the sector.
 The last dual point (blocks Z1, Z2 of mu F(x)^-1, and nu for the
 normalization) bounds t* by weak duality; a negative bound proves
@@ -121,18 +124,26 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class RestartTrace:
-    """The Newton log of one solve: steps taken, -t at the end, final duality gap.
+    """The Newton log of one solve: steps taken, -t at the end, final duality
+    gap, and why the path stopped.
 
     iterations counts the accepted Newton steps only.  Each barrier stage
     also solves one Newton system whose step it does not take: the one
-    that shows the stage is centered and gives its dual point.  So a solve
-    makes iterations plus its stage count of Newton systems; an sgd rate
-    probe at [0.1, 1] takes 19 steps and solves 28 systems in 9 stages.
+    that shows the stage is centered.  So a solve makes iterations plus
+    its stage count of Newton solves; an sgd rate probe at [0.1, 1] takes
+    19 steps and solves 28 systems in 9 stages, of which 8 re-solve the
+    previous stage's system for the new mu.
+
+    stop is "centered" when the last stage reached its tolerance.  "step
+    cap" (max_iters ran out) and "step halving" (rounding refused every
+    trial point) end the path early, at the last centered stage: its
+    margin is then that of a looser stage, not a near-zero t*.
     """
 
     iterations: int
     best_violation: float
     gap: float
+    stop: str
 
 
 @dataclass(frozen=True)
@@ -265,29 +276,42 @@ def _barrier(prob: _Problem, x: np.ndarray):
     return (vals, vecs) if vals[0] > 0.0 else None
 
 
-def _newton_step(prob: _Problem, vals: np.ndarray, vecs: np.ndarray, mu: float,
-                 kkt: np.ndarray, rhs: np.ndarray):
-    """The Newton step of -t/mu - log det F(x) under the normalization.
+def _newton_system(prob: _Problem, vals: np.ndarray, vecs: np.ndarray, kkt: np.ndarray):
+    """The part of the Newton system of -t/mu - log det F(x) that depends on x only.
 
-    F(x) = vecs diag(vals) vecs^T.  kkt and rhs are the caller's (n+1)-square
-    and (n+1) work arrays, zero in their last entry; the KKT matrix is
-    scaled to a unit Hessian diagonal.
+    F(x) = vecs diag(vals) vecs^T.  kkt is the caller's (n+1)-square work
+    array, zero in its last entry; it is filled with the KKT matrix of the
+    normalization, scaled to a unit Hessian diagonal.
 
     Returns:
-        (dx, dec, inv): the step, the squared Newton decrement and F(x)^-1.
+        (inv, trace, scale, kkt): F(x)^-1, minus the gradient of -log det F
+        (trace(F^-1 F_k)), the diagonal scaling and the KKT matrix.
     """
-    n = rhs.size - 1
+    n = kkt.shape[0] - 1
     inv = (vecs / vals) @ vecs.T
     w = inv @ prob.blocks
-    grad = np.einsum("kaa->k", w)  # minus the gradient of the barrier objective
-    grad[-1] += 1.0 / mu
+    trace = np.einsum("kaa->k", w)
     hess = np.einsum("kab,lba->kl", w, w)
     scale = 1.0 / np.sqrt(hess.diagonal())
     kkt[:n, :n] = hess * (scale[:, None] * scale)
     kkt[:n, n] = kkt[n, :n] = prob.eq * scale
-    rhs[:n] = grad * scale
-    dx = scale * np.linalg.solve(kkt, rhs)[:n]
-    return dx, grad @ dx, inv
+    return inv, trace, scale, kkt
+
+
+def _newton_solve(system, mu: float, rhs: np.ndarray):
+    """The Newton step at mu of a _newton_system, under the normalization.
+
+    rhs is the caller's (n+1) work array, zero in its last entry.
+
+    Returns:
+        (dx, dec): the step and the squared Newton decrement.
+    """
+    _, trace, scale, kkt = system
+    grad = trace.copy()  # minus the gradient of the barrier objective
+    grad[-1] += 1.0 / mu
+    rhs[: grad.size] = grad * scale
+    dx = scale * np.linalg.solve(kkt, rhs)[: grad.size]
+    return dx, grad @ dx
 
 
 def _maximize_margin(prob: _Problem, max_steps: int):
@@ -298,24 +322,27 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     self-concordant barrier; below lambda = 1/4 (lambda^2 = _QUADRATIC)
     full steps converge quadratically.  Every stage but the last stops
     there, as only the last stage's point is returned; that one centers
-    on to lambda^2 <= _CENTERED.  The KKT matrix is scaled to a unit
-    Hessian diagonal.  A stage that cannot reach its tolerance (step cap,
-    rounding) ends the path at the last stage that did.
+    on to lambda^2 <= _CENTERED.  The Newton system is built once per
+    iterate: a new stage keeps x and re-solves it for its mu.  A stage
+    that cannot reach its tolerance ends the path at the last stage that
+    did: "step cap" when max_steps ran out, "step halving" when rounding
+    refused every trial point down to a step of 1e-12.
 
     Returns:
-        (x, mu, z, steps): that iterate, its mu, the dual point of its
-        last Newton step, and the Newton steps taken in all.
+        (x, mu, z, steps, stop): that iterate, its mu, the dual point of
+        its last Newton step, the Newton steps taken in all, and why the
+        path ended ("centered", "step cap" or "step halving").
     """
     n, dim = prob.flat.shape[0], prob.dim
     x = prob.eq / (prob.s + 1)  # P = I and tau = 1, scaled onto the normalization
     x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0] - 1.0
-    vals, vecs = _barrier(prob, x)
     kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+    system = _newton_system(prob, *_barrier(prob, x), kkt)
     mu, steps, centered = 1.0, 0, None
     while True:
         tol = _CENTERED if prob.dim * mu <= _GAP_TOL else _QUADRATIC
         while True:
-            dx, dec, inv = _newton_step(prob, vals, vecs, mu, kkt, rhs)
+            dx, dec = _newton_solve(system, mu, rhs)
             if dec <= tol or steps >= max_steps:
                 break
             step = 1.0 if dec < _QUADRATIC else 1.0 / (1.0 + np.sqrt(dec))
@@ -323,18 +350,22 @@ def _maximize_margin(prob: _Problem, max_steps: int):
                 step *= 0.5  # only rounding leaves the ellipsoid
             if eig is None:
                 break
-            x, (vals, vecs) = x + step * dx, eig
+            x, system = x + step * dx, _newton_system(prob, *eig, kkt)
             steps += 1
-        # mu (F^-1 - F^-1 dF F^-1) meets the Newton system's stationarity
-        # equations exactly, and is positive definite for a decrement below 1.
-        z = mu * (inv - inv @ (dx @ prob.flat).reshape(dim, dim) @ inv)
-        here = (x, mu, 0.5 * (z + z.T))
+        here = (x, mu, system[0], dx)
         if not abs(dec) <= tol:
-            return (*(centered or here), steps)
-        if tol == _CENTERED:
-            return (*here, steps)
+            stop = "step cap" if steps >= max_steps else "step halving"
+            break
         centered = here
+        if tol == _CENTERED:
+            stop = "centered"
+            break
         mu *= 0.1
+    x, mu, inv, dx = centered or here
+    # mu (F^-1 - F^-1 dF F^-1) meets the Newton system's stationarity
+    # equations exactly, and is positive definite for a decrement below 1.
+    z = mu * (inv - inv @ (dx @ prob.flat).reshape(dim, dim) @ inv)
+    return x, mu, 0.5 * (z + z.T), steps, stop
 
 
 def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None = None):
@@ -402,9 +433,9 @@ def solve_feasibility(
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     prob = _unit_problem(system, bounds, rho)
-    x, mu, z, steps = _maximize_margin(prob, opts.max_iters)
+    x, mu, z, steps, stop = _maximize_margin(prob, opts.max_iters)
     margin = float(x[-1])
-    traces = [RestartTrace(steps, -margin, prob.dim * mu)]
+    traces = [RestartTrace(steps, -margin, prob.dim * mu, stop)]
     if margin > 0.0:
         cert = _make_cert(bounds, prob, x, optimizer_name, steps, opts)
         report = verify_certificate(cert, system, bounds)
@@ -487,16 +518,19 @@ def s_lemma_cross_check(
     should, and does, break valid certificates.
     """
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(samples, system.state_dim))
+    x = rng.standard_normal((samples, system.state_dim))
     h = rng.uniform(bounds.gamma, bounds.beta, size=samples)
-    # One sample per column: every product below has two operands.
-    xt = x.T
+    # One sample per column of a contiguous copy: every product below has
+    # two operands.
+    xt = np.ascontiguousarray(x.T)
     u = h * (system.c[0] @ xt)
-    xt_next = system.a @ xt + system.b * u
-    v_next = np.einsum("ij,ij->j", cert.p @ xt_next, xt_next)
-    v_now = np.einsum("ij,ij->j", cert.p @ xt, xt)
+    xt_next = system.a @ xt
+    xt_next += system.b * u
+    vals = np.einsum("ij,ij->j", cert.p @ xt_next, xt_next)
+    vals -= (1.0 - cert.rho) * np.einsum("ij,ij->j", cert.p @ xt, xt)
     sq = np.einsum("ij,ij->j", xt, xt)
-    vals = (v_next - (1.0 - cert.rho) * v_now + cert.lam * sq) / sq
+    vals += cert.lam * sq
+    vals /= sq
     worst = float(vals.max())
     return {"ok": bool(worst <= _SAMPLED_SLACK), "max_violation": worst}
 

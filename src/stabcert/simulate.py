@@ -389,16 +389,15 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
     if cps.size < 3:
         raise ValueError("need at least three checkpoints for the growth fits, counting "
                          f"repeats once; got {cps.size} distinct")
-    # VsTResult carries no loss gap, so no probes are drawn or scored.
-    steps = np.unique(cps)
-    diffs = _lockstep(base, (n,), config, steps, 0)[0]
-    curves = diffs[0][:, np.searchsorted(steps, cps)]
-    mean_curve = curves.mean(axis=0)
-
     sector = effective_sector(base, config.lambda_reg)
     rho = envelope_rate(config.optimizer, sector)
     if not (0.0 < rho < 1.0):
         raise ValueError(f"optimizer does not contract over the data sector (rho={rho})")
+    # VsTResult carries no loss gap, so no probes are drawn or scored.
+    steps = np.sort(cps)  # cps is already distinct
+    diffs = _lockstep(base, (n,), config, steps, 0)[0]
+    curves = diffs[0][:, np.searchsorted(steps, cps)]
+    mean_curve = curves.mean(axis=0)
     t_half = math.log(0.5) / math.log1p(-rho)
     window = cps <= t_half
     if window.sum() < 3:

@@ -667,3 +667,13 @@ def test_certify_runs_each_check_once(monkeypatch, capsys):
     assert main(base + ["--eta", "3.0"]) == EXIT_NEGATIVE
     assert calls == {"verify_infeasibility": 1}
     assert "witness        verified" in capsys.readouterr().out
+
+
+def test_certify_prints_the_stop_reason_only_when_not_centered(monkeypatch, capsys):
+    base = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1.0"]
+    assert main(base) == EXIT_OK
+    assert "stopped" not in capsys.readouterr().out
+    monkeypatch.setattr(cli, "SolverOptions", lambda seed: SolverOptions(max_iters=5, seed=seed))
+    main(base)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("newton steps   5") + 1] == "stopped        step cap"

@@ -808,7 +808,7 @@ def test_sampling_check_matches_the_three_operand_forms(spec, rho, plain):
 
 def _parent_newton_step(prob, vals, vecs, mu):
     # The Newton step as first written, with tensordot, einsum, outer and
-    # r_; _newton_step must reproduce it bit for bit.
+    # r_; every _newton_solve must reproduce it bit for bit.
     n = prob.blocks.shape[0]
     kkt = np.zeros((n + 1, n + 1))
     inv = (vecs / vals) @ vecs.T
@@ -826,13 +826,16 @@ def _parent_newton_step(prob, vals, vecs, mu):
 @pytest.mark.parametrize("spec", _RATE_SPECS, ids=_RATE_IDS)
 @pytest.mark.parametrize("rho, plain", [(0.0, True), (0.1, False), (0.3, False)])
 def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
-    # At every iterate of a solve, F(x), the step, the decrement and F^-1
-    # equal the reference formulas exactly.  Plain solves and rate probes
-    # share one LMI shape; only the plain certificate carries a lambda.
+    # At every iterate of a solve, F(x), and for every Newton system
+    # solved, the re-solves at a new stage's mu included, the step, the
+    # decrement and F^-1 equal the reference formulas exactly.  Plain
+    # solves and rate probes share one LMI shape; only the plain
+    # certificate carries a lambda.
     sb = SectorBounds(0.1, 1.0)
     prob = sdp._unit_problem(lure_of(spec, sb), sb, rho)
-    barrier, newton_step = sdp._barrier, sdp._newton_step
-    seen = {"points": 0, "steps": 0}
+    barrier, newton_system, newton_solve = sdp._barrier, sdp._newton_system, sdp._newton_solve
+    seen = {"points": 0, "systems": 0, "steps": 0}
+    built = []  # the newest system with the eigenpairs it was built from
 
     def checked_barrier(prob, x):
         np.testing.assert_array_equal((x @ prob.flat).reshape(prob.dim, prob.dim),
@@ -840,9 +843,17 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
         seen["points"] += 1
         return barrier(prob, x)
 
-    def checked_step(prob, vals, vecs, mu, kkt, rhs):
-        got = newton_step(prob, vals, vecs, mu, kkt, rhs)
-        for a, b in zip(got, _parent_newton_step(prob, vals, vecs, mu)):
+    def checked_system(prob, vals, vecs, kkt):
+        system = newton_system(prob, vals, vecs, kkt)
+        built[:] = [system, vals, vecs]
+        seen["systems"] += 1
+        return system
+
+    def checked_solve(system, mu, rhs):
+        got = newton_solve(system, mu, rhs)
+        newest, vals, vecs = built
+        assert system is newest
+        for a, b in zip((*got, system[0]), _parent_newton_step(prob, vals, vecs, mu)):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal((got[0] @ prob.flat).reshape(prob.dim, prob.dim),
                                       np.tensordot(got[0], prob.blocks, 1))
@@ -850,24 +861,27 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
         return got
 
     monkeypatch.setattr(sdp, "_barrier", checked_barrier)
-    monkeypatch.setattr(sdp, "_newton_step", checked_step)
-    x, mu, z, steps = sdp._maximize_margin(prob, 500)
+    monkeypatch.setattr(sdp, "_newton_system", checked_system)
+    monkeypatch.setattr(sdp, "_newton_solve", checked_solve)
+    x, mu, z, steps, stop = sdp._maximize_margin(prob, 500)
     assert seen["steps"] > steps and seen["steps"] >= 20 and seen["points"] >= steps
+    # Each stage after the first re-solves the system it starts from.
+    assert seen["steps"] > seen["systems"] == steps + 1 and stop == "centered"
     assert (sdp._make_cert(sb, prob, x, "", steps, FAST).lam > 0.0) == plain
 
 
 def _fully_centered_maximize_margin(prob, max_steps):
     # _maximize_margin as first written, centering every stage, not only
-    # the last, to a squared Newton decrement of _CENTERED.
-    n, dim = prob.flat.shape[0], prob.dim
+    # the last, to a squared Newton decrement of _CENTERED, and building
+    # a new Newton system for every solve.
+    dim = prob.dim
     x = prob.eq / (prob.s + 1)
     x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0] - 1.0
     vals, vecs = sdp._barrier(prob, x)
-    kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
     mu, steps, centered = 1.0, 0, None
     while True:
         while True:
-            dx, dec, inv = sdp._newton_step(prob, vals, vecs, mu, kkt, rhs)
+            dx, dec, inv = _parent_newton_step(prob, vals, vecs, mu)
             if dec <= sdp._CENTERED or steps >= max_steps:
                 break
             step = 1.0 if dec < 0.0625 else 1.0 / (1.0 + np.sqrt(dec))
@@ -880,9 +894,10 @@ def _fully_centered_maximize_margin(prob, max_steps):
         z = mu * (inv - inv @ (dx @ prob.flat).reshape(dim, dim) @ inv)
         here = (x, mu, 0.5 * (z + z.T))
         if not abs(dec) <= sdp._CENTERED:
-            return (*(centered or here), steps)
+            stop = "step cap" if steps >= max_steps else "step halving"
+            return (*(centered or here), steps, stop)
         if prob.dim * mu <= sdp._GAP_TOL:
-            return (*here, steps)
+            return (*here, steps, "centered")
         centered = here
         mu *= 0.1
 
@@ -893,9 +908,9 @@ def _recorded(monkeypatch, maximize, run):
     ends = []
 
     def recording(prob, max_steps):
-        x, mu, z, steps = maximize(prob, max_steps)
+        x, mu, z, steps, stop = maximize(prob, max_steps)
         ends.append((prob, x, mu, steps))
-        return x, mu, z, steps
+        return x, mu, z, steps, stop
 
     monkeypatch.setattr(sdp, "_maximize_margin", recording)
     return run(), ends
@@ -920,9 +935,8 @@ def _assert_same_central_point(monkeypatch, run):
         assert mu == ref_mu and steps <= ref_steps
         assert x[-1] == pytest.approx(ref_x[-1], rel=1e-8)
         n = prob.flat.shape[0]
-        vals, vecs = sdp._barrier(prob, x)
-        dec = sdp._newton_step(prob, vals, vecs, mu, np.zeros((n + 1, n + 1)), np.zeros(n + 1))[1]
-        assert dec <= sdp._CENTERED
+        system = sdp._newton_system(prob, *sdp._barrier(prob, x), np.zeros((n + 1, n + 1)))
+        assert sdp._newton_solve(system, mu, np.zeros(n + 1))[1] <= sdp._CENTERED
     for a, b in zip(got, want):
         assert a.status == b.status
         if b.certificate is not None:
@@ -971,11 +985,15 @@ def _assert_earned(res, system, sb):
 @pytest.mark.parametrize("name", ["sgd", "nag-sq"])
 def test_step_cap_ends_the_path_with_an_earned_verdict(name, k):
     # The cap ends a stage before its tolerance; the path then ends at the
-    # last centered stage, or at the capped iterate before any.
+    # last centered stage, or at the capped iterate before any, and says
+    # so: sgd centers in 19 steps, nag-sq in 43.
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(_VERDICTS[name][0](sb), sb)
     res = solve_feasibility(system, sb, name, options=SolverOptions(max_iters=k))
     assert res.traces[0].iterations <= k
+    uncapped = solve_feasibility(system, sb, name).traces[0]
+    assert uncapped.stop == "centered"
+    assert res.traces[0].stop == ("step cap" if k < uncapped.iterations else "centered")
     _assert_earned(res, system, sb)
 
 
@@ -986,21 +1004,34 @@ def test_refused_trial_points_halve_the_step(monkeypatch, name, want, period):
     # Only rounding makes _barrier refuse a damped Newton point.  Refusing
     # every other trial point halves each step once and keeps the verdict;
     # refusing all of them shrinks the first step below 1e-12, which ends
-    # the path at its start with no verdict earned.
-    barrier, calls = sdp._barrier, []
+    # the path at its start with no verdict earned.  Each point accepted
+    # after a refusal is exactly x + (s/2) dx, s the damped step.
+    barrier, newton_solve, calls, solves = sdp._barrier, sdp._newton_solve, [], []
 
     def refusing(prob, x):
-        calls.append(None)
+        calls.append(x)
+        if period and len(calls) > 1 and len(calls) % period:
+            dx, dec = solves[-1]
+            s = 1.0 if dec < sdp._QUADRATIC else 1.0 / (1.0 + np.sqrt(dec))
+            np.testing.assert_array_equal(calls[-2], calls[-3] + s * dx)
+            np.testing.assert_array_equal(x, calls[-3] + (0.5 * s) * dx)
         if len(calls) > 1 and (period == 0 or len(calls) % period == 0):
             return None
         return barrier(prob, x)
 
+    def recording_solve(system, mu, rhs):
+        solves.append(newton_solve(system, mu, rhs))
+        return solves[-1]
+
     monkeypatch.setattr(sdp, "_barrier", refusing)
+    monkeypatch.setattr(sdp, "_newton_solve", recording_solve)
     sb = SectorBounds(0.1, 1.0)
     system = lure_of(_VERDICTS[name][0](sb), sb)
     res = solve_feasibility(system, sb, name)
     _assert_earned(res, system, sb)
     if period:
-        assert res.status == want
+        assert res.status == want and res.traces[0].stop == "centered"
+        assert len(calls) == 2 * res.traces[0].iterations + 1
     else:
         assert res.status == INCONCLUSIVE and res.traces[0].iterations == 0
+        assert res.traces[0].stop == "step halving"

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,9 @@ def test_config_validation(monkeypatch):
                        ExperimentConfig(checkpoints=(10, 50, 4000), horizon=2000))
     with pytest.raises(ValueError, match="checkpoints must be >= 1"):
         stability_vs_t(synthetic_dataset(30, 4, seed=0), ExperimentConfig(checkpoints=(0, 10, 50)))
+    # ... and an optimizer that does not contract over the data sector.
+    with pytest.raises(ValueError, match="optimizer does not contract over the data sector"):
+        stability_vs_t(synthetic_dataset(30, 4, seed=0), ExperimentConfig(optimizer=Sgd(eta=100)))
     with pytest.raises(ValueError):
         ExperimentConfig(neighbor_mode="clone")
     with pytest.raises(ValueError, match="probes must be >= 0, got -3"):
@@ -613,3 +620,21 @@ def test_lockstep_rejects_oversized_subset():
     )
     with pytest.raises(ValueError, match="subset size"):
         stability_vs_n(base, config)
+
+
+def test_experiments_do_not_import_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 5 ms of start-up.
+    code = (
+        "import sys\n"
+        "from stabcert.data import synthetic_dataset\n"
+        "from stabcert.optimizers import Sgd\n"
+        "from stabcert.simulate import ExperimentConfig, stability_vs_n, stability_vs_t\n"
+        "base = synthetic_dataset(60, 4, seed=1)\n"
+        "config = ExperimentConfig(optimizer=Sgd(eta=0.1), horizon=60, trials=2,\n"
+        "                          subset_sizes=(20, 30, 40), checkpoints=(20, 40, 60))\n"
+        "stability_vs_n(base, config)\n"
+        "stability_vs_t(base, config)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
