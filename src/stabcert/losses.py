@@ -67,11 +67,13 @@ def reg_logistic_losses(w: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float)
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row pair, a[k] . b[k].
 
-    A stacked matmul of (rows, 1, dim) by (rows, dim, 1) makes one BLAS
-    dot per row, so entry k is bitwise equal to np.dot(a[k], b[k]);
-    einsum and (a * b).sum(1) add in another order and are not.
+    np.vecdot makes one BLAS dot per row, so for C-contiguous rows entry
+    k is bitwise equal to np.dot(a[k], b[k]); einsum and (a * b).sum(1)
+    add in another order and are not.  Strided rows carry no such
+    guarantee: np.dot itself can differ between a strided row and its
+    contiguous copy.
     """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def reg_logistic_grad_rows(
@@ -81,16 +83,18 @@ def reg_logistic_grad_rows(
 
     The arithmetic is the scalar form's, operation for operation: the
     margin y (w.x), the two-branch stable sigmoid and -y s x + lam w.
-    exp(-|z|) is exp(-z) on the z >= 0 branch and exp(z) on the other,
-    so neither branch can overflow.  The gradients are written into out
-    and returned (a new array without it); out must share no memory
-    with w or x.
+    y is negated once: -(y m) is exactly (-y) m, since negation is exact
+    and rounding to nearest is symmetric.  exp(-|z|) is exp(-z) on the
+    z >= 0 branch and exp(z) on the other, so neither branch can
+    overflow, and one division by 1 + exp(-|z|) serves both branches.
+    The gradients are written into out and returned (a new array
+    without it); out must share no memory with w or x.
     """
-    z = -(y * row_dots(w, x))
+    ny = -y
+    z = ny * row_dots(w, x)
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    s = np.where(z >= 0, 1.0 / d, e / d)
-    g = np.multiply((-y * s)[:, None], x, out=out)
+    s = np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
+    g = np.multiply((ny * s)[:, None], x, out=out)
     g += lam * w
     return g
 

@@ -26,6 +26,11 @@ seed roles are unchanged, and every row is bitwise equal to its run
 stepped alone.  The drivers and coupled_run step through
 optimizers.step_rule, which steps the state in place, so each
 optimizer's arithmetic is written once, in optimizers.
+
+The table rows each step gathers are listed up front, one row of ids
+per step in the narrowest unsigned integer type that holds them (uint16
+at the default config).  Only stability_vs_n reports the largest
+gradient norms, so only it pays for tracking them.
 """
 
 from __future__ import annotations
@@ -166,14 +171,42 @@ def _probe_set(base: Dataset, n: int, trial: int, config: ExperimentConfig, coun
     return np.array([r[0] for r in records]), np.array([r[1] for r in records])
 
 
-def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int) -> tuple:
+def _row_table(base: Dataset, cells: list, config: ExperimentConfig, last: int) -> tuple:
+    """The rows every step of the lockstep reads, and what they read from.
+
+    Returns (table, labels, step_rows).  table holds the base rows, then
+    run r's replaced record at row base.n + r; labels holds their labels.
+    step_rows[t, r] is the table row that arm a of run r reads at step
+    t + 1, and step_rows[t, runs + r] the one its arm b reads: the same
+    row except at run r's replaced index j.  step_rows is in the
+    narrowest unsigned type that holds every table row id and is filled
+    one column at a time, so no (steps, runs) intp array is built.
+    """
+    runs = len(cells)
+    table = np.empty((base.n + runs, base.dim))
+    table[:base.n] = base.x
+    labels = np.empty(base.n + runs)
+    labels[:base.n] = base.y
+    step_rows = np.empty((last, 2 * runs), dtype=np.min_scalar_type(base.n + runs - 1))
+    for r, (n, k) in enumerate(cells):
+        rows, j, x_new, y_new, idx = _trial_inputs(base, n, k, config)
+        table[base.n + r], labels[base.n + r] = x_new, y_new
+        idx = idx[:last]
+        step_rows[:, r] = rows[idx]
+        rows[j] = base.n + r
+        step_rows[:, runs + r] = rows[idx]
+    return table, labels, step_rows
+
+
+def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int, *,
+              grad_norms: bool = True) -> tuple:
     """Run every trial of every subset size in sizes as one state.
 
     Trial k of sizes[a] is run r = a trials + k.  Row r of the
-    (2 runs, dim) state is its arm a and row runs + r its arm b.  Rows
-    are gathered each step from one table: the base rows, then run r's
-    replaced record at row base.n + r, which arm b reads in place of
-    its subset's row j.
+    (2 runs, dim) state is its arm a and row runs + r its arm b.  Each
+    step gathers its rows from one table through a per-step row list
+    built up front (_row_table); arm b reads run r's replaced record
+    where arm a reads its subset's row j.
 
     steps lists the step numbers to record, ascending, without repeats
     and within [1, config.horizon]; the runs stop after step steps[-1].
@@ -182,8 +215,10 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
     [a, k]: param_diff[a, k, c] is the run's ||w - w'|| after step
     steps[c], loss_gap[a, k] its worst probe-loss gap (None without
     probes) and max_grad[a, k] the largest gradient norm either arm took
-    in steps 1 to steps[-1].  The state steps in place, and each step's
-    row gather and gradient reuse one buffer each.
+    in steps 1 to steps[-1] (None when grad_norms is false, which skips
+    the two row operations per step that track it; the gaps do not
+    change).  The state steps in place, and each step's row gather and
+    gradient reuse one buffer each.
     """
     sizes = [int(n) for n in sizes]
     for n in sizes:
@@ -192,24 +227,7 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
     trials, lam, last = config.trials, config.lambda_reg, int(steps[-1])
     cells = [(n, k) for n in sizes for k in range(trials)]
     runs = len(cells)
-    table = np.empty((base.n + runs, base.dim))
-    table[:base.n] = base.x
-    labels = np.empty(base.n + runs)
-    labels[:base.n] = base.y
-    # Row ids per arm, flattened: run r's subset starts at offset start,
-    # each size's runs after those of the sizes before it, and ids[1]
-    # is ids[0] except at run r's j.  pos[t, r] is where step t of run
-    # r reads in ids, in the narrowest integer type that holds it.
-    ids = np.empty((2, trials * sum(sizes)), dtype=np.intp)
-    pos = np.empty((last, runs), dtype=np.min_scalar_type(ids.shape[1] - 1))
-    start = 0
-    for r, (n, k) in enumerate(cells):
-        rows, j, x_new, y_new, idx = _trial_inputs(base, n, k, config)
-        ids[:, start:start + n] = rows
-        ids[1, start + j] = base.n + r
-        table[base.n + r], labels[base.n + r] = x_new, y_new
-        pos[:, r] = idx[:last] + start
-        start += n
+    table, labels, step_rows = _row_table(base, cells, config, last)
 
     column = {int(s): c for c, s in enumerate(steps)}
     step = step_rule(config.optimizer)
@@ -219,19 +237,20 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
     # Per row, the largest squared gradient norm; the arms fold together
     # at the end.  sqrt is correctly rounded and monotone, so one sqrt of
     # the largest squared norm is bitwise the largest norm.
-    grad_sq = np.zeros(2 * runs)
+    grad_sq = np.zeros(2 * runs) if grad_norms else None
 
     def grad_at(p: np.ndarray) -> np.ndarray:
         # rows is the step's gather, set in the loop below.  Its ids lie
         # in the table, and mode="clip" lets take write x directly where
         # the default "raise" copies through a buffer.
-        np.take(table, rows, axis=0, out=x, mode="clip")
+        table.take(rows, axis=0, out=x, mode="clip")
         reg_logistic_grad_rows(p, x, labels[rows], lam, out=g)
-        np.fmax(grad_sq, row_dots(g, g), out=grad_sq)
+        if grad_sq is not None:
+            np.fmax(grad_sq, row_dots(g, g), out=grad_sq)
         return g
 
     for t in range(last):
-        rows = ids[:, pos[t]].ravel()
+        rows = step_rows[t]
         state = step(state, grad_at)
         c = column.get(t + 1)
         if c is not None:
@@ -249,7 +268,9 @@ def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int
                 - reg_logistic_losses(w[runs + r], px, py, lam)
             ).max()
         loss_gap = loss_gap.reshape(shape)
-    max_grad = np.sqrt(np.fmax(grad_sq[:runs], grad_sq[runs:])).reshape(shape)
+    max_grad = None
+    if grad_sq is not None:
+        max_grad = np.sqrt(np.fmax(grad_sq[:runs], grad_sq[runs:])).reshape(shape)
     return gaps.reshape(*shape, len(steps)), loss_gap, max_grad
 
 
@@ -395,7 +416,7 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
         raise ValueError(f"optimizer does not contract over the data sector (rho={rho})")
     # VsTResult carries no loss gap, so no probes are drawn or scored.
     steps = np.sort(cps)  # cps is already distinct
-    diffs = _lockstep(base, (n,), config, steps, 0)[0]
+    diffs = _lockstep(base, (n,), config, steps, 0, grad_norms=False)[0]
     curves = diffs[0][:, np.searchsorted(steps, cps)]
     mean_curve = curves.mean(axis=0)
     t_half = math.log(0.5) / math.log1p(-rho)

@@ -111,12 +111,16 @@ def test_random_sector_quadratics_spectra():
 
 
 def test_row_dots_bitwise_equal_np_dot():
+    # Small shapes, and the lockstep's own shape (200 rows of 64) with
+    # rows scaled from 1e-3 to 1e3.
     rng = np.random.default_rng(17)
-    for dim in (1, 3, 16, 64, 65):
-        a = rng.normal(size=(9, dim))
-        b = rng.normal(size=(9, dim))
+    scale = np.logspace(-3, 3, 200)[:, None]
+    cases = [(rng.normal(size=(9, dim)), rng.normal(size=(9, dim)))
+             for dim in (1, 3, 16, 64, 65)]
+    cases.append((rng.normal(size=(200, 64)) * scale, rng.normal(size=(200, 64))))
+    for a, b in cases:
         got = row_dots(a, b)
-        for k in range(9):
+        for k in range(a.shape[0]):
             assert got[k] == np.dot(a[k].copy(), b[k].copy())
 
 

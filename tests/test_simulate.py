@@ -279,8 +279,8 @@ def test_vs_t_skips_zero_gap_checkpoints(monkeypatch):
     real = simulate._lockstep
 
     def gaps_zeroed_until(step):
-        def zeroed(base, sizes, config, steps, probes):
-            out = real(base, sizes, config, steps, probes)
+        def zeroed(base, sizes, config, steps, probes, **kwargs):
+            out = real(base, sizes, config, steps, probes, **kwargs)
             out[0][..., np.asarray(steps) <= step] = 0.0
             return out
 
@@ -539,12 +539,18 @@ def test_lockstep_stops_at_its_last_step(optimizer):
     # With steps (20, 40) the runs stop after step 40 of an 80-step
     # horizon: the gaps, the probe-loss gaps (scored at step 40) and the
     # largest gradient norms are the oracle's on a 40-step horizon.
+    # Without gradient-norm tracking (as vs-t runs) the gaps are the same.
     base = synthetic_dataset(40, 4, seed=2)
     config = ExperimentConfig(
         optimizer=optimizer, lambda_reg=0.01, horizon=80, trials=3, subset_sizes=(10, 40),
         probes=3, master_seed=31,
     )
     diffs, gaps, grads = simulate._lockstep(base, config.subset_sizes, config, (20, 40), 3)
+    untracked = simulate._lockstep(base, config.subset_sizes, config, (20, 40), 3,
+                                   grad_norms=False)
+    np.testing.assert_array_equal(untracked[0], diffs)
+    np.testing.assert_array_equal(untracked[1], gaps)
+    assert untracked[2] is None
     short = replace(config, horizon=40)
     for a, n in enumerate(config.subset_sizes):
         for k in range(config.trials):
@@ -552,6 +558,30 @@ def test_lockstep_stops_at_its_last_step(optimizer):
             np.testing.assert_array_equal(diffs[a, k], oracle_diffs[[19, 39]])
             assert gaps[a, k] == gap
             assert grads[a, k] == grad
+
+
+def test_lockstep_wide_row_ids_equal_per_trial_oracle():
+    # A base of 70,000 records puts table row ids past 65,535, so the
+    # per-step row table needs uint32; the runs must still be the
+    # oracle's at every step.
+    base = synthetic_dataset(70_000, 2, seed=3)
+    config = ExperimentConfig(
+        optimizer=NagStandard(eta=0.05, mu=0.8), lambda_reg=0.01, horizon=12, trials=2,
+        subset_sizes=(5, 9), probes=2, master_seed=31,
+    )
+    cells = [(n, k) for n in config.subset_sizes for k in range(config.trials)]
+    table, _, step_rows = simulate._row_table(base, cells, config, config.horizon)
+    assert table.shape[0] > 65_535 and step_rows.dtype == np.uint32
+    res = stability_vs_n(base, config)
+    every = np.arange(1, config.horizon + 1)
+    diffs_at, _, _ = simulate._lockstep(base, config.subset_sizes, config, every, 0)
+    for a, n in enumerate(config.subset_sizes):
+        for k in range(config.trials):
+            diffs, gap, grad = _oracle_trial(base, n, k, config)
+            np.testing.assert_array_equal(diffs_at[a, k], diffs)
+            assert res.trial_param_diff[a, k] == diffs[-1]
+            assert res.trial_loss_gap[a, k] == gap
+            assert res.trial_max_grad[a, k] == grad
 
 
 def test_vs_t_does_not_depend_on_the_horizon_past_its_last_checkpoint():
