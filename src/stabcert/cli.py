@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import effective_sector, ingest_csv, synthetic_dataset
+from .data import effective_sector, gradient_bound, ingest_csv, synthetic_dataset
 from .iqc import certificate_to_json
 from .lyapunov import (
     build_p_eps,
@@ -233,14 +233,14 @@ def _cmd_lyapunov(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    bounds = SectorBounds(gamma=args.gamma, beta=args.beta, grad_bound=args.g)
+    bounds = SectorBounds(gamma=args.gamma, beta=args.beta)
     rho, source = args.rho, "--rho (given)"
     if rho is None:
         rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(bounds), bounds), bounds)
         source = "fixed_curvature_rate (single curvature, not certified)"
     nag_t = nag_stability_bound(args.g, bounds, args.n, args.t, rho=rho)
     nag_inf = nag_stability_limit(args.g, bounds, args.n)
-    sgd = sgd_stability_bound(bounds, args.n)
+    sgd = sgd_stability_bound(args.g, bounds, args.n)
     rows = [
         ("nag-param", nag_t.param, nag_inf.param),
         ("nag-loss", nag_t.loss, nag_inf.loss),
@@ -301,6 +301,16 @@ def _write(path: str, text: str) -> None:
         raise _Failure(f"cannot write output: {exc}", EXIT_CANTCREAT) from exc
 
 
+def _finite_or_null(value):
+    """value with every non-finite float written as None, so that the
+    JSON it dumps to is RFC 8259 JSON (no NaN or Infinity token)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def _cmd_simulate(args) -> int:
     config = _sim_config(args)
     base = _load_dataset(args)
@@ -309,9 +319,9 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     result = (stability_vs_n if vs_n else stability_vs_t)(base, config)
     seconds = time.perf_counter() - t0
-    # vs-n runs every size to the horizon; vs-t its one size to its last checkpoint.
+    # vs-n runs every distinct size to the horizon; vs-t its one size to its last checkpoint.
     if vs_n:
-        steps = config.trials * config.horizon * len(config.subset_sizes)
+        steps = config.trials * config.horizon * len(result.sizes)
     else:
         steps = config.trials * max(result.checkpoints)
     print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
@@ -379,14 +389,15 @@ def _cmd_simulate(args) -> int:
             "experiment": args.mode.replace("-", "_"),
             "dataset": base.name,
             "sector": {"gamma": sector.gamma, "beta": sector.beta,
-                       "grad_bound": sector.grad_bound},
+                       "grad_bound": gradient_bound(base, config.lambda_reg)},
             "master_seed": config.master_seed,
             "seconds": seconds,
             "coupled_steps": steps,
             "steps_per_s": steps_per_s,
             **fields,
         }
-        _write(args.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2)
+        _write(args.json_out, text + "\n")
     return EXIT_OK
 
 

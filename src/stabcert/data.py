@@ -4,6 +4,8 @@ A Dataset is a labeled sample matrix plus, when the generating process
 is known, a sampler that can draw fresh records.  Neighboring datasets
 (the objects uniform stability quantifies over) come from make_neighbor,
 which either resamples one record from the process or flips its label.
+effective_sector gives the curvature sector of the regularized logistic
+objective; gradient_bound estimates its G, which only the bounds read.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .losses import reg_logistic_grad_rows, row_dots
 from .optimizers import SectorBounds
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "neighbor_record",
     "make_neighbor",
     "effective_sector",
+    "gradient_bound",
 ]
 
 Sampler = Callable[[np.random.Generator], tuple[np.ndarray, float]]
@@ -197,22 +201,24 @@ def effective_sector(data: Dataset, lam: float) -> SectorBounds:
     """Curvature sector of the regularized logistic objective on data.
 
     The per-sample Hessian is s(1-s) x x^T + lam I with s(1-s) <= 1/4,
-    so the spectrum lives in [lam, lam + max_i ||x_i||^2 / 4].  The
-    returned sector also carries a gradient-norm figure G: the max of
-    per-sample gradient norms over a probe grid of weight vectors drawn
-    with seed 0: the origin plus 8 random unit vectors.  That is an
-    estimate for bound tables, not a certificate.
+    so the spectrum lives in [lam, lam + max_i ||x_i||^2 / 4].
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"regularization lambda_reg must be positive and finite, got {lam}")
     beta = lam + 0.25 * float(np.sum(data.x**2, axis=1).max())
+    return SectorBounds(gamma=lam, beta=beta)
+
+
+def gradient_bound(data: Dataset, lam: float) -> float:
+    """Gradient-norm figure G of the regularized logistic loss on data.
+
+    The max of the per-sample gradient norms (losses.reg_logistic_grad_rows)
+    over a probe grid of weight vectors drawn with seed 0: the origin
+    plus 8 random unit vectors.  That is an estimate for bound tables,
+    not a certificate.
+    """
     raw = np.random.default_rng(0).normal(size=(8, data.dim))
     ws = np.zeros((9, data.dim))
     ws[1:] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    worst = 0.0
-    for w in ws:
-        margins = data.y * (data.x @ w)
-        s = 1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))
-        grads = -(data.y * s)[:, None] * data.x + lam * w
-        worst = max(worst, float(np.sqrt((grads**2).sum(axis=1)).max()))
-    return SectorBounds(gamma=lam, beta=beta, grad_bound=worst)
+    grads = (reg_logistic_grad_rows(w, data.x, data.y, lam) for w in ws)
+    return max(float(np.sqrt(row_dots(g, g)).max()) for g in grads)

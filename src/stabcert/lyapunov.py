@@ -371,7 +371,10 @@ def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
 
 
 def _check_bound_args(g: float, n: int, t: int | None = None) -> None:
-    if not g >= 0.0:
+    """The one check of a gradient bound G: finite and >= 0; and of n and T."""
+    if not np.isfinite(g):
+        raise ValueError(f"Lipschitz constant must be finite, got {g}")
+    if g < 0.0:
         raise ValueError(f"Lipschitz constant must be >= 0, got {g}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -382,9 +385,9 @@ def _check_bound_args(g: float, n: int, t: int | None = None) -> None:
 class StabilityBound(NamedTuple):
     """Parameter-difference bound and its Lipschitz loss consequence.
 
-    loss is always grad_bound times param: a G-Lipschitz loss turns a
-    final-iterate gap into a per-example loss gap at the cost of one
-    factor of G.
+    loss is always G times param, for the gradient bound G the bound was
+    given: a G-Lipschitz loss turns a final-iterate gap into a
+    per-example loss gap at the cost of one factor of G.
     """
 
     param: float
@@ -421,14 +424,8 @@ def nag_stability_limit(g: float, bounds: SectorBounds, n: int) -> StabilityBoun
     return StabilityBound(param=param, loss=g * param)
 
 
-def sgd_stability_bound(bounds: SectorBounds, n: int) -> float:
-    """Uniform stability of SGD with eta <= 1/beta: 2 G^2 / (gamma n).
-
-    Needs a sector that carries a gradient bound.
-    """
-    if bounds.grad_bound is None:
-        raise ValueError("sector carries no gradient bound; set grad_bound")
-    g = bounds.grad_bound
+def sgd_stability_bound(g: float, bounds: SectorBounds, n: int) -> float:
+    """Uniform stability of SGD with eta <= 1/beta: 2 G^2 / (gamma n)."""
     _check_bound_args(g, n)
     return float(2.0 * g * g / (bounds.gamma * n))
 

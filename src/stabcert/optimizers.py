@@ -45,23 +45,18 @@ class SectorBounds:
     """Curvature interval [gamma, beta] for the gradient nonlinearity.
 
     gamma is the strong-convexity modulus, beta the smoothness constant.
-    grad_bound optionally carries a gradient-norm bound G for the loss
-    class; the certification machinery never needs it, only the
-    closed-form stability bounds do.
+    A gradient-norm bound G is no part of the sector: only the
+    closed-form stability bounds of lyapunov read one, and each takes G
+    as its first argument.
     """
 
     gamma: float
     beta: float
-    grad_bound: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma <= self.beta < np.inf):
             raise ValueError(
                 f"need finite 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}"
-            )
-        if self.grad_bound is not None and not (0.0 < self.grad_bound < np.inf):
-            raise ValueError(
-                f"gradient bound must be positive and finite, got {self.grad_bound}"
             )
 
     @property

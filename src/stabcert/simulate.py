@@ -335,8 +335,9 @@ def envelope_rate(optimizer: TwoStep, sector) -> float:
 class VsNResult:
     """Stability versus sample count, with the log-log fit.
 
-    fit is None unless at least 3 subset sizes ran, each with a positive
-    mean gap: 1 or 2 points give no slope, and a gap of 0 no logarithm.
+    fit is None unless at least 3 distinct subset sizes ran, each with a
+    finite positive mean gap: 1 or 2 points give no slope, a gap of 0 no
+    logarithm and a diverged run no line.
     """
 
     sizes: tuple
@@ -353,15 +354,17 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
     Each trial draws its own subset, replaced record, and index stream
     from the seed roles, so the per-size averages estimate stability of
     the subsampled learning problem rather than of one fixed subset.
+    Runs the distinct sizes, in the order given: a repeated size would
+    rerun the same seed roles, so it counts once.
     """
-    diffs, gaps, grads = _lockstep(
-        base, config.subset_sizes, config, (config.horizon,), config.probes)
+    sizes = tuple(dict.fromkeys(int(n) for n in config.subset_sizes))
+    diffs, gaps, grads = _lockstep(base, sizes, config, (config.horizon,), config.probes)
     finals = diffs[..., 0]
     means = finals.mean(axis=1)
-    sizes = np.asarray(config.subset_sizes, dtype=float)
-    fit = fit_loglog_slope(sizes, means) if sizes.size >= 3 and np.all(means > 0.0) else None
+    fittable = len(sizes) >= 3 and np.all((means > 0.0) & (means < np.inf))
+    fit = fit_loglog_slope(np.asarray(sizes, dtype=float), means) if fittable else None
     return VsNResult(
-        sizes=tuple(config.subset_sizes),
+        sizes=sizes,
         mean_param_diff=means,
         trial_param_diff=finals,
         trial_loss_gap=gaps,

@@ -92,9 +92,7 @@ def test_criterion_2_sgd_bound_envelope():
     margin = np.inf
     for i, n in enumerate(result.sizes):
         g_meas = float(result.trial_max_grad[i].max())
-        bound = sgd_stability_bound(
-            SectorBounds(gamma, sector.beta, grad_bound=g_meas), int(n)
-        )
+        bound = sgd_stability_bound(g_meas, SectorBounds(gamma, sector.beta), int(n))
         worst = float(result.trial_loss_gap[i].max())
         margin = min(margin, bound - worst)
         assert worst <= bound, (n, worst, bound)
@@ -280,7 +278,7 @@ def test_criterion_8_bound_limits():
         want = 4.0 * g * kappa**0.25 / (beta * np.sqrt(n))
         worst = max(worst, abs(got - want) / want)
 
-        got = sgd_stability_bound(SectorBounds(gamma=gamma, beta=beta, grad_bound=g), n)
+        got = sgd_stability_bound(g, SectorBounds(gamma=gamma, beta=beta), n)
         want = 2.0 * g * g / (gamma * n)
         worst = max(worst, abs(got - want) / want)
 

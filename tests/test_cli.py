@@ -231,7 +231,9 @@ def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["bound", "-G", "nan", "--gamma", "0.1", "--beta", "1", "-n", "10", "-T", "10"],
-     "gradient bound must be positive and finite, got nan"),
+     "Lipschitz constant must be finite, got nan"),
+    (["bound", "-G", "inf", "--gamma", "0.1", "--beta", "1", "-n", "10", "-T", "10"],
+     "Lipschitz constant must be finite, got inf"),
     (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1", "--eta", "nan"],
      "step size must be positive and finite, got nan"),
     (["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "inf"],
@@ -249,7 +251,7 @@ def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
       "--sizes", "50,100,200", "--checkpoints", "100"], "probes must be >= 0, got -3"),
     (["simulate", "vs-t", "--optimizer", "sgd", "--eta", "100"],
      "optimizer does not contract over the data sector"),
-], ids=["bound-G-nan", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
+], ids=["bound-G-nan", "bound-G-inf", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
         "lyapunov-kappa-below-1", "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
         "simulate-probes-negative", "simulate-sgd-eta-no-contraction"])
 def test_non_finite_inputs_exit_64(argv, message, capsys):
@@ -316,6 +318,17 @@ def test_bound_table(capsys):
     assert float(loss_line.split()[1]) == pytest.approx(
         2.0 * float(param_line.split()[1]), rel=1e-4
     )
+
+
+def test_bound_zero_gradient_bound_gives_zero_rows(capsys):
+    # G = 0 is a valid gradient bound: the G-scaled rows read 0, and the
+    # cjy comparison, which reads no G, does not.
+    rc = main(["bound", "-G", "0", "--gamma", "0.1", "--beta", "1", "-n", "1000", "-T", "2000"])
+    assert rc == EXIT_OK
+    rows = {l.split()[0]: l.split()[1:] for l in capsys.readouterr().out.splitlines()}
+    for name in ("nag-param", "nag-loss", "sgd-loss"):
+        assert rows[name] == ["0", "0"]
+    assert float(rows["cjy-comparison"][0]) > 0.0
 
 
 def test_bound_names_rho_source(capsys):
@@ -399,6 +412,36 @@ def test_simulate_vs_n_diverged_run_reports_no_fit(capsys):
     out = capsys.readouterr().out
     assert "mean ParamDiff nan  nan  nan" in out
     assert "log-log slope  n/a (a mean gap is not finite: the run diverged)" in out
+
+
+def test_simulate_vs_n_infinite_gap_reports_no_fit_and_writes_null(tmp_path, capsys):
+    # eta = 1e4 overflows every gap to +inf by step 240 (to NaN later):
+    # +inf is positive but has no finite logarithm, and JSON has no inf.
+    out_csv, out_json = tmp_path / "div.csv", tmp_path / "div.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "vs-n", *TINY_SIM, "--optimizer", "sgd", "--eta", "1e4",
+                   "--horizon", "240", "--sizes", "10,20,30", "--probes", "0",
+                   "--out", str(out_csv), "--json", str(out_json)])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "mean ParamDiff inf  inf  inf" in out
+    assert "log-log slope  n/a (a mean gap is not finite: the run diverged)" in out
+
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+
+    report = json.loads(out_json.read_text(), parse_constant=reject)
+    assert report["mean_param_diff"] == [None, None, None]
+    assert report["slope"] is None and report["r2"] is None
+    assert out_csv.read_text().splitlines()[1].split(",")[1] == "inf"
+
+
+def test_simulate_vs_n_counts_a_repeated_size_once(capsys):
+    assert main(["simulate", "vs-n", *TINY_SIM, "--sizes", "10,10,20"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "sizes          (10, 20)" in out
+    assert "log-log slope  n/a (need at least 3 subset sizes)" in out
+    assert f"({2 * 60 * 2} coupled steps" in out
 
 
 def test_simulate_vs_n_ignores_default_checkpoints(capsys):

@@ -4,11 +4,13 @@ import pytest
 from stabcert.data import (
     Dataset,
     effective_sector,
+    gradient_bound,
     ingest_csv,
     make_neighbor,
     subsample,
     synthetic_dataset,
 )
+from stabcert.losses import reg_logistic_grad
 
 
 def test_dataset_validation():
@@ -160,18 +162,24 @@ def test_effective_sector():
 def test_effective_sector_gradient_estimate():
     data = synthetic_dataset(80, 6, seed=4)
     lam = 0.01
-    sector = effective_sector(data, lam)
-    assert sector.grad_bound is not None and sector.grad_bound > 0.0
+    g = gradient_bound(data, lam)
+    assert g > 0.0
     # the origin is in the probe grid, where the per-sample gradient
     # norm is ||x_i|| / 2, so the estimate is at least that
     half_norms = 0.5 * np.sqrt((data.x**2).sum(axis=1))
-    assert sector.grad_bound >= half_norms.max() - 1e-12
+    assert g >= half_norms.max() - 1e-12
     # and never exceeds the crude bound ||x|| + lam ||w|| on the grid
     crude = np.sqrt((data.x**2).sum(axis=1)).max() + lam * 1.0
-    assert sector.grad_bound <= crude + 1e-12
+    assert g <= crude + 1e-12
     # deterministic in the seed
-    again = effective_sector(data, lam)
-    assert again.grad_bound == sector.grad_bound
+    assert gradient_bound(data, lam) == g
+    # the scalar reference gradient over the same probe grid: the origin
+    # and 8 unit vectors drawn with seed 0
+    raw = np.random.default_rng(0).normal(size=(8, data.dim))
+    probes = [np.zeros(data.dim), *(raw / np.linalg.norm(raw, axis=1, keepdims=True))]
+    ref = max(np.linalg.norm(reg_logistic_grad(w, x, y, lam)[1])
+              for w in probes for x, y in zip(data.x, data.y))
+    assert abs(g - ref) <= 2 * np.spacing(ref)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])

@@ -393,12 +393,20 @@ def test_nag_bound_formula_spot_value():
 
 
 def test_sgd_bound_values_and_errors():
-    sb = SectorBounds(0.1, 1.0, grad_bound=2.0)
-    assert sgd_stability_bound(sb, 100) == pytest.approx(0.8, rel=1e-12)
+    sb = SectorBounds(0.1, 1.0)
+    assert sgd_stability_bound(2.0, sb, 100) == pytest.approx(0.8, rel=1e-12)
     with pytest.raises(ValueError):
-        sgd_stability_bound(SectorBounds(0.1, 1.0), 100)  # no gradient bound
-    with pytest.raises(ValueError):
-        sgd_stability_bound(sb, 0)
+        sgd_stability_bound(2.0, sb, 0)
+    # G = 0 is a valid bound and gives 0; a non-finite G is rejected by
+    # every bound, where nag_stability_bound once returned inf.
+    assert sgd_stability_bound(0.0, sb, 100) == 0.0
+    assert nag_stability_bound(0.0, sb, 100, 10) == (0.0, 0.0)
+    for bad in (np.inf, np.nan):
+        for call in (lambda g: sgd_stability_bound(g, sb, 100),
+                     lambda g: nag_stability_limit(g, sb, 100),
+                     lambda g: nag_stability_bound(g, sb, 100, 10)):
+            with pytest.raises(ValueError, match=f"Lipschitz constant must be finite, got {bad}"):
+                call(bad)
     with pytest.raises(ValueError, match="Lipschitz constant must be >= 0, got -1.0"):
         nag_stability_limit(-1.0, sb, 100)
     with pytest.raises(ValueError, match="iteration count must be >= 0, got -1"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,23 +30,18 @@ kappas = st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False)
 def test_sector_bounds_validation():
     sb = SectorBounds(0.1, 1.0)
     assert sb.kappa == pytest.approx(10.0)
-    assert sb.grad_bound is None
-    assert SectorBounds(0.1, 1.0, grad_bound=2.5).grad_bound == 2.5
+    assert [f.name for f in dataclasses.fields(SectorBounds)] == ["gamma", "beta"]
     with pytest.raises(ValueError):
         SectorBounds(0.0, 1.0)
     with pytest.raises(ValueError):
         SectorBounds(2.0, 1.0)
     with pytest.raises(ValueError):
         SectorBounds(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        SectorBounds(0.1, 1.0, grad_bound=0.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             SectorBounds(0.1, bad)
         with pytest.raises(ValueError, match="finite"):
             SectorBounds(bad, 1.0)
-        with pytest.raises(ValueError, match="gradient bound"):
-            SectorBounds(0.1, 1.0, grad_bound=bad)
         for make in (Sgd, lambda eta: HeavyBall(eta, 0.5), lambda eta: NagStandard(eta, 0.5)):
             with pytest.raises(ValueError, match="step size"):
                 make(bad)

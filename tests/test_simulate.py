@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import data as data_module
 from stabcert import simulate
 from stabcert.data import (
     effective_sector,
@@ -343,6 +344,46 @@ def test_vs_n_zero_mean_gap_has_no_fit():
     assert res.sizes == (50, 100, 200, 400)
     assert list(res.mean_param_diff > 0.0) == [True, False, False, True]
     assert res.fit is None
+
+
+def test_vs_n_infinite_mean_gap_has_no_fit():
+    # At eta = 1e4 every gap overflows to +inf by step 200 (to NaN later);
+    # +inf passes a "> 0" test but has no finite logarithm.
+    base = synthetic_dataset(60, 5, seed=1)
+    config = ExperimentConfig(optimizer=Sgd(eta=1e4), horizon=200, trials=2,
+                              subset_sizes=(10, 20, 30), checkpoints=(), probes=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = stability_vs_n(base, config)
+    assert list(res.mean_param_diff) == [np.inf] * 3
+    assert res.fit is None
+
+
+def test_vs_n_counts_a_repeated_size_once():
+    # A repeated size reruns the same seed roles, so it adds no cell.
+    base = synthetic_dataset(120, 6, seed=4)
+    config = ExperimentConfig(optimizer=Sgd(eta=0.05), horizon=60, trials=2,
+                              subset_sizes=(50, 100), checkpoints=(), probes=3)
+    plain = stability_vs_n(base, config)
+    for sizes in ((50, 50, 100), (50, 100, 50)):
+        again = stability_vs_n(base, replace(config, subset_sizes=sizes))
+        assert again.sizes == plain.sizes == (50, 100)
+        for name in ("mean_param_diff", "trial_param_diff", "trial_loss_gap",
+                     "trial_max_grad"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(plain, name))
+        assert again.fit is None
+
+
+def test_vs_t_estimates_no_gradient_bound(monkeypatch):
+    # vs-t reads only the curvature sector of the data.
+    calls = []
+    real = data_module.gradient_bound
+    monkeypatch.setattr(data_module, "gradient_bound",
+                        lambda *args: calls.append(args) or real(*args))
+    base = synthetic_dataset(120, 6, seed=4)
+    config = ExperimentConfig(optimizer=NagStandard(eta=0.01, mu=0.9), horizon=200, trials=2,
+                              subset_sizes=(30,), checkpoints=(10, 50, 150), probes=0)
+    stability_vs_t(base, config)
+    assert calls == []
 
 
 def test_vs_n_ignores_checkpoints():
