@@ -3,7 +3,8 @@
 Subcommands: certify (LMI feasibility for an optimizer/sector), lyapunov
 (direct certificate region for the sector-tuned method, printed as a
 '#'/'.' map), bound (closed form stability bounds), simulate vs-n / vs-t
-(coupled-run experiments with CSV/JSON reports).
+(coupled-run experiments with CSV/JSON reports).  One table, _OPTIMIZERS,
+gives each --optimizer its constructor and the flags it reads.
 
 Exit codes: 0 success, 2 certification negative (Infeasible,
 Inconclusive, or an empty region), 64 usage errors, 66 unreadable or
@@ -97,7 +98,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--dim", type=int, default=64)
     sim.add_argument("--separation", type=float, default=1.0)
     sim.add_argument("--optimizer", choices=("nag", "sgd"), default="nag")
-    sim.add_argument("--eta", type=float, default=0.01)
+    sim.add_argument("--eta", type=float, help="step size (default 0.01)")
     sim.add_argument("--mu", type=float, help="momentum (nag; default 0.9)")
     sim.add_argument("--lambda-reg", type=float, default=1e-3)
     sim.add_argument("--horizon", type=int, default=2000)
@@ -123,25 +124,31 @@ def _int_list(text: str) -> tuple:
     return values
 
 
+# Each --optimizer name: its constructor and the keywords it takes.
+_OPTIMIZERS = {
+    "sgd": (Sgd, ("eta",)),
+    "heavyball": (HeavyBall, ("eta", "mu")),
+    "nag": (NagStandard, ("eta", "mu")),
+    "nag-sq": (NagSmoothQuadratic, ("bounds",)),
+}
+
+
+def _spec(args, **defaults):
+    """args.optimizer's spec: given flags override defaults; a flag it does not take raises."""
+    make, takes = _OPTIMIZERS[args.optimizer]
+    for flag in ("eta", "mu"):
+        if getattr(args, flag) is not None:
+            if flag not in takes:
+                raise ValueError(f"--{flag} does not apply to {args.optimizer}")
+            defaults[flag] = getattr(args, flag)
+    return make(**{name: defaults[name] for name in takes})
+
+
 def _cmd_certify(args) -> int:
-    if args.optimizer == "nag-sq" and args.eta is not None:
-        raise ValueError("--eta applies to sgd and heavyball; nag-sq sets its own step")
-    if args.optimizer != "heavyball" and args.mu is not None:
-        raise ValueError(f"--mu applies to heavyball only, not {args.optimizer}")
     bounds = SectorBounds(gamma=args.gamma, beta=args.beta)
-    eta = args.eta if args.eta is not None else 1.0 / args.beta
-    if args.optimizer == "sgd":
-        spec = Sgd(eta=eta)
-    elif args.optimizer == "heavyball":
-        spec = HeavyBall(eta=eta, mu=0.0 if args.mu is None else args.mu)
-    else:
-        spec = NagSmoothQuadratic(bounds=bounds)
-    system = lure_of(spec, bounds)
-    opts = SolverOptions(seed=args.seed)
-    if args.rate:
-        result = certify_rate(system, bounds, args.optimizer, options=opts)
-    else:
-        result = solve_feasibility(system, bounds, args.optimizer, options=opts)
+    system = lure_of(_spec(args, bounds=bounds, eta=1.0 / bounds.beta, mu=0.0), bounds)
+    solve = certify_rate if args.rate else solve_feasibility
+    result = solve(system, bounds, args.optimizer, options=SolverOptions(seed=args.seed))
     print(f"optimizer      {args.optimizer}")
     print(f"sector         [{bounds.gamma:g}, {bounds.beta:g}]  (kappa={bounds.kappa:g})")
     print(f"status         {result.status}")
@@ -153,11 +160,8 @@ def _cmd_certify(args) -> int:
         else:
             print(f"reference      {result.reference:.6g}  (one-step, exact)")
         print(f"probes         {len(result.tested)}")
-        if certified:
-            above = [rho for rho, status in result.tested
-                     if status != FEASIBLE and rho > result.rho_star]
-            if above:
-                print(f"bracket        [{result.rho_star:.6g}, {min(above):.6g}]")
+        if result.bracket_hi is not None:
+            print(f"bracket        [{result.rho_star:.6g}, {result.bracket_hi:.6g}]")
     else:
         print(f"newton steps   {result.traces[0].iterations}")
         if result.traces[0].stop != "centered":
@@ -272,21 +276,14 @@ def _load_dataset(args):
 
 
 def _sim_config(args) -> ExperimentConfig:
-    sizes = _int_list(args.sizes)
-    checkpoints = _int_list(args.checkpoints)
-    if args.optimizer == "nag":
-        spec = NagStandard(eta=args.eta, mu=0.9 if args.mu is None else args.mu)
-    elif args.mu is not None:
-        raise ValueError(f"--mu applies to nag only, not {args.optimizer}")
-    else:
-        spec = Sgd(eta=args.eta)
+    # The lists parse first, so a bad list is reported before a bad flag.
     return ExperimentConfig(
-        optimizer=spec,
+        subset_sizes=_int_list(args.sizes),
+        checkpoints=_int_list(args.checkpoints),
+        optimizer=_spec(args, eta=0.01, mu=0.9),
         lambda_reg=args.lambda_reg,
         horizon=args.horizon,
         trials=args.trials,
-        subset_sizes=sizes,
-        checkpoints=checkpoints,
         neighbor_mode=args.neighbor,
         probes=args.probes,
         master_seed=args.seed,
@@ -319,11 +316,6 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     result = (stability_vs_n if vs_n else stability_vs_t)(base, config)
     seconds = time.perf_counter() - t0
-    # vs-n runs every distinct size to the horizon; vs-t its one size to its last checkpoint.
-    if vs_n:
-        steps = config.trials * config.horizon * len(result.sizes)
-    else:
-        steps = config.trials * max(result.checkpoints)
     print(f"dataset        {base.name}  (n={base.n}, d={base.dim})")
     if vs_n:
         print(f"sizes          {result.sizes}")
@@ -332,13 +324,7 @@ def _cmd_simulate(args) -> int:
         if fit is not None:
             print(f"log-log slope  {fit.slope:.4f}  (r2={fit.r2:.4f})")
         else:
-            if len(result.sizes) < 3:
-                why = "need at least 3 subset sizes"
-            elif not np.all(np.isfinite(result.mean_param_diff)):
-                why = "a mean gap is not finite: the run diverged"
-            else:
-                why = "a mean gap is 0"
-            print(f"log-log slope  n/a ({why})")
+            print(f"log-log slope  n/a ({result.no_fit})")
         header = ["n", "mean_param_diff", "max_param_diff", "mean_loss_gap"]
         rows = [
             [n, f"{result.mean_param_diff[i]:.10g}",
@@ -377,8 +363,8 @@ def _cmd_simulate(args) -> int:
             "sat_coeff": result.sat_coeff,
             "sat_r2": result.sat_r2,
         }
-    steps_per_s = steps / seconds
-    print(f"run time       {seconds:.3g} s  ({steps} coupled steps, "
+    steps_per_s = result.coupled_steps / seconds
+    print(f"run time       {seconds:.3g} s  ({result.coupled_steps} coupled steps, "
           f"{1e6 / steps_per_s:.3g} us each)")
     if args.out:
         buf = io.StringIO()
@@ -392,7 +378,7 @@ def _cmd_simulate(args) -> int:
                        "grad_bound": gradient_bound(base, config.lambda_reg)},
             "master_seed": config.master_seed,
             "seconds": seconds,
-            "coupled_steps": steps,
+            "coupled_steps": result.coupled_steps,
             "steps_per_s": steps_per_s,
             **fields,
         }

@@ -183,7 +183,8 @@ class RateResult:
     rho_star is the largest rho certified, None when the status is
     Infeasible-at-range.  reference is lyapunov.one_step_rate of the
     system (None where that does not apply); the search opens at it when
-    it lies inside the searched range.
+    it lies inside the searched range.  bracket_hi, the bracket's upper
+    end, is the smallest non-Feasible probe above rho_star, or None.
     """
 
     status: str
@@ -191,6 +192,7 @@ class RateResult:
     certificate: IqcCertificate | None
     tested: list = field(default_factory=list)
     reference: float | None = None
+    bracket_hi: float | None = None
 
 
 @dataclass(frozen=True)
@@ -587,8 +589,8 @@ def certify_rate(
 
     Returns:
         RateResult with rho_star the largest rho found feasible (lo), its
-        certificate, the list of (rho, status) probes and the reference.
-        rho_star and the certificate are None when Infeasible-at-range.
+        certificate, the list of (rho, status) probes, the reference and
+        bracket_hi = hi.  RateResult says which of them can be None.
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
@@ -623,4 +625,4 @@ def certify_rate(
             lo, cert = rho, res.certificate
         else:
             hi = rho
-    return RateResult(CERTIFIED, lo, cert, tested, ref)
+    return RateResult(CERTIFIED, lo, cert, tested, ref, hi)

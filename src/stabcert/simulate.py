@@ -198,6 +198,7 @@ def _row_table(base: Dataset, cells: list, config: ExperimentConfig, last: int) 
     return table, labels, step_rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lockstep(base: Dataset, sizes, config: ExperimentConfig, steps, probes: int, *,
               grad_norms: bool = True) -> tuple:
     """Run every trial of every subset size in sizes as one state.
@@ -337,7 +338,8 @@ class VsNResult:
 
     fit is None unless at least 3 distinct subset sizes ran, each with a
     finite positive mean gap: 1 or 2 points give no slope, a gap of 0 no
-    logarithm and a diverged run no line.
+    logarithm and a diverged run no line; no_fit names which.
+    coupled_steps counts the coupled steps run: trials x horizon x sizes.
     """
 
     sizes: tuple
@@ -346,6 +348,8 @@ class VsNResult:
     trial_loss_gap: np.ndarray | None
     trial_max_grad: np.ndarray
     fit: FitResult | None
+    no_fit: str | None
+    coupled_steps: int
 
 
 def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
@@ -361,8 +365,14 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
     diffs, gaps, grads = _lockstep(base, sizes, config, (config.horizon,), config.probes)
     finals = diffs[..., 0]
     means = finals.mean(axis=1)
-    fittable = len(sizes) >= 3 and np.all((means > 0.0) & (means < np.inf))
-    fit = fit_loglog_slope(np.asarray(sizes, dtype=float), means) if fittable else None
+    no_fit = None
+    if len(sizes) < 3:
+        no_fit = "need at least 3 subset sizes"
+    elif not np.all(np.isfinite(means)):
+        no_fit = "a mean gap is not finite: the run diverged"
+    elif not np.all(means > 0.0):
+        no_fit = "a mean gap is 0"
+    fit = fit_loglog_slope(np.asarray(sizes, dtype=float), means) if no_fit is None else None
     return VsNResult(
         sizes=sizes,
         mean_param_diff=means,
@@ -370,12 +380,15 @@ def stability_vs_n(base: Dataset, config: ExperimentConfig) -> VsNResult:
         trial_loss_gap=gaps,
         trial_max_grad=grads,
         fit=fit,
+        no_fit=no_fit,
+        coupled_steps=len(sizes) * config.trials * config.horizon,
     )
 
 
 @dataclass(frozen=True)
 class VsTResult:
-    """Gap growth against iteration count at the smallest subset size."""
+    """Gap growth against iteration count at the smallest subset size;
+    coupled_steps counts trials x the last checkpoint, where the runs stop."""
 
     size: int
     checkpoints: tuple
@@ -387,6 +400,7 @@ class VsTResult:
     loglog: FitResult
     sat_coeff: float
     sat_r2: float
+    coupled_steps: int
 
 
 def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
@@ -447,4 +461,5 @@ def stability_vs_t(base: Dataset, config: ExperimentConfig) -> VsTResult:
         loglog=loglog,
         sat_coeff=coeff,
         sat_r2=sat_r2,
+        coupled_steps=config.trials * int(steps[-1]),
     )

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from stabcert import cli, sdp, simulate
@@ -193,24 +192,50 @@ def test_parser_is_built_once_and_keeps_calls_independent(capsys):
 _CERTIFY = ["certify", "--gamma", "0.1", "--beta", "1.0"]
 
 
-@pytest.mark.parametrize("argv, flag", [
-    ([*_CERTIFY, "--optimizer", "nag-sq", "--eta", "5"], "--eta"),
-    ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0.9"], "--mu"),
-    ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0"], "--mu"),
-    ([*_CERTIFY, "--optimizer", "nag-sq", "--mu", "0.9"], "--mu"),
+@pytest.mark.parametrize("argv, message", [
+    ([*_CERTIFY, "--optimizer", "nag-sq", "--eta", "5"], "--eta does not apply to nag-sq"),
+    ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0.9"], "--mu does not apply to sgd"),
+    ([*_CERTIFY, "--optimizer", "sgd", "--mu", "0"], "--mu does not apply to sgd"),
+    ([*_CERTIFY, "--optimizer", "nag-sq", "--mu", "0.9"], "--mu does not apply to nag-sq"),
     ([*_CERTIFY, "--optimizer", "sgd", "--seed", "-1"], "seed"),
     ([*_CERTIFY, "--optimizer", "sgd", "--eta", "3", "--seed", "-1"], "seed"),
-    (["simulate", "vs-n", "--optimizer", "sgd", "--eta", "0.05", "--mu", "0.5"], "--mu"),
+    (["simulate", "vs-n", "--optimizer", "sgd", "--eta", "0.05", "--mu", "0.5"],
+     "--mu does not apply to sgd"),
 ], ids=["nag-sq-eta", "sgd-mu", "sgd-mu-zero", "nag-sq-mu", "feasible-seed-negative",
         "infeasible-seed-negative", "simulate-sgd-mu"])
-def test_certify_rejects_flags_it_would_ignore_or_misuse(argv, flag, capsys):
-    # Rejected before any solve or run: nothing on stdout, the flag named
-    # on stderr, even for a --mu equal to heavyball's default.  simulate
-    # rejects --mu for sgd as certify does.
+def test_certify_rejects_flags_it_would_ignore_or_misuse(argv, message, capsys):
+    # Rejected before any solve or run: nothing on stdout, the flag and
+    # the optimizer named on stderr, even for a --mu equal to heavyball's
+    # default.  simulate rejects a flag by the same rule as certify.
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert flag in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    ([*_CERTIFY, "--optimizer", "heavyball", "--mu", "0.1"],
+     [*_CERTIFY, "--optimizer", "heavyball", "--eta", "1", "--mu", "0.1"]),
+    ([*_CERTIFY, "--optimizer", "heavyball", "--eta", "1"],
+     [*_CERTIFY, "--optimizer", "heavyball", "--eta", "1", "--mu", "0"]),
+    (["simulate", "vs-n", *TINY_SIM, "--sizes", "10,20,30", "--mu", "0.5"],
+     ["simulate", "vs-n", *TINY_SIM, "--sizes", "10,20,30", "--optimizer", "nag",
+      "--eta", "0.01", "--mu", "0.5"]),
+    (["simulate", "vs-n", *TINY_SIM, "--sizes", "10,20,30", "--optimizer", "sgd"],
+     ["simulate", "vs-n", *TINY_SIM, "--sizes", "10,20,30", "--optimizer", "sgd",
+      "--eta", "0.01"]),
+], ids=["certify-heavyball-eta-default", "certify-heavyball-mu-default", "simulate-nag-mu",
+        "simulate-sgd-eta-default"])
+def test_flags_an_optimizer_reads_are_accepted_and_default(argv, same_as, capsys):
+    # A flag left out takes its command's default: eta 1/beta and mu 0 for
+    # certify, eta 0.01 and mu 0.9 for simulate.
+    outs = []
+    for args in (argv, same_as):
+        assert main(args) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out.split("run time")[0])
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("grid", [["--rho-points", "0"], ["--eps-points", "0"]])
@@ -405,9 +430,8 @@ def test_simulate_vs_n_zero_mean_gap_reports_no_fit(capsys):
 
 def test_simulate_vs_n_diverged_run_reports_no_fit(capsys):
     # eta = 5000 overflows every run to a NaN gap; that is not a zero gap.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["simulate", "vs-n", *TINY_SIM, "--optimizer", "sgd", "--eta", "5000",
-                   "--horizon", "600", "--sizes", "10,20,30", "--probes", "0"])
+    rc = main(["simulate", "vs-n", *TINY_SIM, "--optimizer", "sgd", "--eta", "5000",
+               "--horizon", "600", "--sizes", "10,20,30", "--probes", "0"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "mean ParamDiff nan  nan  nan" in out
@@ -418,10 +442,9 @@ def test_simulate_vs_n_infinite_gap_reports_no_fit_and_writes_null(tmp_path, cap
     # eta = 1e4 overflows every gap to +inf by step 240 (to NaN later):
     # +inf is positive but has no finite logarithm, and JSON has no inf.
     out_csv, out_json = tmp_path / "div.csv", tmp_path / "div.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["simulate", "vs-n", *TINY_SIM, "--optimizer", "sgd", "--eta", "1e4",
-                   "--horizon", "240", "--sizes", "10,20,30", "--probes", "0",
-                   "--out", str(out_csv), "--json", str(out_json)])
+    rc = main(["simulate", "vs-n", *TINY_SIM, "--optimizer", "sgd", "--eta", "1e4",
+               "--horizon", "240", "--sizes", "10,20,30", "--probes", "0",
+               "--out", str(out_csv), "--json", str(out_json)])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "mean ParamDiff inf  inf  inf" in out

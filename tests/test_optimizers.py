@@ -118,6 +118,32 @@ def test_a_alpha_structure():
         a_alpha(th, 1.1)
 
 
+@pytest.mark.parametrize("kappa", [1.5, 2.0, 4.0, 10.0, 25.0, 1e4])
+def test_a_alpha_is_the_closed_loop_of_lure_of(kappa):
+    # The direct route's map a_alpha acts on (query point, xi); lure_of's
+    # closed loop A + lam B C acts on (xi_t, xi_{t-1}), and
+    # T = [[1 + theta, -theta], [1, 0]] maps the second pair to the first.
+    sb = SectorBounds(1.0, kappa)
+    theta = theta_of(kappa)
+    system = lure_of(NagSmoothQuadratic(sb), sb)
+    t = np.array([[1.0 + theta, -theta], [1.0, 0.0]])
+    t_inv = np.linalg.inv(t)
+    for lam in np.linspace(sb.gamma, sb.beta, 7):
+        loop = system.a + lam * system.b @ system.c
+        err = np.abs(a_alpha(theta, 1.0 - lam / sb.beta) - t @ loop @ t_inv).max()
+        assert err <= 1e-14
+
+
+def test_a_alpha_at_kappa_1_is_the_scalar_loop():
+    # theta = 0 at kappa = 1, where lure_of's form is 1x1.
+    sb = SectorBounds(1.0, 1.0)
+    system = lure_of(NagSmoothQuadratic(sb), sb)
+    assert theta_of(1.0) == 0.0 and system.state_dim == 1
+    for lam in np.linspace(sb.gamma, sb.beta, 7):
+        loop = system.a + lam * system.b @ system.c
+        assert a_alpha(0.0, 1.0 - lam / sb.beta)[0, 0] == loop[0, 0]
+
+
 def test_lure_realizations():
     sb = SectorBounds(0.1, 1.0)
     sys_sgd = lure_of(Sgd(eta=0.2), sb)

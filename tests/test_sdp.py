@@ -645,6 +645,37 @@ def test_rate_search_closes_at_the_reference_in_two_probes(name, scale):
     assert ref - tol <= res.rho_star <= ref
 
 
+@pytest.mark.parametrize("spec, sector", [
+    (Sgd(1.0), (0.1, 1.0)),
+    (HeavyBall(eta=1.0, mu=0.3), (0.1, 1.0)),
+    (NagSmoothQuadratic(SectorBounds(0.1, 1.0)), (0.1, 1.0)),
+    (HeavyBall(eta=1.0, mu=0.3), (1.0, 1.0)),
+], ids=["sgd", "heavyball", "nag-sq", "heavyball-gamma-equals-beta"])
+def test_rate_bracket_end_is_the_smallest_rejected_probe_above_rho_star(spec, sector):
+    # bracket_hi is the rule `certify --rate` applied to the probes before
+    # the result carried it.  At gamma = beta both reference probes come
+    # back Inconclusive, and the search bisects.
+    sb = SectorBounds(*sector)
+    res = certify_rate(lure_of(spec, sb), sb)
+    assert res.status == "Certified"
+    above = [rho for rho, status in res.tested if status != FEASIBLE and rho > res.rho_star]
+    assert res.bracket_hi == min(above)
+    assert 0.0 < res.bracket_hi - res.rho_star <= 1e-4
+    assert (len(res.tested) > 2) == (sector == (1.0, 1.0))
+
+
+def test_rate_bracket_end_is_none_without_a_rejected_probe():
+    # sgd's rho* on [0.1, 1] is 0.19, so rho_high = 0.1 is certified and
+    # no probe is rejected; nag-sq at [1, 12] certifies nothing.
+    sb = SectorBounds(0.1, 1.0)
+    res = certify_rate(lure_of(Sgd(1.0), sb), sb, rho_high=0.1)
+    assert res.status == "Certified" and res.rho_star == 0.1
+    assert res.bracket_hi is None
+    sb = SectorBounds(1.0, 12.0)
+    res = certify_rate(lure_of(NagSmoothQuadratic(sb), sb), sb)
+    assert res.status == "Infeasible-at-range" and res.bracket_hi is None
+
+
 @pytest.mark.parametrize("kappa, reference", [
     (2.0, 0.863266), (4.0, 0.491801), (10.0, None), (25.0, None),
 ])

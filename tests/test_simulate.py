@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -325,6 +326,7 @@ def test_vs_n_below_three_sizes_has_no_fit():
     assert res.sizes == (10,)
     assert res.mean_param_diff.shape == (1,)
     assert res.fit is None
+    assert res.no_fit == "need at least 3 subset sizes"
     two = ExperimentConfig(
         optimizer=Sgd(eta=0.05),
         horizon=20,
@@ -333,7 +335,9 @@ def test_vs_n_below_three_sizes_has_no_fit():
         checkpoints=(),
         probes=0,
     )
-    assert stability_vs_n(base, two).fit is None
+    res = stability_vs_n(base, two)
+    assert res.fit is None
+    assert res.no_fit == "need at least 3 subset sizes"
 
 
 def test_vs_n_zero_mean_gap_has_no_fit():
@@ -344,6 +348,7 @@ def test_vs_n_zero_mean_gap_has_no_fit():
     assert res.sizes == (50, 100, 200, 400)
     assert list(res.mean_param_diff > 0.0) == [True, False, False, True]
     assert res.fit is None
+    assert res.no_fit == "a mean gap is 0"
 
 
 def test_vs_n_infinite_mean_gap_has_no_fit():
@@ -352,10 +357,41 @@ def test_vs_n_infinite_mean_gap_has_no_fit():
     base = synthetic_dataset(60, 5, seed=1)
     config = ExperimentConfig(optimizer=Sgd(eta=1e4), horizon=200, trials=2,
                               subset_sizes=(10, 20, 30), checkpoints=(), probes=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = stability_vs_n(base, config)
+    res = stability_vs_n(base, config)
     assert list(res.mean_param_diff) == [np.inf] * 3
     assert res.fit is None
+    assert res.no_fit == "a mean gap is not finite: the run diverged"
+
+
+def test_vs_n_diverged_run_raises_no_numpy_warning():
+    # The overflow inside the lockstep is reported by the gaps and by
+    # no_fit, not also by numpy warnings on stderr.
+    base = synthetic_dataset(600, 64, separation=1.0, seed=23)
+    config = ExperimentConfig(optimizer=Sgd(eta=1e4), horizon=170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = stability_vs_n(base, config)
+    assert not np.isfinite(res.mean_param_diff).any()
+    assert res.no_fit == "a mean gap is not finite: the run diverged"
+
+
+def test_fitted_vs_n_has_no_no_fit_reason():
+    base = synthetic_dataset(600, 64, separation=1.0, seed=23)
+    res = stability_vs_n(base, ExperimentConfig(trials=3, subset_sizes=(50, 100, 200)))
+    assert res.fit is not None and res.no_fit is None
+
+
+def test_coupled_steps_count_what_each_driver_runs():
+    # vs-n runs each distinct size to the horizon and vs-t its one size to
+    # its last checkpoint, the counts `simulate` printed before the results
+    # carried them: trials * horizon * sizes and trials * max(checkpoints).
+    base = synthetic_dataset(600, 64, separation=1.0, seed=23)
+    config = ExperimentConfig(trials=3, subset_sizes=(50, 50, 100),
+                              checkpoints=(250, 10, 50, 1250, 50))
+    vs_n = stability_vs_n(base, config)
+    assert vs_n.coupled_steps == config.trials * config.horizon * len(vs_n.sizes) == 12_000
+    vs_t = stability_vs_t(base, config)
+    assert vs_t.coupled_steps == config.trials * max(vs_t.checkpoints) == 3_750
 
 
 def test_vs_n_counts_a_repeated_size_once():
