@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import effective_sector, gradient_bound, ingest_csv, synthetic_dataset
+from .data import NEIGHBOR_MODES, effective_sector, gradient_bound, ingest_csv, synthetic_dataset
 from .iqc import certificate_to_json
 from .lyapunov import (
     build_p_eps,
@@ -46,6 +46,8 @@ EXIT_NEGATIVE = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 EXIT_CANTCREAT = 73
+# simulate's defaults: the coupled-run protocol that ExperimentConfig holds.
+_PROTOCOL = ExperimentConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +72,8 @@ def _build_parser() -> _Parser:
     cert.add_argument("--eta", type=float, help="step size (sgd/heavyball; default 1/beta)")
     cert.add_argument("--mu", type=float, help="momentum (heavyball; default 0)")
     cert.add_argument("--rate", action="store_true", help="search for the largest certifiable rho")
-    cert.add_argument("--seed", type=int, default=0, help="seed of the sampling check")
+    cert.add_argument("--seed", type=int, default=SolverOptions.seed,
+                      help="seed of the sampling check")
     cert.add_argument("--out", help="write the certificate JSON here")
     cert.set_defaults(run=_cmd_certify)
 
@@ -98,16 +101,17 @@ def _build_parser() -> _Parser:
     sim.add_argument("--dim", type=int, default=64)
     sim.add_argument("--separation", type=float, default=1.0)
     sim.add_argument("--optimizer", choices=("nag", "sgd"), default="nag")
-    sim.add_argument("--eta", type=float, help="step size (default 0.01)")
-    sim.add_argument("--mu", type=float, help="momentum (nag; default 0.9)")
-    sim.add_argument("--lambda-reg", type=float, default=1e-3)
-    sim.add_argument("--horizon", type=int, default=2000)
-    sim.add_argument("--trials", type=int, default=25)
-    sim.add_argument("--sizes", default="50,100,200,400", help="comma-separated subset sizes")
-    sim.add_argument("--checkpoints", default="10,50,250,1250")
-    sim.add_argument("--neighbor", choices=("resample", "flip"), default="resample")
-    sim.add_argument("--probes", type=int, default=32)
-    sim.add_argument("--seed", type=int, default=23)
+    sim.add_argument("--eta", type=float, help=f"step size (default {_PROTOCOL.optimizer.eta})")
+    sim.add_argument("--mu", type=float, help=f"momentum (nag; default {_PROTOCOL.optimizer.mu})")
+    sim.add_argument("--lambda-reg", type=float, default=_PROTOCOL.lambda_reg)
+    sim.add_argument("--horizon", type=int, default=_PROTOCOL.horizon)
+    sim.add_argument("--trials", type=int, default=_PROTOCOL.trials)
+    sim.add_argument("--sizes", default=",".join(map(str, _PROTOCOL.subset_sizes)),
+                     help="comma-separated subset sizes")
+    sim.add_argument("--checkpoints", default=",".join(map(str, _PROTOCOL.checkpoints)))
+    sim.add_argument("--neighbor", choices=NEIGHBOR_MODES, default=_PROTOCOL.neighbor_mode)
+    sim.add_argument("--probes", type=int, default=_PROTOCOL.probes)
+    sim.add_argument("--seed", type=int, default=_PROTOCOL.master_seed)
     sim.add_argument("--out", help="write the per-point CSV here")
     sim.add_argument("--json", dest="json_out", help="write the full report JSON here")
     sim.set_defaults(run=_cmd_simulate)
@@ -280,7 +284,7 @@ def _sim_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         subset_sizes=_int_list(args.sizes),
         checkpoints=_int_list(args.checkpoints),
-        optimizer=_spec(args, eta=0.01, mu=0.9),
+        optimizer=_spec(args, eta=_PROTOCOL.optimizer.eta, mu=_PROTOCOL.optimizer.mu),
         lambda_reg=args.lambda_reg,
         horizon=args.horizon,
         trials=args.trials,

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 Sampler = Callable[[np.random.Generator], tuple[np.ndarray, float]]
+NEIGHBOR_MODES = ("resample", "flip")  # the modes of neighbor_record
 
 
 def _all_in(y: np.ndarray, a: float, b: float) -> bool:

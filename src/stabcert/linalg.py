@@ -54,13 +54,7 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
     """
     a = _check_symmetric(m)
     n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    tol = _JACOBI_RTOL * norm
+    tol = _JACOBI_RTOL * np.linalg.norm(a)
 
     # The rotations run on Python floats: at n <= 8 a numpy row slice
     # costs more than the arithmetic it carries.

@@ -58,6 +58,9 @@ class SectorBounds:
             raise ValueError(
                 f"need finite 0 < gamma <= beta, got gamma={self.gamma}, beta={self.beta}"
             )
+        if self.kappa == np.inf:
+            raise ValueError(f"need a finite kappa = beta/gamma, got gamma={self.gamma}, "
+                             f"beta={self.beta}")
 
     @property
     def kappa(self) -> float:
@@ -105,9 +108,15 @@ def TripleMomentum(bounds: SectorBounds) -> TwoStep:
     """Van Scoy, Freeman & Lynch (2018), tuned for a [gamma, beta] sector.
 
     With r = 1 - 1/sqrt(kappa); its fixed-curvature rate is 1 - r^2.
+
+    Raises:
+        ValueError: if kappa is so large that the momentum rounds to 1.
     """
     r = 1.0 - 1.0 / math.sqrt(bounds.kappa)
-    return TwoStep((1.0 + r) / bounds.beta, r * r / (2.0 - r), r * r / ((1.0 + r) * (2.0 - r)))
+    mu = r * r / (2.0 - r)
+    if mu >= 1.0:
+        raise ValueError(_momentum_rounds_to_1(bounds.kappa))
+    return TwoStep((1.0 + r) / bounds.beta, mu, r * r / ((1.0 + r) * (2.0 - r)))
 
 
 def NagSmoothQuadratic(bounds: SectorBounds) -> TwoStep:
@@ -169,12 +178,20 @@ def theta_of(kappa: float) -> float:
     Zero at kappa = 1, strictly increasing, approaches 1 from below.
 
     Raises:
-        ValueError: if kappa < 1 or is not finite.
+        ValueError: if kappa < 1, is not finite, or is so large that the
+            weight rounds to 1 (from about kappa = 1e32).
     """
     if not (1.0 <= kappa < np.inf):
         raise ValueError(f"condition number must be finite and >= 1, got {kappa}")
     rt = np.sqrt(kappa)
-    return float((rt - 1.0) / (rt + 1.0))
+    theta = float((rt - 1.0) / (rt + 1.0))
+    if theta >= 1.0:
+        raise ValueError(_momentum_rounds_to_1(kappa))
+    return theta
+
+
+def _momentum_rounds_to_1(kappa: float) -> str:
+    return f"condition number {kappa:g} is too large: the tuned momentum rounds to 1"
 
 
 def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerState:
@@ -245,7 +262,8 @@ def lure_of(spec: TwoStep, bounds: SectorBounds) -> LureSystem:
     A = [[1+mu, -mu], [1, 0]], B = [[-eta], [0]] and C = [[1+nu, -nu]];
     at mu = nu = 0, where xi_{t-1} neither moves nor is read, it is the
     1x1 form x = (w).  In the 2x2 form the step state (w, v) of
-    step_rule is (x[0], x[0] - x[1]).
+    step_rule is (x[0], x[0] - x[1]).  bounds is not read: the spec
+    already holds its step and momentum.
 
     Raises:
         TypeError: for an optimizer that is not a TwoStep.

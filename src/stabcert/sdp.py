@@ -148,12 +148,11 @@ class RestartTrace:
 
 @dataclass(frozen=True)
 class InfeasibilityWitness:
-    """A dual point in the solver's units u/beta: z1 pairs with -LMI0(v) >= t I,
-    z2 with P >= t I and nu with trace P + tau = 1, for the LMI at rho."""
+    """A dual point in the solver's units u/beta: z1 pairs with -LMI0(v) >= t I
+    and z2 with P >= t I, for the LMI at rho (_dual_bound derives nu)."""
 
     z1: np.ndarray
     z2: np.ndarray
-    nu: float
     rho: float
 
 
@@ -370,8 +369,8 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     return x, mu, 0.5 * (z + z.T), steps, stop
 
 
-def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None = None):
-    """Weak-duality bound on t* from (Z1, Z2, nu); also nu and the tau slack.
+def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray):
+    """Weak-duality bound on t* from (Z1, Z2); also the tau slack.
 
     For Z1, Z2 >= 0 and any v with trace P + tau = 1 and margin t >= 0,
 
@@ -381,15 +380,15 @@ def _dual_bound(prob: _Problem, z1: np.ndarray, z2: np.ndarray, nu: float | None
     with r_k = <Z2, E_k> - <Z1, L_k> - nu [E_k diagonal] the residual of
     P's k-th stationarity equation and scale = tr Z1 + tr Z2.
     If the tau slack <Z1, L_tau> + nu is >= 0, then |P_ij| <= 1 gives
-    t <= (nu + sum |r_k|) / scale.  nu defaults to the smallest diagonal
+    t <= (nu + sum |r_k|) / scale.  nu is the smallest diagonal
     <Z2, E_k> - <Z1, L_k>, which minimizes the bound for P up to 3x3.
     """
     pair = prob.basis @ z1.reshape(-1)
     stat = prob.p_basis @ z2.reshape(-1) - pair[: prob.n_p]
     diag = prob.trace_mask
-    nu = float(stat[diag == 1.0].min()) if nu is None else nu
+    nu = float(stat[diag == 1.0].min())
     scale = np.trace(z1) + np.trace(z2)
-    return float((nu + np.abs(stat - nu * diag).sum()) / scale), nu, float(pair[-1] + nu)
+    return float((nu + np.abs(stat - nu * diag).sum()) / scale), float(pair[-1] + nu)
 
 
 def _make_cert(bounds, prob, x, name, steps, opts) -> IqcCertificate:
@@ -448,7 +447,7 @@ def solve_feasibility(
                                  sampled=sampled)
     d, s = prob.d, prob.s
     z1, z2 = z[:d, :d].copy(), z[d : d + s, d : d + s].copy()
-    witness = InfeasibilityWitness(z1, z2, _dual_bound(prob, z1, z2)[1], rho)
+    witness = InfeasibilityWitness(z1, z2, rho)
     check = verify_infeasibility(witness, system, bounds)
     return FeasibilityResult(INFEASIBLE if check.ok else INCONCLUSIVE, None, -margin, traces,
                              witness, witness_check=check)
@@ -492,7 +491,7 @@ def verify_infeasibility(
     prob = _unit_problem(system, bounds, witness.rho)
     z1_bot = float(eigvals_sym(witness.z1)[0])
     z2_bot = float(eigvals_sym(witness.z2)[0])
-    bound, _, tau_slack = _dual_bound(prob, witness.z1, witness.z2, witness.nu)
+    bound, tau_slack = _dual_bound(prob, witness.z1, witness.z2)
     ok = z1_bot >= 0.0 and z2_bot >= 0.0 and tau_slack >= 0.0 and bound <= -_WITNESS_MARGIN
     return InfeasibilityCheck(bool(ok), z1_bot, z2_bot, bound)
 

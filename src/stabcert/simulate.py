@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, effective_sector, neighbor_record, subset_rows
+from .data import NEIGHBOR_MODES, Dataset, effective_sector, neighbor_record, subset_rows
 from .losses import reg_logistic_grad_rows, reg_logistic_losses, row_dots
 from .lyapunov import fixed_curvature_rate
 from .optimizers import NagStandard, OptimizerState, TwoStep, lure_of, step_rule
@@ -81,10 +81,12 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.subset_sizes:
             raise ValueError("need at least one subset size")
-        if self.neighbor_mode not in ("resample", "flip"):
+        if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
         if self.probes < 0:
             raise ValueError(f"probes must be >= 0, got {self.probes}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass

@@ -276,9 +276,21 @@ def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
       "--sizes", "50,100,200", "--checkpoints", "100"], "probes must be >= 0, got -3"),
     (["simulate", "vs-t", "--optimizer", "sgd", "--eta", "100"],
      "optimizer does not contract over the data sector"),
+    # Out of range as given, not as rescaled or rounded downstream.
+    (["certify", "--optimizer", "nag-sq", "--gamma", "1", "--beta", "1e40"],
+     "condition number 1e+40 is too large: the tuned momentum rounds to 1"),
+    (["bound", "-G", "1", "--gamma", "1", "--beta", "1e40", "-n", "10", "-T", "10"],
+     "condition number 1e+40 is too large: the tuned momentum rounds to 1"),
+    (["lyapunov", "--kappa", "1e300"],
+     "condition number 1e+300 is too large: the tuned momentum rounds to 1"),
+    (["certify", "--optimizer", "sgd", "--gamma", "1e-200", "--beta", "1e200"],
+     "need a finite kappa = beta/gamma, got gamma=1e-200, beta=1e+200"),
+    (["simulate", "vs-n", "--seed", "-1"], "master_seed must be >= 0, got -1"),
 ], ids=["bound-G-nan", "bound-G-inf", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
         "lyapunov-kappa-below-1", "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
-        "simulate-probes-negative", "simulate-sgd-eta-no-contraction"])
+        "simulate-probes-negative", "simulate-sgd-eta-no-contraction", "certify-nag-sq-kappa-1e40",
+        "bound-kappa-1e40", "lyapunov-kappa-1e300", "certify-kappa-overflows",
+        "simulate-negative-seed"])
 def test_non_finite_inputs_exit_64(argv, message, capsys):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -633,6 +645,24 @@ def test_simulate_malformed_csv_exit_66(tmp_path, capsys):
         "--sizes", "1,2", "--checkpoints", "10", "--horizon", "10",
     ])
     assert rc == EXIT_NOINPUT
+
+
+@pytest.mark.parametrize("mode, driver", [("vs-n", "stability_vs_n"), ("vs-t", "stability_vs_t")])
+def test_simulate_defaults_are_the_experiment_config(monkeypatch, mode, driver):
+    # With no protocol flag, the driver gets the library's own defaults.
+    seen = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(base, config):
+        seen.append(config)
+        raise Captured
+
+    monkeypatch.setattr(cli, driver, capture)
+    with pytest.raises(Captured):
+        main(["simulate", mode])
+    assert seen == [simulate.ExperimentConfig()]
 
 
 def test_simulate_bad_sizes_exit_64(capsys):

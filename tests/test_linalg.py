@@ -36,6 +36,8 @@ def test_eigvals_sym_rejects_nonsymmetric():
 def test_eigvals_sym_zero_and_scalar():
     assert np.all(eigvals_sym(np.zeros((3, 3))) == 0.0)
     assert eigvals_sym(np.array([[4.5]]))[0] == 4.5
+    assert eigvals_sym(np.array([[-2.5]]))[0] == -2.5
+    assert eigvals_sym(np.array([[0.0]]))[0] == 0.0
 
 
 def test_eig2_radius_real_and_complex():

@@ -45,6 +45,9 @@ def test_sector_bounds_validation():
         for make in (Sgd, lambda eta: HeavyBall(eta, 0.5), lambda eta: NagStandard(eta, 0.5)):
             with pytest.raises(ValueError, match="step size"):
                 make(bad)
+    # kappa overflows: the message names the bounds as given, not rescaled.
+    with pytest.raises(ValueError, match=r"finite kappa .* gamma=1e-200, beta=1e\+200"):
+        SectorBounds(1e-200, 1e200)
 
 
 def test_theta_endpoints():
@@ -55,6 +58,18 @@ def test_theta_endpoints():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="condition number"):
             theta_of(bad)
+
+
+def test_tuned_momentum_that_rounds_to_1_names_the_condition_number():
+    # sqrt(kappa) +- 1 round to sqrt(kappa) from about kappa = 1e32 on.
+    assert theta_of(1e31) < 1.0
+    assert TripleMomentum(SectorBounds(1.0, 1e31)).mu < 1.0
+    for make in (theta_of, lambda k: NagSmoothQuadratic(SectorBounds(1.0, k)),
+                 lambda k: TripleMomentum(SectorBounds(1.0, k))):
+        with pytest.raises(ValueError, match=r"condition number 1e\+40 is too large"):
+            make(1e40)
+    with pytest.raises(ValueError, match=r"condition number 1e\+32 is too large"):
+        theta_of(1e32)
 
 
 @given(kappas)

@@ -425,8 +425,6 @@ def test_corrupted_witness_fails_the_check():
     assert verify_infeasibility(witness, system, sb)
     negated = verify_infeasibility(dataclasses.replace(witness, z1=-witness.z1), system, sb)
     assert not negated and negated.z1_min_eig < 0.0
-    raised = verify_infeasibility(dataclasses.replace(witness, nu=1e-3), system, sb)
-    assert not raised and raised.bound > 0.0
     # Still PSD, but off the stationarity equations: the residuals must count.
     shifted = dataclasses.replace(witness, z2=witness.z2 + np.eye(len(witness.z2)))
     assert not verify_infeasibility(shifted, system, sb)

@@ -198,6 +198,8 @@ def test_config_validation(monkeypatch):
     with pytest.raises(ValueError, match="probes must be >= 0, got -3"):
         ExperimentConfig(probes=-3)
     assert ExperimentConfig(probes=0).probes == 0
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        ExperimentConfig(master_seed=-1)
 
 
 def test_vs_n_small_smoke():
