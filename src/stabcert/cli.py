@@ -30,14 +30,15 @@ from .lyapunov import (
     build_p_eps,
     cjy_bound,
     cjy_limit,
+    envelope_rate,
     find_feasible_region,
-    fixed_curvature_rate,
     nag_stability_bound,
     nag_stability_limit,
     sgd_stability_bound,
     verify_contraction,
 )
-from .optimizers import HeavyBall, NagSmoothQuadratic, NagStandard, SectorBounds, Sgd, lure_of, theta_of
+from .optimizers import (
+    HeavyBall, NagSmoothQuadratic, NagStandard, SectorBounds, Sgd, lure_of, theta_of, tuned_step)
 from .sdp import CERTIFIED, FEASIBLE, SolverOptions, certify_rate, solve_feasibility
 from .simulate import ExperimentConfig, stability_vs_n, stability_vs_t
 
@@ -150,7 +151,9 @@ def _spec(args, **defaults):
 
 def _cmd_certify(args) -> int:
     bounds = SectorBounds(gamma=args.gamma, beta=args.beta)
-    system = lure_of(_spec(args, bounds=bounds, eta=1.0 / bounds.beta, mu=0.0), bounds)
+    # The default step is formed only where no --eta replaces it.
+    eta = tuned_step(bounds) if args.eta is None else args.eta
+    system = lure_of(_spec(args, bounds=bounds, eta=eta, mu=0.0), bounds)
     solve = certify_rate if args.rate else solve_feasibility
     result = solve(system, bounds, args.optimizer, options=SolverOptions(seed=args.seed))
     print(f"optimizer      {args.optimizer}")
@@ -209,9 +212,10 @@ def _cmd_lyapunov(args) -> int:
     else:
         cert = verify_contraction(theta, args.eps, args.rho)
     unit = SectorBounds(1.0, args.kappa)
-    rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(unit), unit), unit)
+    rho = envelope_rate(NagSmoothQuadratic(unit), unit)
     print(f"kappa          {args.kappa:g}  (theta={theta:.6g})")
-    print(f"ideal rate     rho={rho:.6g}  (spectral radius {np.sqrt(1.0 - rho):.6g})")
+    print(f"ideal rate     rho={rho:.6g}  (spectral radius {np.sqrt(1.0 - rho):.6g}; "
+          "single curvature, not certified)")
 
     if args.eps is not None:
         _print_p_eps(theta, args.eps)
@@ -244,7 +248,7 @@ def _cmd_bound(args) -> int:
     bounds = SectorBounds(gamma=args.gamma, beta=args.beta)
     rho, source = args.rho, "--rho (given)"
     if rho is None:
-        rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(bounds), bounds), bounds)
+        rho = envelope_rate(NagSmoothQuadratic(bounds), bounds)
         source = "fixed_curvature_rate (single curvature, not certified)"
     nag_t = nag_stability_bound(args.g, bounds, args.n, args.t, rho=rho)
     nag_inf = nag_stability_limit(args.g, bounds, args.n)
@@ -350,7 +354,7 @@ def _cmd_simulate(args) -> int:
         print(f"checkpoints    {result.checkpoints}")
         print("mean ParamDiff " + "  ".join(f"{v:.5g}" for v in result.mean_curve))
         print(f"envelope rho   {result.rho:.6g}  (T_half={result.t_half:.0f}, "
-              f"sector [{sector.gamma:g}, {sector.beta:g}])")
+              f"sector [{sector.gamma:g}, {sector.beta:g}]; single curvature, not certified)")
         print(f"fit region     {result.fit_region}")
         print(f"log-log slope  {result.loglog.slope:.4f}")
         print(f"saturating fit c={result.sat_coeff:.5g}  r2={result.sat_r2:.4f}")

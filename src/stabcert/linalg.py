@@ -26,14 +26,15 @@ _JACOBI_RTOL = 1e-14
 _MAX_SWEEPS = 60
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
+def _check_symmetric(m: np.ndarray) -> tuple:
+    """(the symmetric part of m, the largest |entry| of m)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if not np.all(np.abs(m - m.T) <= 1e-10 * scale):
+    big = float(np.abs(m).max()) if m.size else 0.0
+    if not np.all(np.abs(m - m.T) <= 1e-10 * max(1.0, big)):
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.T), big
 
 
 def eigvals_sym(m: np.ndarray) -> np.ndarray:
@@ -42,6 +43,10 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
     Rotations are applied in row-cyclic order until the off-diagonal
     Frobenius mass drops below 1e-14 times the matrix norm; the rotated
     diagonal, sorted, is the spectrum.  No eigenvectors are accumulated.
+    A matrix whose largest entry lies outside [2^-500, 2^500] is first
+    scaled by a power of two, which is exact: there the squares in the
+    norms would overflow or underflow and stop the sweep before its
+    first rotation.
 
     Args:
         m: real symmetric array, shape (n, n).
@@ -52,7 +57,10 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: if m is not square symmetric.
     """
-    a = _check_symmetric(m)
+    a, big = _check_symmetric(m)
+    if big and not 2.0**-500 <= big <= 2.0**500:
+        e = math.frexp(big)[1]
+        return np.ldexp(eigvals_sym(np.ldexp(a, -e)), e)
     n = a.shape[0]
     tol = _JACOBI_RTOL * np.linalg.norm(a)
 

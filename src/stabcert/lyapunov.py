@@ -33,8 +33,10 @@ one_step_rate gives the exact supremum of the one-step rate-mode sector
 LMI for the same forms: the largest rho at which the two endpoint
 closed loops, divided by sqrt(1 - rho), share a quadratic Lyapunov
 function, decided in closed form by the test of Shorten & Narendra
-(Int. J. Adaptive Control and Signal Processing, 2002).  sdp.certify_rate
-opens its search there.
+(Int. J. Adaptive Control and Signal Processing, 2002).  The loops
+differ by the rank-one (beta - gamma) B C, so its product condition
+decides alone (Shorten, Mason, O'Cairbre & Curran, Int. J. Control
+77(1), 2004).  sdp.certify_rate opens its search there.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import eig2_radius
-from .optimizers import LureSystem, NagSmoothQuadratic, SectorBounds, a_alpha, lure_of
+from .optimizers import LureSystem, NagSmoothQuadratic, SectorBounds, TwoStep, a_alpha, lure_of
 
 __all__ = [
     "LyapunovCertificate",
@@ -57,6 +59,7 @@ __all__ = [
     "verify_contraction",
     "find_feasible_region",
     "fixed_curvature_rate",
+    "envelope_rate",
     "one_step_rate",
     "nag_stability_bound",
     "nag_stability_limit",
@@ -290,6 +293,11 @@ def fixed_curvature_rate(system: LureSystem, bounds: SectorBounds) -> float:
     return float(1.0 - worst * worst)
 
 
+def envelope_rate(spec: TwoStep, bounds: SectorBounds) -> float:
+    """fixed_curvature_rate of lure_of(spec, bounds): one curvature, not certified."""
+    return fixed_curvature_rate(lure_of(spec, bounds), bounds)
+
+
 def _cayley(m: list, q: float) -> tuple:
     """(M - qI) adj(M + qI), row-major, for a 2x2 M given as nested lists.
 
@@ -309,12 +317,12 @@ def _has_negative_real_eig(tr: float, det: float) -> bool:
 def _common_lyapunov(m1: list, m2: list, q: float) -> bool:
     """Whether M1/q and M2/q share a P > 0 with (M/q)^T P (M/q) < P.
 
-    Both must be Schur (the Schur-Cohn triangle |det| < q^2,
-    q |tr| < q^2 + det).  Their Cayley transforms H1, H2 are then
-    Hurwitz, with det > 0, and by Shorten & Narendra they share a P
-    exactly when neither H1 H2 nor H1 H2^-1 has a negative real
-    eigenvalue.  H1 adj(H2) is a positive multiple of H1 H2^-1, and
-    both products have det H1 det H2.
+    M1 - M2 must have rank <= 1, as on a scalar channel, and both must be
+    Schur (|det| < q^2, q |tr| < q^2 + det).  Their Cayley transforms
+    H = I - 2 (M/q + I)^-1 are then Hurwitz and differ by the rank-one
+    (2/q) (M2/q + I)^-1 (M1 - M2) (M1/q + I)^-1, so they share a P exactly
+    when H1 H2 has no negative real eigenvalue (Shorten, Mason, O'Cairbre
+    & Curran): Shorten & Narendra's H1 H2^-1 condition adds nothing.
     """
     qq = q * q
     for (a, b), (c, d) in (m1, m2):
@@ -324,9 +332,7 @@ def _common_lyapunov(m1: list, m2: list, q: float) -> bool:
     a11, a12, a21, a22 = _cayley(m1, q)
     b11, b12, b21, b22 = _cayley(m2, q)
     det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
-    product = a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22
-    quotient = a11 * b22 - a12 * b21 - a21 * b12 + a22 * b11
-    return not (_has_negative_real_eig(product, det) or _has_negative_real_eig(quotient, det))
+    return not _has_negative_real_eig(a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22, det)
 
 
 def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
@@ -343,8 +349,9 @@ def one_step_rate(system: LureSystem, bounds: SectorBounds) -> float | None:
 
     For a 1x1 state any P > 0 serves, and the rate is
     fixed_curvature_rate.  For a 2x2 state q* is bisected to the last
-    bit on the closed-form Shorten-Narendra test (see _common_lyapunov),
-    whose negative-real-eigenvalue decisions come from trace and det
+    bit on the closed-form Shorten-Narendra test for rank-one pairs
+    (Shorten, Mason, O'Cairbre & Curran 2004; see _common_lyapunov),
+    whose negative-real-eigenvalue decision comes from trace and det
     (det < 0, or tr < 0 and tr^2 >= 4 det), so no eigenvalue tolerance
     enters.  Returns 0 when no rho > 0 has a CQLF.
 
@@ -402,14 +409,14 @@ def nag_stability_bound(
         param = (4 G kappa^{1/4} / (beta sqrt(n))) * sqrt(1 - (1-rho)^T)
         loss  = G * param
 
-    rho defaults to the tuned method's fixed_curvature_rate over bounds;
+    rho defaults to the tuned method's envelope_rate over bounds;
     no certificate backs it, since switching curvature from step to step
     can decay more slowly.  Monotone increasing in T, decreasing in n,
     saturating at nag_stability_limit as T grows.
     """
     _check_bound_args(g, n, t)
     if rho is None:
-        rho = fixed_curvature_rate(lure_of(NagSmoothQuadratic(bounds), bounds), bounds)
+        rho = envelope_rate(NagSmoothQuadratic(bounds), bounds)
     if not (0.0 < rho <= 1.0):
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     sat = 1.0 - (1.0 - rho) ** t
@@ -438,6 +445,10 @@ def cjy_bound(bounds: SectorBounds, n: int, t: int) -> float:
 
 
 def cjy_limit(bounds: SectorBounds, n: int) -> float:
-    """T -> infinity value of cjy_bound: 4 beta^2 / (gamma n)."""
+    """T -> infinity value of cjy_bound: 4 beta^2 / (gamma n).
+
+    Formed as 4 beta kappa / n, since beta^2 alone can leave the float
+    range where the bound does not.
+    """
     _check_bound_args(0.0, n)
-    return float(4.0 * bounds.beta**2 / (bounds.gamma * n))
+    return float(4.0 * bounds.beta * bounds.kappa / n)

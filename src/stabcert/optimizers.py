@@ -29,6 +29,7 @@ __all__ = [
     "OptimizerState",
     "LureSystem",
     "theta_of",
+    "tuned_step",
     "sgd_step",
     "nag_step",
     "a_alpha",
@@ -129,7 +130,7 @@ def NagSmoothQuadratic(bounds: SectorBounds) -> TwoStep:
     (w + theta v, w) of an OptimizerState.
     """
     theta = theta_of(bounds.kappa)
-    return TwoStep(1.0 / bounds.beta, theta, theta)
+    return TwoStep(tuned_step(bounds), theta, theta)
 
 
 @dataclass
@@ -170,6 +171,18 @@ class LureSystem:
     @property
     def state_dim(self) -> int:
         return self.a.shape[0]
+
+
+def tuned_step(bounds: SectorBounds) -> float:
+    """The step 1/beta that a method tuned to the sector takes.
+
+    Raises:
+        ValueError: naming beta when 1/beta overflows (beta below about 5.6e-309).
+    """
+    eta = 1.0 / bounds.beta
+    if eta == math.inf:
+        raise ValueError(f"the default step 1/beta overflows for beta={bounds.beta:g}")
+    return eta
 
 
 def theta_of(kappa: float) -> float:

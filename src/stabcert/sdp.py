@@ -398,8 +398,17 @@ def _make_cert(bounds, prob, x, name, steps, opts) -> IqcCertificate:
     and t in the caller's units as they do in the solver's; a plain one
     takes lambda = c t/2.  Its lmi_max_eig and p_min_eig are nan until
     verify_certificate has measured them.
+
+    Raises:
+        ValueError: unless 2^-500 <= beta <= 2^500.  The mapping
+            multiplies by beta^2 or 1/beta^2, at most 2^1000 there, which
+            leaves the checks' sums and products 2^24 below the float
+            maximum; beyond, the certificate overflows or divides by 0.
     """
     beta = bounds.beta
+    if not 2.0**-500 <= beta <= 2.0**500:
+        raise ValueError(f"cannot express a certificate for beta={beta:g} in floats: "
+                         "it scales by beta^2, so beta must lie in [2^-500, 2^500]")
     v = x * max(1.0, beta * beta)
     lam = 0.5 * float(v[-1]) if prob.rho == 0.0 else 0.0
     return IqcCertificate(
@@ -429,6 +438,11 @@ def solve_feasibility(
         rho: decay factor, 0 for a plain certificate (lambda half the
             margin) and > 0 for a rate-mode one (lambda = 0).
         options: solver knobs, defaults to SolverOptions().
+
+    Raises:
+        ValueError: on rho outside [0, 1), or for a positive margin whose
+            certificate cannot be expressed in the sector's units (see
+            _make_cert).
     """
     opts = options or SolverOptions()
     if not (0.0 <= rho < 1.0):

@@ -42,8 +42,8 @@ import numpy as np
 
 from .data import NEIGHBOR_MODES, Dataset, effective_sector, neighbor_record, subset_rows
 from .losses import reg_logistic_grad_rows, reg_logistic_losses, row_dots
-from .lyapunov import fixed_curvature_rate
-from .optimizers import NagStandard, OptimizerState, TwoStep, lure_of, step_rule
+from .lyapunov import envelope_rate
+from .optimizers import NagStandard, OptimizerState, TwoStep, step_rule
 
 __all__ = [
     "ExperimentConfig",
@@ -323,15 +323,6 @@ def saturating_fit(steps: np.ndarray, values: np.ndarray, rho: float) -> tuple[f
     env = np.sqrt(1.0 - (1.0 - rho) ** steps)
     c = float((values * env).sum() / (env * env).sum())
     return c, _r2(values, c * env)
-
-
-def envelope_rate(optimizer: TwoStep, sector) -> float:
-    """Squared-norm decay rate of the optimizer's feedback form over a sector.
-
-    lyapunov.fixed_curvature_rate of lure_of(optimizer, sector): the
-    slowest curvature of the data sector held fixed, not certified.
-    """
-    return fixed_curvature_rate(lure_of(optimizer, sector), sector)
 
 
 @dataclass(frozen=True)

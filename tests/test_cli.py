@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -306,6 +307,7 @@ def test_lyapunov_region_found(capsys):
     assert "best" in text
     assert "P_eps" in text
     assert "ideal rate" in text
+    assert "(spectral radius 0.292893; single curvature, not certified)" in text
 
 
 def test_lyapunov_region_empty_exit_2(capsys):
@@ -377,6 +379,60 @@ def test_bound_names_rho_source(capsys):
     text = capsys.readouterr().out
     assert "rho source     --rho (given)" in text
     assert "rho=0.2" in text
+
+
+@pytest.mark.parametrize("beta, want", [("1e200", "4e+199"), ("1e-300", "4e-301")])
+def test_bound_cjy_row_where_beta_squared_leaves_the_float_range(beta, want, capsys):
+    assert main(["bound", "-G", "1", "--gamma", beta, "--beta", beta, "-n", "10", "-T", "10"]) == EXIT_OK
+    rows = {l.split()[0]: l.split()[1:] for l in capsys.readouterr().out.splitlines()}
+    assert rows["cjy-comparison"] == [want, want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--optimizer", "sgd", "--gamma", "1e-320", "--beta", "1e-310"],
+    ["certify", "--optimizer", "nag-sq", "--gamma", "1e-320", "--beta", "1e-310"],
+    ["bound", "-G", "1", "--gamma", "1e-320", "--beta", "1e-310", "-n", "10", "-T", "10"],
+], ids=["certify-sgd", "certify-nag-sq", "bound"])
+def test_an_overflowing_default_step_is_blamed_on_beta(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "stabcert: the default step 1/beta overflows for beta=1e-310\n"
+
+
+def test_a_given_eta_is_not_replaced_by_the_default_step(capsys):
+    main(["certify", "--optimizer", "sgd", "--gamma", "1e-320", "--beta", "1e-310", "--eta", "1"])
+    assert "default step" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--optimizer", "nag-sq", "--gamma", "1e-300", "--beta", "1e-300"],
+    ["--optimizer", "nag-sq", "--gamma", "1e-300", "--beta", "1e-300", "--rate"],
+    ["--optimizer", "heavyball", "--gamma", "1e-300", "--beta", "1e-300", "--mu", "0.3"],
+    ["--optimizer", "sgd", "--gamma", "1e200", "--beta", "1e200"],
+    ["--optimizer", "sgd", "--gamma", "1e200", "--beta", "1e201", "--rate"],
+], ids=["nag-sq-tiny", "nag-sq-tiny-rate", "heavyball-tiny", "sgd-huge", "sgd-huge-rate"])
+def test_certify_beta_outside_the_float_range_exits_64_naming_beta(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    beta = float(argv[argv.index("--beta") + 1])
+    assert captured.out == ""
+    assert captured.err.startswith(f"stabcert: cannot express a certificate for beta={beta:g} ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--optimizer", "sgd", "--gamma", "1e-150", "--beta", "1e-150"],
+    ["--optimizer", "sgd", "--gamma", "1e150", "--beta", "1e150"],
+    ["--optimizer", "nag-sq", "--gamma", "1e149", "--beta", "1e150"],
+], ids=["tiny", "huge", "nag-sq-huge"])
+@pytest.mark.parametrize("rate", [[], ["--rate"]], ids=["plain", "rate"])
+def test_certify_extreme_sectors_inside_the_float_range_still_certify(argv, rate, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", *argv, *rate]) == EXIT_OK
 
 
 def test_bound_bad_rho_exit_64(capsys):
@@ -503,6 +559,7 @@ def test_simulate_vs_t_csv_and_json(tmp_path, capsys):
     assert rc == EXIT_OK
     text = capsys.readouterr().out
     assert "envelope rho" in text
+    assert "; single curvature, not certified)" in text
     assert "saturating fit" in text
 
     lines = out_csv.read_text().strip().split("\n")

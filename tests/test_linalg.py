@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,18 @@ def test_jacobi_against_lapack_bulk():
         vals = eigvals_sym(m)
         assert np.all(np.diff(vals) >= -1e-12)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(m), atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [600, 900, -600, -1000])
+def test_eigvals_sym_far_from_unit_scale_is_the_scaled_spectrum(k):
+    # The norms square the entries: at 2^600 or 2^-600 they overflow or
+    # underflow, and the sweep once stopped before its first rotation.
+    m = np.array([[2.0, 1.0, 0.3], [1.0, -1.0, 0.2], [0.3, 0.2, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(eigvals_sym(np.ldexp(m, k)), np.ldexp(eigvals_sym(m), k))
+        big = eigvals_sym(np.full((2, 2), 1e300))
+    assert big[0] == 0.0 and big[1] == pytest.approx(2e300, rel=1e-15)
 
 
 def test_eigvals_sym_rejects_nonsymmetric():

@@ -27,6 +27,7 @@ from stabcert.optimizers import (
     OptimizerState,
     SectorBounds,
     Sgd,
+    TwoStep,
     lure_of,
     step_rule,
     theta_of,
@@ -423,6 +424,14 @@ def test_cjy_bound_and_limit():
     assert cjy_bound(sb, 50, 10**6) == pytest.approx(lim, rel=1e-12)
 
 
+@pytest.mark.parametrize("beta, want", [(1e200, 4e199), (1e-300, 4e-301)])
+def test_cjy_limit_where_beta_squared_leaves_the_float_range(beta, want):
+    # 4 beta^2 / (gamma n) is finite at both ends although beta^2 is not.
+    sb = SectorBounds(beta, beta)
+    assert cjy_limit(sb, 10) == pytest.approx(want, rel=1e-12)
+    assert cjy_bound(sb, 10, 10) == pytest.approx(want, rel=1e-12)
+
+
 _UNIT = SectorBounds(0.1, 1.0)
 
 
@@ -496,25 +505,46 @@ def _grid_decrement(m1, m2):
     return float(worst.min())
 
 
+def _endpoint_loops(rng):
+    # The two sector-endpoint loops A + gamma B C and A + beta B C of a
+    # random LureSystem or TwoStep: pairs with a rank-one difference.
+    gamma = float(rng.uniform(0.05, 1.0))
+    sb = SectorBounds(gamma, gamma * float(rng.uniform(1.0, 20.0)))
+    if rng.random() < 0.5:
+        system = LureSystem(0.6 * rng.normal(size=(2, 2)), rng.normal(size=(2, 1)) / sb.beta,
+                            rng.normal(size=(1, 2)))
+    else:
+        mu = float(rng.uniform(0.0, 0.95))
+        spec = TwoStep(float(rng.uniform(0.05, 2.0)) / sb.beta, mu, float(rng.choice([0.0, mu])))
+        system = lure_of(spec, sb)
+    bc = system.b @ system.c
+    return [(system.a + lam * bc).tolist() for lam in (sb.gamma, sb.beta)]
+
+
 def test_common_lyapunov_test_agrees_with_a_search_over_p():
-    # General 2x2 pairs, not rank-one differences as on a scalar channel:
-    # a grid point that contracts both proves a common P exists, and a
-    # pair accepted with room to spare (at q = 0.98) has one on the grid.
-    # Some pairs fail only the H1 H2^-1 condition, so both conditions count.
+    # Rank-one pairs, as on a scalar channel: a grid point that contracts
+    # both proves a common P exists, and a pair accepted with room to
+    # spare (at q = 0.98) has one on the grid.  Shorten & Narendra's
+    # H1 H2^-1 condition, which _common_lyapunov no longer computes,
+    # never rejects a Schur pair that the H1 H2 condition passes.
     rng = np.random.default_rng(1)
-    quotient_only = 0
+    passed = failed = 0
     for _ in range(300):
-        m1, m2 = (0.7 * rng.normal(size=(2, 2))).tolist(), (0.7 * rng.normal(size=(2, 2))).tolist()
+        m1, m2 = _endpoint_loops(rng)
         found = _grid_decrement(m1, m2) < -1e-9
         if found:
             assert lyapunov._common_lyapunov(m1, m2, 1.0)
         if lyapunov._common_lyapunov(m1, m2, 0.98):
             assert found
-        schur = all(max(abs(np.linalg.eigvals(m))) < 1.0 for m in (m1, m2))
+        if not all(max(abs(np.linalg.eigvals(m))) < 1.0 for m in (m1, m2)):
+            continue
         a11, a12, a21, a22 = lyapunov._cayley(m1, 1.0)
         b11, b12, b21, b22 = lyapunov._cayley(m2, 1.0)
         det = (a11 * a22 - a12 * a21) * (b11 * b22 - b12 * b21)
-        product = a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22
-        if schur and not lyapunov._has_negative_real_eig(product, det):
-            quotient_only += not lyapunov._common_lyapunov(m1, m2, 1.0)
-    assert quotient_only > 0
+        quotient = a11 * b22 - a12 * b21 - a21 * b12 + a22 * b11
+        if lyapunov._common_lyapunov(m1, m2, 1.0):
+            passed += 1
+            assert not lyapunov._has_negative_real_eig(quotient, det)
+        else:
+            failed += 1
+    assert passed > 50 and failed > 10

@@ -22,6 +22,7 @@ from stabcert.optimizers import (
     sgd_step,
     step_rule,
     theta_of,
+    tuned_step,
 )
 
 kappas = st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False)
@@ -321,6 +322,15 @@ def test_nag_standard_rates_match_the_velocity_form():
         assert fixed_curvature_rate(new, sb) == pytest.approx(
             fixed_curvature_rate(old, sb), abs=1e-13, rel=0.0)
         assert one_step_rate(new, sb) == pytest.approx(one_step_rate(old, sb), abs=1e-13, rel=0.0)
+
+
+def test_tuned_step_names_beta_when_it_overflows():
+    assert tuned_step(SectorBounds(0.1, 4.0)) == 0.25
+    assert tuned_step(SectorBounds(1e-308, 1e-308)) == 1.0 / 1e-308
+    tiny = SectorBounds(1e-320, 1e-310)
+    for make in (tuned_step, NagSmoothQuadratic):
+        with pytest.raises(ValueError, match=r"default step 1/beta overflows for beta=1e-310"):
+            make(tiny)
 
 
 def test_two_step_validates_once():

@@ -1,6 +1,6 @@
 """The README's examples must run as printed.
 
-The Python API block is executed, and the console blocks of five CLI
+The Python API block is executed, and the console blocks of six CLI
 examples are compared line for line with what cli.main prints.
 """
 
@@ -46,6 +46,7 @@ def test_python_api_block_runs(capsys):
 @pytest.mark.parametrize("command", [
     "stabcert certify --optimizer sgd --gamma 0.1 --beta 1 --out cert.json",
     "stabcert certify --optimizer sgd --gamma 0.1 --beta 1 --eta 3",
+    "stabcert lyapunov --kappa 2",
     "stabcert lyapunov --kappa 2 --eps 1.0 --rho 0.05",
     "stabcert bound -G 1 --gamma 0.1 --beta 1 -n 1000 -T 2000",
     "stabcert certify --optimizer sgd --gamma 0.1 --beta 1 --rate",

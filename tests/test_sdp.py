@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -1064,3 +1065,25 @@ def test_refused_trial_points_halve_the_step(monkeypatch, name, want, period):
     else:
         assert res.status == INCONCLUSIVE and res.traces[0].iterations == 0
         assert res.traces[0].stop == "step halving"
+
+
+@pytest.mark.parametrize("beta", [1e-300, 2.0**-500 * 0.999, 2.0**500 * 1.001, 1e200])
+@pytest.mark.parametrize("solve", [solve_feasibility, certify_rate], ids=["plain", "rate"])
+def test_a_certificate_outside_the_float_range_raises_naming_beta(beta, solve):
+    # The certificate scales by beta^2 or 1/beta^2 on its way back from
+    # the units u/beta: past 2^+-500 that overflows or divides by 0.
+    sb = SectorBounds(beta, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"certificate for beta={beta:g} in floats")):
+            solve(lure_of(NagSmoothQuadratic(sb), sb), sb)
+
+
+@pytest.mark.parametrize("beta", [1e-150, 2.0**-500, 2.0**500, 1e150])
+@pytest.mark.parametrize("solve", [solve_feasibility, certify_rate], ids=["plain", "rate"])
+def test_a_certificate_at_the_ends_of_the_float_range_is_verified(beta, solve):
+    sb = SectorBounds(beta / 10.0, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(lure_of(Sgd(1.0 / beta), sb), sb)
+    assert res.certificate is not None and res.status in (FEASIBLE, sdp.CERTIFIED)

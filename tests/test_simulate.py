@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabcert import data as data_module
-from stabcert import simulate
+from stabcert import lyapunov, simulate
 from stabcert.data import (
     effective_sector,
     ingest_csv,
@@ -154,6 +154,10 @@ def test_saturating_fit_recovers_coefficient():
     c, r2 = saturating_fit(steps, values, rho)
     assert c == pytest.approx(2.5, rel=1e-12)
     assert r2 == pytest.approx(1.0)
+
+
+def test_envelope_rate_is_lyapunovs():
+    assert simulate.envelope_rate is lyapunov.envelope_rate
 
 
 def test_envelope_rate_dispatch():
