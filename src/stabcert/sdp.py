@@ -265,8 +265,21 @@ class _Problem:
 def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float) -> _Problem:
     """The problem in the units u/beta: with T = blkdiag(I, beta), T LMI T is
     the LMI of (A, beta B, C) on [gamma/beta, 1] at the multiplier
-    beta^2 tau, so both decide the same question."""
+    beta^2 tau, so both decide the same question.
+
+    Raises:
+        ValueError: when an entry of (A, beta B, C) exceeds 2^128; for
+            every TwoStep, beta B holds the step times beta.  The LMI's
+            entries grow as the squares of these, and the Newton system
+            multiplies pairs of them over F's eigenvalues, so past 2^128
+            it overflows.
+    """
     beta = bounds.beta
+    gain = max(float(np.abs(system.a).max()), beta * float(np.abs(system.b).max()),
+               float(np.abs(system.c).max()))
+    if not gain <= 2.0**128:
+        raise ValueError(f"cannot decide the LMI in floats: an entry of (A, beta B, C), where "
+                         f"beta B is the step times beta, is {gain:g}, above 2^128")
     scaled = LureSystem(system.a, beta * system.b, system.c)
     return _Problem(scaled, SectorBounds(bounds.gamma / beta, 1.0), rho)
 
@@ -336,7 +349,10 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     """
     n, dim = prob.flat.shape[0], prob.dim
     x = prob.eq / (prob.s + 1)  # P = I and tau = 1, scaled onto the normalization
-    x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0] - 1.0
+    # t starts a margin below F's smallest eigenvalue; the margin grows
+    # with it past 2^40, so that rounding cannot eat it.
+    low = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0]
+    x[-1] = low - max(1.0, abs(low) * 2.0**-40)
     kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
     system = _newton_system(prob, *_barrier(prob, x), kkt)
     mu, steps, centered = 1.0, 0, None

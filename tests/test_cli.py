@@ -435,6 +435,32 @@ def test_certify_extreme_sectors_inside_the_float_range_still_certify(argv, rate
         assert main(["certify", *argv, *rate]) == EXIT_OK
 
 
+def test_certify_far_from_unit_beta_prints_the_rotated_top_eigenvalue(capsys):
+    assert main(["certify", "--optimizer", "sgd", "--gamma", "1e20", "--beta", "1e20"]) == EXIT_OK
+    assert "lmi max eig    -1.473e-01\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eta", ["1e9", "1e20", "1e100", "1e155", "1e300"])
+@pytest.mark.parametrize("optimizer", [["sgd"], ["heavyball", "--mu", "0.3"]], ids=["sgd", "heavyball"])
+@pytest.mark.parametrize("rate", [[], ["--rate"]], ids=["plain", "rate"])
+def test_certify_huge_step_gives_a_verdict_or_names_the_step(eta, optimizer, rate, capsys):
+    # From eta about 1e8 a fixed margin below the start eigenvalue is lost
+    # to rounding; past eta beta = 2^128 the LMI cannot be decided in
+    # floats, and the one line says why.
+    argv = ["certify", "--optimizer", *optimizer, "--gamma", "0.1", "--beta", "1", "--eta", eta]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*argv, *rate])
+    captured = capsys.readouterr()
+    if float(eta) <= 2.0**128:
+        assert rc == EXIT_NEGATIVE and captured.err == ""
+    else:
+        assert rc == EXIT_USAGE and captured.out == ""
+        assert captured.err == ("stabcert: cannot decide the LMI in floats: an entry of (A, beta B, "
+                                f"C), where beta B is the step times beta, is {float(eta):g}, "
+                                "above 2^128\n")
+
+
 def test_bound_bad_rho_exit_64(capsys):
     rc = main([
         "bound", "-G", "2", "--gamma", "0.1", "--beta", "1.0",

@@ -95,6 +95,16 @@ def test_ingest_csv_accepts_plus_minus_labels(tmp_path):
     np.testing.assert_array_equal(data.y, [-1.0, 1.0])
 
 
+def test_ingest_csv_skips_blank_lines(tmp_path):
+    plain = ingest_csv(_write_csv(tmp_path / "plain.csv", "a,b,label\n1,4,1\n2,5,0\n3,7,1\n"))
+    gappy = ingest_csv(_write_csv(tmp_path / "gappy.csv", "a,b,label\n\n1,4,1\n2,5,0\n\n\n3,7,1\n\n"))
+    np.testing.assert_array_equal(gappy.x, plain.x)
+    np.testing.assert_array_equal(gappy.y, plain.y)
+    # An error still names the line of the file, blank lines counted.
+    with pytest.raises(ValueError, match=r"bad\.csv:4: non-numeric"):
+        ingest_csv(_write_csv(tmp_path / "bad.csv", "a,label\n1,1\n\nx,0\n"))
+
+
 def test_ingest_csv_error_modes(tmp_path):
     with pytest.raises(FileNotFoundError):
         ingest_csv(tmp_path / "missing.csv")

@@ -40,6 +40,34 @@ def test_eigvals_sym_far_from_unit_scale_is_the_scaled_spectrum(k):
     assert big[0] == 0.0 and big[1] == pytest.approx(2e300, rel=1e-15)
 
 
+@pytest.mark.parametrize("m", [[[1.0, 3.0], [3.0, -1.0]], [[3.5, 0.5], [0.5, -3.5]]])
+def test_eigvals_sym_near_the_float_maximum_is_the_scaled_spectrum(m):
+    # At 2^1022 these entries are finite, but twice the off-diagonal or
+    # the difference of the diagonal is not: a rotation formed from
+    # either one is wrong.
+    m = np.array(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(eigvals_sym(np.ldexp(m, 1022)), np.ldexp(eigvals_sym(m), 1022))
+
+
+def test_eigvals_sym_keeps_the_inertia_of_graded_matrices():
+    # Sylvester's law of inertia: D A D has as many positive eigenvalues
+    # as A.  With D = diag(2^k) the product is exact, so the count read
+    # from eigvals_sym must be A's, however widely D grades the entries.
+    # A stopping rule measured against the whole matrix leaves the small
+    # diagonal entries unrotated and miscounts.
+    rng = np.random.default_rng(32)
+    for _ in range(500):
+        dim = int(rng.integers(2, 7))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        lam = rng.uniform(1.0, 2.0, dim) * rng.choice([-1.0, 1.0], dim)
+        a = q @ np.diag(lam) @ q.T
+        d = np.ldexp(1.0, rng.integers(-60, 61, dim))
+        m = d[:, None] * (0.5 * (a + a.T)) * d
+        assert np.sum(eigvals_sym(m) > 0.0) == np.sum(lam > 0.0)
+
+
 def test_eigvals_sym_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         eigvals_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))

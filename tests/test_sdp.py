@@ -1087,3 +1087,28 @@ def test_a_certificate_at_the_ends_of_the_float_range_is_verified(beta, solve):
         warnings.simplefilter("error")
         res = solve(lure_of(Sgd(1.0 / beta), sb), sb)
     assert res.certificate is not None and res.status in (FEASIBLE, sdp.CERTIFIED)
+
+
+@pytest.mark.parametrize("beta", [1e14, 1e20, 1e75, 1e150, 1e-30, 1e-150])
+def test_lmi_max_eig_far_from_unit_beta_is_lapacks(beta):
+    # The caller-unit LMI has entries of order beta^2, beta and 1.  A
+    # Jacobi stopping rule measured against the whole matrix would return
+    # its unrotated diagonal here, -0.308 (beta >= 1e14) or -0.590 (beta
+    # <= 1e-30), where the top eigenvalue is -0.147 or -0.282.
+    sb = SectorBounds(beta, beta)
+    system = lure_of(Sgd(1.0 / beta), sb)
+    cert = solve_feasibility(system, sb).certificate
+    lmi = assemble_lmi(system, sb, cert.p, cert.lam, cert.tau, cert.rho)
+    assert cert.lmi_max_eig == pytest.approx(np.linalg.eigvalsh(lmi)[-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1e39, 1e100, 1e300])
+@pytest.mark.parametrize("solve", [solve_feasibility, certify_rate], ids=["plain", "rate"])
+def test_a_step_past_2_to_the_128_raises_before_any_overflow(eta, solve):
+    # The LMI grows as the square of eta beta and the Newton system as its
+    # square again, so past 2^128 it would overflow.
+    sb = SectorBounds(0.1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"is {eta:g}, above 2^128")):
+            solve(lure_of(Sgd(eta), sb), sb)
