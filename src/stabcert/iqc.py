@@ -92,7 +92,7 @@ def assemble_lmi(
     return f.T @ p @ f - lifted + tau * (j.T @ sector_product_multiplier(bounds) @ j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IqcCertificate:
     """A solved (or attempted) LMI certificate for one optimizer/sector."""
 

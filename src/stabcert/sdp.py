@@ -24,13 +24,16 @@ so lmi_max_eig <= -t/2 for every beta.  Rate probes keep lambda = 0.
 The constraints are one block-diagonal LMI F(x) >= 0 in x = (v, t),
 solved by the primal barrier method of Vandenberghe & Boyd (SIAM Review
 1996): Newton steps on -t/mu - log det F(x), the normalization a KKT
-equality, mu / 10 per stage.  Each stage stops once full Newton steps
-converge quadratically, and only the last, whose point is the result,
-is centered tightly.  The Newton system (F(x)^-1, the Hessian, the KKT
-matrix) is built once per iterate; a new stage, at the same x, only
-re-solves it for its mu, and the dual point is formed once per solve,
-for the stage returned.  It works in the units u/beta (sector
-[gamma/beta, 1]), so verdicts do not depend on the units of the sector.
+equality.  After each stage mu falls by 10^4, or less to the first
+power of 10 whose duality gap dim(F) mu is below _GAP_TOL, so stages
+run at mu = 1, 1e-4 and 1e-8 for every supported state size.  Each
+stage stops once full Newton steps converge quadratically, and only the
+last, whose point is the result, is centered tightly.  The Newton
+system (F(x)^-1, the Hessian, the KKT matrix) is built once per
+iterate; a new stage, at the same x, only re-solves it for its mu, and
+the dual point is formed once per solve, for the stage returned.  It
+works in the units u/beta (sector [gamma/beta, 1]), so verdicts do not
+depend on the units of the sector.
 The last dual point (blocks Z1, Z2 of mu F(x)^-1, and nu for the
 normalization) bounds t* by weak duality; a negative bound proves
 infeasibility.
@@ -55,6 +58,7 @@ are module constants, so no caller can loosen what a verdict means.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import ClassVar
 
 import numpy as np
@@ -77,12 +81,14 @@ CERTIFIED = "Certified"
 INFEASIBLE_AT_RANGE = "Infeasible-at-range"
 
 # Stages end once dim(F) * mu, a central point's duality gap, is below
-# _GAP_TOL.  A stage ends at a squared Newton decrement of at most
+# _GAP_TOL; mu falls by at most _STAGE_DROPS factors of 10 between
+# stages.  A stage ends at a squared Newton decrement of at most
 # _QUADRATIC, below which full Newton steps converge quadratically; the
 # last, whose point is the result, centers on to _CENTERED.
 _GAP_TOL = 1e-7
+_STAGE_DROPS = 4
 _QUADRATIC = 0.0625
-_CENTERED = 1e-10
+_CENTERED = 1e-14
 
 # The margins a verdict must clear, applied by verify_certificate,
 # s_lemma_cross_check and verify_infeasibility.
@@ -122,7 +128,7 @@ class SolverOptions:
             raise ValueError(f"SolverOptions.seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestartTrace:
     """The Newton log of one solve: steps taken, -t at the end, final duality
     gap, and why the path stopped.
@@ -131,7 +137,7 @@ class RestartTrace:
     also solves one Newton system whose step it does not take: the one
     that shows the stage is centered.  So a solve makes iterations plus
     its stage count of Newton solves; an sgd rate probe at [0.1, 1] takes
-    19 steps and solves 28 systems in 9 stages, of which 8 re-solve the
+    13 steps and solves 16 systems in 3 stages, of which 2 re-solve the
     previous stage's system for the new mu.
 
     stop is "centered" when the last stage reached its tolerance.  "step
@@ -146,7 +152,7 @@ class RestartTrace:
     stop: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfeasibilityWitness:
     """A dual point in the solver's units u/beta: z1 pairs with -LMI0(v) >= t I
     and z2 with P >= t I, for the LMI at rho (_dual_bound derives nu)."""
@@ -156,7 +162,7 @@ class InfeasibilityWitness:
     rho: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityResult:
     """Outcome of one solve: best_violation is -t at the end, witness the dual
     point behind a non-positive margin (verified iff Infeasible), else None.
@@ -175,7 +181,7 @@ class FeasibilityResult:
     witness_check: InfeasibilityCheck | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateResult:
     """Outcome of the search for the largest certifiable rho.
 
@@ -194,7 +200,7 @@ class RateResult:
     bracket_hi: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateCheck:
     """Recheck verdict for one certificate; truthy iff it passed."""
 
@@ -206,7 +212,7 @@ class CertificateCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InfeasibilityCheck:
     """Recheck verdict for one witness, with its bound on t*; truthy iff it passed."""
 
@@ -217,6 +223,33 @@ class InfeasibilityCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+@cache
+def _layout(s: int) -> tuple:
+    """The arrays of a _Problem that depend on its state size s only.
+
+    Every _Problem of size s shares them, so they are read-only.
+
+    Returns:
+        (vech, n_p, trace_mask, p_index, p_basis, p_units, tau_units, eq):
+        see _Problem; row k of p_units and tau_units is the P and tau of
+        the k-th unit decision vector.
+    """
+    vech = np.triu_indices(s)
+    n_p = vech[0].size
+    # 1 where v holds a diagonal entry of P, so v[:n_p] . trace_mask = trace(P).
+    trace_mask = (vech[0] == vech[1]).astype(float)
+    p_index = np.zeros((s, s), dtype=int)
+    p_index[vech] = p_index[vech[::-1]] = np.arange(n_p)
+    unit = np.eye(n_p + 1)  # the unit decision vectors, one per row
+    p_units = unit[:, p_index]  # their P; E_k in the first n_p rows
+    tau_units = unit[:, n_p, None, None]
+    p_basis = p_units[:n_p].reshape(n_p, s * s)
+    eq = np.r_[trace_mask, 1.0, 0.0]  # eq . x = trace P + tau
+    for array in (*vech, trace_mask, p_index, p_basis, p_units, tau_units, eq):
+        array.flags.writeable = False
+    return vech, n_p, trace_mask, p_index, p_basis, p_units, tau_units, eq
 
 
 class _Problem:
@@ -230,36 +263,29 @@ class _Problem:
     itself is the gather v[p_index].  The barrier works on x = (v, t),
     and F(x) = sum_k x_k blocks[k] is the block diagonal of
     -LMI0(v) - t I, P - t I and tau.  Row k of `flat` is vec(blocks[k]),
-    so F(x) = (x @ flat) reshaped to (dim, dim).
+    so F(x) = (x @ flat) reshaped to (dim, dim).  The arrays that depend
+    on the state size only come from the read-only _layout.
     """
 
     def __init__(self, system: LureSystem, bounds: SectorBounds, rho: float):
         self.rho = rho
         self.s = s = system.state_dim
         self.d = d = s + 1
-        self.vech = np.triu_indices(s)
-        self.n_p = n_p = self.vech[0].size
-        # 1 where v holds a diagonal entry of P, so v[:n_p] . trace_mask = trace(P).
-        self.trace_mask = (self.vech[0] == self.vech[1]).astype(float)
-        self.p_index = np.zeros((s, s), dtype=int)
-        self.p_index[self.vech] = self.p_index[self.vech[::-1]] = np.arange(n_p)
-        unit = np.eye(n_p + 1)  # the unit decision vectors, one per row
-        p_units = unit[:, self.p_index]  # their P; E_k in the first n_p rows
-        tau = unit[:, n_p, None, None]
-        self.basis = assemble_lmi(system, bounds, p_units, 0.0, tau, rho).reshape(n_p + 1, d * d)
-        units = p_units[:n_p]
-        self.p_basis = units.reshape(n_p, s * s)
+        (self.vech, self.n_p, self.trace_mask, self.p_index, self.p_basis, p_units, tau_units,
+         self.eq) = _layout(s)
+        n_p = self.n_p
+        self.basis = assemble_lmi(system, bounds, p_units, 0.0, tau_units, rho).reshape(
+            n_p + 1, d * d)
 
         n = n_p + 2
         self.dim = big = d + s + 1
         blocks = np.zeros((n, big, big))
         blocks[:-1, :d, :d] = -self.basis.reshape(-1, d, d)
-        blocks[:n_p, d : d + s, d : d + s] = units
+        blocks[:n_p, d : d + s, d : d + s] = p_units[:n_p]
         blocks[-2, d + s, d + s] = 1.0
         blocks[-1, np.arange(d + s), np.arange(d + s)] = -1.0
         self.blocks = blocks
         self.flat = blocks.reshape(n, big * big)
-        self.eq = np.r_[self.trace_mask, 1.0, 0.0]  # eq . x = trace P + tau
 
 
 def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float) -> _Problem:
@@ -336,7 +362,10 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     self-concordant barrier; below lambda = 1/4 (lambda^2 = _QUADRATIC)
     full steps converge quadratically.  Every stage but the last stops
     there, as only the last stage's point is returned; that one centers
-    on to lambda^2 <= _CENTERED.  The Newton system is built once per
+    on to lambda^2 <= _CENTERED.  Stages take long steps in mu: mu = 1,
+    1e-4 and 1e-8 for dim(F) 4 to 8, each a product of 0.1s, so the last
+    mu, and with it the returned central point, is that of a path
+    dividing mu by 10 per stage.  The Newton system is built once per
     iterate: a new stage keeps x and re-solves it for its mu.  A stage
     that cannot reach its tolerance ends the path at the last stage that
     did: "step cap" when max_steps ran out, "step halving" when rounding
@@ -349,15 +378,17 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     """
     n, dim = prob.flat.shape[0], prob.dim
     x = prob.eq / (prob.s + 1)  # P = I and tau = 1, scaled onto the normalization
-    # t starts a margin below F's smallest eigenvalue; the margin grows
-    # with it past 2^40, so that rounding cannot eat it.
+    # mu = 1 centers t where 1/(lambda_i - t) sums to 1 over the d + s
+    # eigenvalues t enters, about dim below them when F's spectrum is
+    # tight, so t starts dim below F's smallest eigenvalue.  The margin
+    # grows with lambda past 2^40, so that rounding cannot eat it.
     low = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0]
-    x[-1] = low - max(1.0, abs(low) * 2.0**-40)
+    x[-1] = low - max(dim, abs(low) * 2.0**-40)
     kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
     system = _newton_system(prob, *_barrier(prob, x), kkt)
     mu, steps, centered = 1.0, 0, None
     while True:
-        tol = _CENTERED if prob.dim * mu <= _GAP_TOL else _QUADRATIC
+        tol = _CENTERED if dim * mu <= _GAP_TOL else _QUADRATIC
         while True:
             dx, dec = _newton_solve(system, mu, rhs)
             if dec <= tol or steps >= max_steps:
@@ -377,7 +408,10 @@ def _maximize_margin(prob: _Problem, max_steps: int):
         if tol == _CENTERED:
             stop = "centered"
             break
-        mu *= 0.1
+        for _ in range(_STAGE_DROPS):
+            mu *= 0.1
+            if dim * mu <= _GAP_TOL:
+                break
     x, mu, inv, dx = centered or here
     # mu (F^-1 - F^-1 dF F^-1) meets the Newton system's stationarity
     # equations exactly, and is positive definite for a decrement below 1.

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -796,10 +798,13 @@ def test_simulate_checkpoint_below_one_exit_64(monkeypatch, capsys):
 
 
 def test_console_script_entry_point():
+    # The child imports stabcert from the tree under test, as this process does.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "stabcert", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("stabcert ")

@@ -1,4 +1,5 @@
 import json
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -206,6 +207,17 @@ def test_certificate_json_round_trips_every_field():
             got, want = getattr(back, f.name), getattr(_EVERY_FIELD, f.name)
             assert got == want and type(got) is type(want), f.name
     assert certificate_to_json(back) == text
+
+
+def test_slotted_certificate_pickles_every_field():
+    # A certificate holds its fields in slots, with no per-instance dict.
+    assert not hasattr(_EVERY_FIELD, "__dict__")
+    back = pickle.loads(pickle.dumps(_EVERY_FIELD))
+    np.testing.assert_array_equal(back.p, _EVERY_FIELD.p)
+    for f in fields(IqcCertificate):
+        if f.name != "p":
+            assert getattr(back, f.name) == getattr(_EVERY_FIELD, f.name), f.name
+    assert certificate_to_json(back) == certificate_to_json(_EVERY_FIELD)
 
 
 @pytest.mark.parametrize("key", _CERT_KEYS)
