@@ -152,14 +152,15 @@ def _worst_eig(theta: float, eps, rho):
 
 
 def _check_pairs(eps, rho) -> None:
-    """Raise ValueError unless every eps lies in (0, inf) and every rho in (0, 1)."""
+    """Raise ValueError naming the first eps outside (0, inf) or rho outside (0, 1)."""
     eps_arr = np.asarray(eps, dtype=float)
     bad = eps_arr[~((eps_arr > 0.0) & (eps_arr < np.inf))]
     if bad.size:
         raise ValueError(f"eps must be positive and finite, got {bad[0]}")
     rho_arr = np.asarray(rho, dtype=float)
-    if not np.all((rho_arr > 0.0) & (rho_arr < 1.0)):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    bad = rho_arr[~((rho_arr > 0.0) & (rho_arr < 1.0))]
+    if bad.size:
+        raise ValueError(f"rho must lie in (0, 1), got {bad[0]}")
 
 
 def verify_contraction(
@@ -178,7 +179,6 @@ def verify_contraction(
     Raises:
         ValueError: on eps outside (0, inf) or rho outside (0, 1).
     """
-    _check_pairs(eps, rho)
     return find_feasible_region(theta, [eps], [rho]).certificates[0]
 
 

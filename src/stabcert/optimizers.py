@@ -30,7 +30,6 @@ __all__ = [
     "LureSystem",
     "theta_of",
     "tuned_step",
-    "sgd_step",
     "nag_step",
     "a_alpha",
     "lure_of",
@@ -207,15 +206,6 @@ def _momentum_rounds_to_1(kappa: float) -> str:
     return f"condition number {kappa:g} is too large: the tuned momentum rounds to 1"
 
 
-def sgd_step(state: OptimizerState, grad: np.ndarray, eta: float) -> OptimizerState:
-    """One gradient step w+ = w - eta*grad; v is carried unchanged.
-
-    grad is the gradient already evaluated at state.w.
-    """
-    w = state.w - eta * np.asarray(grad, dtype=float)
-    return OptimizerState(w=w, v=state.v)
-
-
 def nag_step(
     state: OptimizerState,
     grad_at: GradFn,
@@ -227,7 +217,7 @@ def nag_step(
     """One step of the two-step family on the state (w_t, v_t = w_t - w_{t-1}).
 
     v+ = mu*v - eta*grad_at(w + nu*v); w+ = w + v+.  The lookahead nu
-    defaults to mu, the standard Nesterov step; mu = nu = 0 is sgd_step.
+    defaults to mu, the standard Nesterov step; mu = nu = 0 is plain sgd.
 
     The next state is written into out and returned; out=state steps in
     place, and without out a new state is made.  Either way the result is

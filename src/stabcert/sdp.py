@@ -18,15 +18,14 @@ No variable lambda >= t is solved for, as it would decide nothing
 differently: with it, t1* > 0 gives -LMI0 >= lambda blkdiag(I, 0) +
 t1* I, so t* >= t1*; and t* > 0 makes lambda = t = t*/2 feasible.  A
 plain certificate takes lambda = c t/2, c = max(1, beta^2): in the
-caller's units -LMI0 >= c t blkdiag(I, beta^-2) (see _unit_problem),
+caller's units -LMI0 >= c t blkdiag(I, beta^-2) (see _Problem),
 so lmi_max_eig <= -t/2 for every beta.  Rate probes keep lambda = 0.
 
 The constraints are one block-diagonal LMI F(x) >= 0 in x = (v, t),
 solved by the primal barrier method of Vandenberghe & Boyd (SIAM Review
 1996): Newton steps on -t/mu - log det F(x), the normalization a KKT
-equality.  After each stage mu falls by 10^4, or less to the first
-power of 10 whose duality gap dim(F) mu is below _GAP_TOL, so stages
-run at mu = 1, 1e-4 and 1e-8 for every supported state size.  Each
+equality.  Stages run at mu = 1, 1e-4 and 1e-8 (_STAGE_MUS); the last
+one's duality gap dim(F) mu is below 1e-7 for state sizes up to 3.  Each
 stage stops once full Newton steps converge quadratically, and only the
 last, whose point is the result, is centered tightly.  The Newton
 system (F(x)^-1, the Hessian, the KKT matrix) is built once per
@@ -80,13 +79,14 @@ INCONCLUSIVE = "Inconclusive"
 CERTIFIED = "Certified"
 INFEASIBLE_AT_RANGE = "Infeasible-at-range"
 
-# Stages end once dim(F) * mu, a central point's duality gap, is below
-# _GAP_TOL; mu falls by at most _STAGE_DROPS factors of 10 between
-# stages.  A stage ends at a squared Newton decrement of at most
-# _QUADRATIC, below which full Newton steps converge quadratically; the
-# last, whose point is the result, centers on to _CENTERED.
-_GAP_TOL = 1e-7
-_STAGE_DROPS = 4
+# The barrier stages' mu, each a left-to-right product of 0.1s, so the
+# last is bitwise that of a path dividing mu by 10 per stage.  A central
+# point's duality gap is dim(F) mu, so the last stage's is below 1e-7
+# for state sizes up to 3, where dim(F) <= 8.  A stage ends at a squared
+# Newton decrement of at most _QUADRATIC, below which full Newton steps
+# converge quadratically; the last, whose point is the result, centers
+# on to _CENTERED.
+_STAGE_MUS = (1.0, 0.1 * 0.1 * 0.1 * 0.1, 0.1 * 0.1 * 0.1 * 0.1 * 0.1 * 0.1 * 0.1 * 0.1)
 _QUADRATIC = 0.0625
 _CENTERED = 1e-14
 
@@ -143,7 +143,9 @@ class RestartTrace:
     stop is "centered" when the last stage reached its tolerance.  "step
     cap" (max_iters ran out) and "step halving" (rounding refused every
     trial point) end the path early, at the last centered stage: its
-    margin is then that of a looser stage, not a near-zero t*.
+    margin is then that of a looser stage, not a near-zero t*.  When no
+    stage centered, the path ends where it stopped, near its start, and
+    its margin and dual bound follow the start rule, not the LMI.
     """
 
     iterations: int
@@ -253,7 +255,11 @@ def _layout(s: int) -> tuple:
 
 
 class _Problem:
-    """The affine LMI map of one system/sector, built once.
+    """The affine LMI map of one system/sector, built once in the units u/beta.
+
+    With T = blkdiag(I, beta), T LMI T is the LMI of (A, beta B, C) on
+    [gamma/beta, 1] at the multiplier beta^2 tau, so both decide the same
+    question, and the map is built for the scaled system.
 
     A decision vector v is (vech P, tau), with vech in row-major
     upper-triangle order.  Row k of `basis` is vec(L_k), with L_k
@@ -265,17 +271,31 @@ class _Problem:
     -LMI0(v) - t I, P - t I and tau.  Row k of `flat` is vec(blocks[k]),
     so F(x) = (x @ flat) reshaped to (dim, dim).  The arrays that depend
     on the state size only come from the read-only _layout.
+
+    Raises:
+        ValueError: when an entry of (A, beta B, C) exceeds 2^128; for
+            every TwoStep, beta B holds the step times beta.  The LMI's
+            entries grow as the squares of these, and the Newton system
+            multiplies pairs of them over F's eigenvalues, so past 2^128
+            it overflows.
     """
 
     def __init__(self, system: LureSystem, bounds: SectorBounds, rho: float):
+        beta = bounds.beta
+        gain = max(float(np.abs(system.a).max()), beta * float(np.abs(system.b).max()),
+                   float(np.abs(system.c).max()))
+        if not gain <= 2.0**128:
+            raise ValueError(f"cannot decide the LMI in floats: an entry of (A, beta B, C), "
+                             f"where beta B is the step times beta, is {gain:g}, above 2^128")
+        system = LureSystem(system.a, beta * system.b, system.c)
         self.rho = rho
         self.s = s = system.state_dim
         self.d = d = s + 1
         (self.vech, self.n_p, self.trace_mask, self.p_index, self.p_basis, p_units, tau_units,
          self.eq) = _layout(s)
         n_p = self.n_p
-        self.basis = assemble_lmi(system, bounds, p_units, 0.0, tau_units, rho).reshape(
-            n_p + 1, d * d)
+        self.basis = assemble_lmi(system, SectorBounds(bounds.gamma / beta, 1.0), p_units, 0.0,
+                                  tau_units, rho).reshape(n_p + 1, d * d)
 
         n = n_p + 2
         self.dim = big = d + s + 1
@@ -288,60 +308,35 @@ class _Problem:
         self.flat = blocks.reshape(n, big * big)
 
 
-def _unit_problem(system: LureSystem, bounds: SectorBounds, rho: float) -> _Problem:
-    """The problem in the units u/beta: with T = blkdiag(I, beta), T LMI T is
-    the LMI of (A, beta B, C) on [gamma/beta, 1] at the multiplier
-    beta^2 tau, so both decide the same question.
-
-    Raises:
-        ValueError: when an entry of (A, beta B, C) exceeds 2^128; for
-            every TwoStep, beta B holds the step times beta.  The LMI's
-            entries grow as the squares of these, and the Newton system
-            multiplies pairs of them over F's eigenvalues, so past 2^128
-            it overflows.
-    """
-    beta = bounds.beta
-    gain = max(float(np.abs(system.a).max()), beta * float(np.abs(system.b).max()),
-               float(np.abs(system.c).max()))
-    if not gain <= 2.0**128:
-        raise ValueError(f"cannot decide the LMI in floats: an entry of (A, beta B, C), where "
-                         f"beta B is the step times beta, is {gain:g}, above 2^128")
-    scaled = LureSystem(system.a, beta * system.b, system.c)
-    return _Problem(scaled, SectorBounds(bounds.gamma / beta, 1.0), rho)
-
-
 def _barrier(prob: _Problem, x: np.ndarray):
     """Eigenpairs of F(x), or None when x is not strictly feasible."""
     vals, vecs = np.linalg.eigh((x @ prob.flat).reshape(prob.dim, prob.dim))
     return (vals, vecs) if vals[0] > 0.0 else None
 
 
-def _newton_system(prob: _Problem, vals: np.ndarray, vecs: np.ndarray, kkt: np.ndarray):
+def _newton_system(prob: _Problem, vals: np.ndarray, vecs: np.ndarray):
     """The part of the Newton system of -t/mu - log det F(x) that depends on x only.
 
-    F(x) = vecs diag(vals) vecs^T.  kkt is the caller's (n+1)-square work
-    array, zero in its last entry; it is filled with the KKT matrix of the
-    normalization, scaled to a unit Hessian diagonal.
+    F(x) = vecs diag(vals) vecs^T.
 
     Returns:
         (inv, trace, scale, kkt): F(x)^-1, minus the gradient of -log det F
-        (trace(F^-1 F_k)), the diagonal scaling and the KKT matrix.
+        (trace(F^-1 F_k)), the diagonal scaling and the KKT matrix of the
+        normalization, scaled to a unit Hessian diagonal.
     """
-    n = kkt.shape[0] - 1
     inv = (vecs / vals) @ vecs.T
     w = inv @ prob.blocks
     trace = np.einsum("kaa->k", w)
     hess = np.einsum("kab,lba->kl", w, w)
     scale = 1.0 / np.sqrt(hess.diagonal())
-    kkt[:n, :n] = hess * (scale[:, None] * scale)
-    kkt[:n, n] = kkt[n, :n] = prob.eq * scale
+    kkt = np.zeros((scale.size + 1,) * 2)
+    kkt[:-1, :-1] = hess * (scale[:, None] * scale)
+    kkt[:-1, -1] = kkt[-1, :-1] = prob.eq * scale
     return inv, trace, scale, kkt
 
 
-def _newton_solve(system, mu: float, rhs: np.ndarray):
+def _newton_solve(system, mu: float):
     """The Newton step at mu of a _newton_system, under the normalization.
-
-    rhs is the caller's (n+1) work array, zero in its last entry.
 
     Returns:
         (dx, dec): the step and the squared Newton decrement.
@@ -349,8 +344,9 @@ def _newton_solve(system, mu: float, rhs: np.ndarray):
     _, trace, scale, kkt = system
     grad = trace.copy()  # minus the gradient of the barrier objective
     grad[-1] += 1.0 / mu
-    rhs[: grad.size] = grad * scale
-    dx = scale * np.linalg.solve(kkt, rhs)[: grad.size]
+    rhs = np.zeros(grad.size + 1)
+    rhs[:-1] = grad * scale
+    dx = scale * np.linalg.solve(kkt, rhs)[:-1]
     return dx, grad @ dx
 
 
@@ -362,21 +358,21 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     self-concordant barrier; below lambda = 1/4 (lambda^2 = _QUADRATIC)
     full steps converge quadratically.  Every stage but the last stops
     there, as only the last stage's point is returned; that one centers
-    on to lambda^2 <= _CENTERED.  Stages take long steps in mu: mu = 1,
-    1e-4 and 1e-8 for dim(F) 4 to 8, each a product of 0.1s, so the last
-    mu, and with it the returned central point, is that of a path
-    dividing mu by 10 per stage.  The Newton system is built once per
+    on to lambda^2 <= _CENTERED.  Stages take long steps in mu, the
+    _STAGE_MUS 1, 1e-4 and 1e-8.  The Newton system is built once per
     iterate: a new stage keeps x and re-solves it for its mu.  A stage
     that cannot reach its tolerance ends the path at the last stage that
     did: "step cap" when max_steps ran out, "step halving" when rounding
-    refused every trial point down to a step of 1e-12.
+    refused every trial point down to a step of 1e-12.  When no stage
+    did, the path ends where it stopped, near its start, and the margin
+    and dual point returned follow the start rule, not the LMI.
 
     Returns:
         (x, mu, z, steps, stop): that iterate, its mu, the dual point of
         its last Newton step, the Newton steps taken in all, and why the
         path ended ("centered", "step cap" or "step halving").
     """
-    n, dim = prob.flat.shape[0], prob.dim
+    dim = prob.dim
     x = prob.eq / (prob.s + 1)  # P = I and tau = 1, scaled onto the normalization
     # mu = 1 centers t where 1/(lambda_i - t) sums to 1 over the d + s
     # eigenvalues t enters, about dim below them when F's spectrum is
@@ -384,13 +380,12 @@ def _maximize_margin(prob: _Problem, max_steps: int):
     # grows with lambda past 2^40, so that rounding cannot eat it.
     low = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0]
     x[-1] = low - max(dim, abs(low) * 2.0**-40)
-    kkt, rhs = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
-    system = _newton_system(prob, *_barrier(prob, x), kkt)
-    mu, steps, centered = 1.0, 0, None
-    while True:
-        tol = _CENTERED if dim * mu <= _GAP_TOL else _QUADRATIC
+    system = _newton_system(prob, *_barrier(prob, x))
+    steps, centered = 0, None
+    for mu in _STAGE_MUS:
+        tol = _CENTERED if mu == _STAGE_MUS[-1] else _QUADRATIC
         while True:
-            dx, dec = _newton_solve(system, mu, rhs)
+            dx, dec = _newton_solve(system, mu)
             if dec <= tol or steps >= max_steps:
                 break
             step = 1.0 if dec < _QUADRATIC else 1.0 / (1.0 + np.sqrt(dec))
@@ -398,20 +393,15 @@ def _maximize_margin(prob: _Problem, max_steps: int):
                 step *= 0.5  # only rounding leaves the ellipsoid
             if eig is None:
                 break
-            x, system = x + step * dx, _newton_system(prob, *eig, kkt)
+            x, system = x + step * dx, _newton_system(prob, *eig)
             steps += 1
         here = (x, mu, system[0], dx)
         if not abs(dec) <= tol:
             stop = "step cap" if steps >= max_steps else "step halving"
             break
         centered = here
-        if tol == _CENTERED:
-            stop = "centered"
-            break
-        for _ in range(_STAGE_DROPS):
-            mu *= 0.1
-            if dim * mu <= _GAP_TOL:
-                break
+    else:
+        stop = "centered"
     x, mu, inv, dx = centered or here
     # mu (F^-1 - F^-1 dF F^-1) meets the Newton system's stationarity
     # equations exactly, and is positive definite for a decrement below 1.
@@ -497,7 +487,7 @@ def solve_feasibility(
     opts = options or SolverOptions()
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    prob = _unit_problem(system, bounds, rho)
+    prob = _Problem(system, bounds, rho)
     x, mu, z, steps, stop = _maximize_margin(prob, opts.max_iters)
     margin = float(x[-1])
     traces = [RestartTrace(steps, -margin, prob.dim * mu, stop)]
@@ -552,7 +542,7 @@ def verify_infeasibility(
     Then no P > 0, tau >= 0, lambda >= 0 make the LMI negative
     semidefinite.  Truthy exactly when all conditions hold.
     """
-    prob = _unit_problem(system, bounds, witness.rho)
+    prob = _Problem(system, bounds, witness.rho)
     z1_bot = float(eigvals_sym(witness.z1)[0])
     z2_bot = float(eigvals_sym(witness.z2)[0])
     bound, tau_slack = _dual_bound(prob, witness.z1, witness.z2)
@@ -637,7 +627,7 @@ def certify_rate(
     hi is the smallest non-Feasible probe, which can be Infeasible or
     Inconclusive.  Near rho* the margin shrinks like rho* - rho (about
     0.1 (rho* - rho) for heavyball on [0.1, 1]), and the barrier stops at
-    a duality gap of _GAP_TOL = 1e-7, so probes within a few 1e-7 below
+    a duality gap below 1e-7, so probes within a few 1e-7 below
     the exact rate come back Inconclusive.  Below a tol of about 5e-7, hi
     can be such a probe, and rho* can then lie more than tol below the
     exact rate.
@@ -654,9 +644,15 @@ def certify_rate(
         RateResult with rho_star the largest rho found feasible (lo), its
         certificate, the list of (rho, status) probes, the reference and
         bracket_hi = hi.  RateResult says which of them can be None.
+
+    Raises:
+        ValueError: unless 0 < rho_low < rho_high < 1 and tol is positive
+            and finite, before any solve.
     """
     if not (0.0 < rho_low < rho_high < 1.0):
         raise ValueError(f"need 0 < rho_low < rho_high < 1, got {rho_low}, {rho_high}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     tested, seen = [], {}  # seen: each probed rho's result, solved once
 
     def probe(rho: float) -> FeasibilityResult:

@@ -272,6 +272,8 @@ def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
      "eps must be positive and finite, got nan"),
     (["lyapunov", "--kappa", "2", "--eps", "inf", "--rho", "0.05"],
      "eps must be positive and finite, got inf"),
+    (["lyapunov", "--kappa", "2", "--eps", "1", "--rho", "1.5"],
+     "rho must lie in (0, 1), got 1.5\n"),
     (["simulate", "vs-t", "--lambda-reg", "nan"],
      "regularization lambda_reg must be positive and finite, got nan"),
     (["simulate", "vs-t", "--separation", "nan"], "separation must be finite, got nan"),
@@ -290,7 +292,8 @@ def test_lyapunov_negative_grid_count_names_its_flag(flag, capsys):
      "need a finite kappa = beta/gamma, got gamma=1e-200, beta=1e+200"),
     (["simulate", "vs-n", "--seed", "-1"], "master_seed must be >= 0, got -1"),
 ], ids=["bound-G-nan", "bound-G-inf", "certify-eta-nan", "certify-beta-inf", "lyapunov-kappa-inf",
-        "lyapunov-kappa-below-1", "lyapunov-eps-nan", "lyapunov-eps-inf", "simulate-lambda-reg-nan", "simulate-separation-nan",
+        "lyapunov-kappa-below-1", "lyapunov-eps-nan", "lyapunov-eps-inf", "lyapunov-rho-above-1",
+        "simulate-lambda-reg-nan", "simulate-separation-nan",
         "simulate-probes-negative", "simulate-sgd-eta-no-contraction", "certify-nag-sq-kappa-1e40",
         "bound-kappa-1e40", "lyapunov-kappa-1e300", "certify-kappa-overflows",
         "simulate-negative-seed"])
@@ -461,6 +464,20 @@ def test_certify_huge_step_gives_a_verdict_or_names_the_step(eta, optimizer, rat
         assert captured.err == ("stabcert: cannot decide the LMI in floats: an entry of (A, beta B, "
                                 f"C), where beta B is the step times beta, is {float(eta):g}, "
                                 "above 2^128\n")
+
+
+def test_certify_path_that_centers_no_stage_says_where_it_stopped(tmp_path, capsys):
+    # At eta = 1e5 rounding refuses the first stage's trial points after
+    # at most one step, so no stage is centered: the verdict is
+    # Inconclusive and the printed margin is where the path stopped, near
+    # its start, so no digits of it are pinned.
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--optimizer", "sgd", "--gamma", "0.1", "--beta", "1", "--eta", "1e5",
+            "--out", str(out)]
+    assert main(argv) == EXIT_NEGATIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert "status         Inconclusive" in lines and "stopped        step halving" in lines
+    assert not out.exists()
 
 
 def test_bound_bad_rho_exit_64(capsys):

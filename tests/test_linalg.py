@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabcert import linalg
 from stabcert.linalg import (
     eig2_radius,
     eigvals_sym,
@@ -73,6 +74,16 @@ def test_eigvals_sym_rejects_nonsymmetric():
         eigvals_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigvals_sym(np.zeros((2, 3)))
+
+
+def test_eigvals_sym_raises_when_the_sweeps_run_out(monkeypatch):
+    # One sweep rotates the pair of a dense 2x2, and only a second,
+    # rotating nothing, would show convergence.  A diagonal matrix needs
+    # no rotation, so one sweep settles it.
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="^Jacobi iteration failed to converge$"):
+        eigvals_sym(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    np.testing.assert_array_equal(eigvals_sym(np.diag([3.0, -1.0])), [-1.0, 3.0])
 
 
 def test_eigvals_sym_zero_and_scalar():

@@ -19,7 +19,6 @@ from stabcert.optimizers import (
     a_alpha,
     lure_of,
     nag_step,
-    sgd_step,
     step_rule,
     theta_of,
     tuned_step,
@@ -100,7 +99,7 @@ def test_theta_identity(kappa):
 def test_step_rules_quadratic():
     # 1-d quadratic f = 0.5 w^2: gradient is w itself.
     st0 = OptimizerState(w=np.array([2.0]), v=np.array([0.0]))
-    out = sgd_step(st0, st0.w, eta=0.1)
+    out = nag_step(st0, lambda w: w, eta=0.1, mu=0.0)
     assert out.w[0] == pytest.approx(1.8)
 
 
@@ -110,9 +109,9 @@ def test_nag_with_zero_momentum_is_sgd(eta, coords):
     w = np.array(coords)
     grad = lambda v: 2.0 * v + 1.0
     s = OptimizerState(w=w.copy(), v=np.zeros_like(w))
-    a = sgd_step(s, grad(s.w), eta)
+    a = s.w - eta * grad(s.w)
     b = nag_step(s, grad, eta, mu=0.0)
-    np.testing.assert_allclose(a.w, b.w, atol=1e-14)
+    np.testing.assert_allclose(a, b.w, atol=1e-14)
 
 
 def test_state_zeros():
@@ -350,14 +349,16 @@ def test_two_step_validates_once():
 
 
 def test_nag_step_at_zero_momentum_is_bitwise_sgd_step():
-    # Both call the gradient at w itself, so every state stays bitwise equal.
+    # Both call the gradient at w itself, so every iterate stays bitwise
+    # equal to the sgd step w - eta * grad(w), written out here.
     rng = np.random.default_rng(3)
     grad = lambda p: np.tanh(p) + 0.3 * p - 0.1
-    a = b = OptimizerState(w=rng.normal(size=(5, 4)), v=np.zeros((5, 4)))
+    a = rng.normal(size=(5, 4))
+    b = OptimizerState(w=a, v=np.zeros((5, 4)))
     for _ in range(200):
-        a = sgd_step(a, grad(a.w), 0.37)
+        a = a - 0.37 * grad(a)
         b = nag_step(b, grad, 0.37, 0.0, 0.0)
-        np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a, b.w)
 
 
 @pytest.mark.parametrize("spec", [Sgd(0.37), HeavyBall(0.2, 0.7), NagStandard(0.2, 0.7)],

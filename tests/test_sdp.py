@@ -275,6 +275,35 @@ def test_certify_rate_range_errors():
         certify_rate(system, sb, rho_low=0.5, rho_high=0.4)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
+def test_certify_rate_rejects_a_tol_that_is_not_positive_and_finite(monkeypatch, tol):
+    # tol <= 0 never closed the bracket once its ends were adjacent
+    # floats, nan was blamed on rho and inf certified rho_low.  Each is
+    # refused before any solve.
+    sb = SectorBounds(0.1, 1.0)
+    monkeypatch.setattr(sdp, "solve_feasibility", None)
+    with pytest.raises(ValueError, match=rf"^tol must be positive and finite, got {tol}$"):
+        certify_rate(lure_of(Sgd(1.0), sb), sb, tol=tol)
+
+
+def test_newton_systems_own_their_arrays():
+    # A Newton system built at a second iterate leaves the first intact.
+    sb = SectorBounds(0.1, 1.0)
+    prob = _Problem(lure_of(HeavyBall(1.0, 0.3), sb), sb, 0.0)
+    x = prob.eq / (prob.s + 1)
+    x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(prob.dim, prob.dim))[0] - prob.dim
+    first = sdp._newton_system(prob, *sdp._barrier(prob, x))
+    kept = [a.copy() for a in first]
+    step = sdp._newton_solve(first, 1.0)
+    x = x + 0.5 * step[0]
+    second = sdp._newton_system(prob, *sdp._barrier(prob, x))
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+    for a, b in zip(first, kept):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(sdp._newton_solve(first, 1.0), step):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_infeasible_status_for_stalled_positive_residual():
     # eta = 3/beta ends with a clearly positive residual -t*; the verdict
     # is Infeasible because the dual point of that same solve verifies,
@@ -864,7 +893,7 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
     # solves and rate probes share one LMI shape; only the plain
     # certificate carries a lambda.
     sb = SectorBounds(0.1, 1.0)
-    prob = sdp._unit_problem(lure_of(spec, sb), sb, rho)
+    prob = sdp._Problem(lure_of(spec, sb), sb, rho)
     barrier, newton_system, newton_solve = sdp._barrier, sdp._newton_system, sdp._newton_solve
     seen = {"points": 0, "systems": 0, "steps": 0}
     built = []  # the newest system with the eigenpairs it was built from
@@ -875,14 +904,14 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
         seen["points"] += 1
         return barrier(prob, x)
 
-    def checked_system(prob, vals, vecs, kkt):
-        system = newton_system(prob, vals, vecs, kkt)
+    def checked_system(prob, vals, vecs):
+        system = newton_system(prob, vals, vecs)
         built[:] = [system, vals, vecs]
         seen["systems"] += 1
         return system
 
-    def checked_solve(system, mu, rhs):
-        got = newton_solve(system, mu, rhs)
+    def checked_solve(system, mu):
+        got = newton_solve(system, mu)
         newest, vals, vecs = built
         assert system is newest
         for a, b in zip((*got, system[0]), _parent_newton_step(prob, vals, vecs, mu)):
@@ -906,8 +935,10 @@ def test_newton_step_is_bitwise_the_reference(monkeypatch, spec, rho, plain):
 
 def _fully_centered_maximize_margin(prob, max_steps):
     # _maximize_margin as first written, centering every stage, not only
-    # the last, to a squared Newton decrement of _CENTERED, and building
-    # a new Newton system for every solve.
+    # the last, to a squared Newton decrement of 1e-14, dividing mu by 10
+    # per stage until the duality gap dim(F) mu is at most 1e-7, and
+    # building a new Newton system for every solve.  Its tolerances are
+    # its own, so that changing the solver's cannot move the reference.
     dim = prob.dim
     x = prob.eq / (prob.s + 1)
     x[-1] = np.linalg.eigvalsh((x @ prob.flat).reshape(dim, dim))[0] - 1.0
@@ -916,7 +947,7 @@ def _fully_centered_maximize_margin(prob, max_steps):
     while True:
         while True:
             dx, dec, inv = _parent_newton_step(prob, vals, vecs, mu)
-            if dec <= sdp._CENTERED or steps >= max_steps:
+            if dec <= 1e-14 or steps >= max_steps:
                 break
             step = 1.0 if dec < 0.0625 else 1.0 / (1.0 + np.sqrt(dec))
             while (eig := sdp._barrier(prob, x + step * dx)) is None and step > 1e-12:
@@ -927,10 +958,10 @@ def _fully_centered_maximize_margin(prob, max_steps):
             steps += 1
         z = mu * (inv - inv @ (dx @ prob.flat).reshape(dim, dim) @ inv)
         here = (x, mu, 0.5 * (z + z.T))
-        if not abs(dec) <= sdp._CENTERED:
+        if not abs(dec) <= 1e-14:
             stop = "step cap" if steps >= max_steps else "step halving"
             return (*(centered or here), steps, stop)
-        if prob.dim * mu <= sdp._GAP_TOL:
+        if prob.dim * mu <= 1e-7:
             return (*here, steps, "centered")
         centered = here
         mu *= 0.1
@@ -968,9 +999,8 @@ def _assert_same_central_point(monkeypatch, run):
     for (prob, x, mu, steps), (_, ref_x, ref_mu, ref_steps) in zip(ends, ref_ends):
         assert mu == ref_mu and steps <= ref_steps
         assert x[-1] == pytest.approx(ref_x[-1], rel=1e-8)
-        n = prob.flat.shape[0]
-        system = sdp._newton_system(prob, *sdp._barrier(prob, x), np.zeros((n + 1, n + 1)))
-        assert sdp._newton_solve(system, mu, np.zeros(n + 1))[1] <= sdp._CENTERED
+        system = sdp._newton_system(prob, *sdp._barrier(prob, x))
+        assert sdp._newton_solve(system, mu)[1] <= sdp._CENTERED
     for a, b in zip(got, want):
         assert a.status == b.status
         if b.certificate is not None:
@@ -1008,12 +1038,13 @@ def _random_two_step_cases(seed, count):
 
 
 def test_long_stages_keep_the_central_point_of_random_systems(monkeypatch):
-    # The reference centers each of its 9 stages to _CENTERED.  Where
-    # rounding stops it short of that (1 case in these 80), it is no
-    # reference, and the long-step path must center that case itself.
+    # The reference centers each of its 9 stages to a squared decrement
+    # of 1e-14.  Where rounding stops it short of that (1 case in these
+    # 80), it is no reference, and the long-step path must center that
+    # case itself.
     cases = []
     for system, sb, rho in _random_two_step_cases(0, 80):
-        prob = sdp._unit_problem(system, sb, rho)
+        prob = sdp._Problem(system, sb, rho)
         if _fully_centered_maximize_margin(prob, 500)[-1] == "centered":
             cases.append((system, sb, rho))
         else:
@@ -1034,13 +1065,13 @@ def test_stages_run_at_mu_1_1e4_1e8_as_products_of_a_tenth(monkeypatch, spec, di
                             np.array([[-1.0], [0.0], [0.0]]), np.array([[1.0, 0.0, 0.0]]))
     else:
         system = lure_of(spec, sb)
-    prob = sdp._unit_problem(system, sb, 0.0)
+    prob = sdp._Problem(system, sb, 0.0)
     newton_solve, mus = sdp._newton_solve, []
 
-    def recording(system, mu, rhs):
+    def recording(system, mu):
         if not mus or mus[-1] != mu:
             mus.append(mu)
-        return newton_solve(system, mu, rhs)
+        return newton_solve(system, mu)
 
     monkeypatch.setattr(sdp, "_newton_solve", recording)
     x, mu, z, steps, stop = sdp._maximize_margin(prob, 500)
@@ -1123,8 +1154,8 @@ def test_refused_trial_points_halve_the_step(monkeypatch, name, want, period):
             return None
         return barrier(prob, x)
 
-    def recording_solve(system, mu, rhs):
-        solves.append(newton_solve(system, mu, rhs))
+    def recording_solve(system, mu):
+        solves.append(newton_solve(system, mu))
         return solves[-1]
 
     monkeypatch.setattr(sdp, "_barrier", refusing)

@@ -28,7 +28,6 @@ from stabcert.optimizers import (
     SectorBounds,
     Sgd,
     nag_step,
-    sgd_step,
     step_rule,
 )
 from stabcert.simulate import (
@@ -500,7 +499,7 @@ def _oracle_trial(base, n, trial, config):
 
             state = states[arm]
             if opt.mu == 0.0:
-                states[arm] = sgd_step(state, grad(state.w), opt.eta)
+                states[arm] = OptimizerState(w=state.w - opt.eta * grad(state.w), v=state.v)
             else:
                 states[arm] = nag_step(state, grad, opt.eta, opt.mu, opt.nu)
             max_grad = max(max_grad, float(np.linalg.norm(seen[0])))
@@ -682,7 +681,7 @@ def test_vs_t_does_not_depend_on_the_horizon_past_its_last_checkpoint():
 @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
 def test_coupled_run_equals_step_functions(kind):
     # coupled_run's shared two-row rule against each arm stepped alone
-    # through nag_step and sgd_step on the task's own grad
+    # through nag_step, or an sgd step written out, on the task's own grad
     sb = SectorBounds(0.25, 1.0)
     if kind == "logistic":
         task, other = _tiny_tasks(seed=3)
@@ -698,7 +697,8 @@ def test_coupled_run_equals_step_functions(kind):
             for arm, tk in enumerate((task, other)):
                 state = states[arm]
                 if opt.mu == 0.0:
-                    states[arm] = sgd_step(state, tk.grad(state.w, i), opt.eta)
+                    states[arm] = OptimizerState(w=state.w - opt.eta * tk.grad(state.w, i),
+                                                 v=state.v)
                 else:
                     states[arm] = nag_step(state, lambda w: tk.grad(w, i), opt.eta, opt.mu,
                                            opt.nu)
